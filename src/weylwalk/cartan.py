@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, NotFiniteTypeError, ResourceBudgetError
@@ -101,24 +102,6 @@ POSITIVE_ROOT_COUNTS = {
     "F": lambda n: 24,
     "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
 }
-
-WEYL_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "G": lambda n: 12,
-    "F": lambda n: 1152,
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -445,17 +428,17 @@ def _verify_datum(datum: CartanDatum) -> None:
         raise FormatError("rho pairing check failed")
 
 
-def positive_roots(datum: CartanDatum) -> List[Weight]:
-    """All positive roots, by reflection closure from the simple roots.
+def _positive_root_coords(matrix: IntMatrix) -> List[Tuple[int, ...]]:
+    """Positive roots of a finite-type Cartan matrix in simple-root coordinates.
 
-    Finite type only; every root has multiplicity one.  Sorted by height then
-    root coordinates for determinism.
+    Reflection closure from the simple roots; sorted by height then
+    coordinates for determinism.
     """
-    n = datum.rank
-    simple = [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
-    # close the full root set under simple reflections in root coordinates
-    def reflect_root(i: int, r: Vector) -> Vector:
-        coeff = sum((Fraction(datum.matrix[j][i]) * r[j] for j in range(n)), Fraction(0))
+    n = len(matrix)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+    def reflect_root(i: int, r: Tuple[int, ...]) -> Tuple[int, ...]:
+        coeff = sum(matrix[j][i] * r[j] for j in range(n))
         return tuple(c - coeff if j == i else c for j, c in enumerate(r))
 
     roots = set(simple)
@@ -469,15 +452,51 @@ def positive_roots(datum: CartanDatum) -> List[Weight]:
                 frontier.append(img)
     positive = [r for r in roots if all(c >= 0 for c in r)]
     positive.sort(key=lambda r: (sum(r), r))
-    return [datum.weight_from_root(r) for r in positive]
+    return positive
+
+
+def positive_roots(datum: CartanDatum) -> List[Weight]:
+    """All positive roots, by reflection closure from the simple roots.
+
+    Finite type only; every root has multiplicity one.  Sorted by height then
+    root coordinates for determinism.
+    """
+    return [datum.weight_from_root(r) for r in _positive_root_coords(datum.matrix)]
+
+
+def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
+    """Positive coroots in simple-coroot coordinates.
+
+    They are the positive roots of the transposed Cartan matrix; a weight's
+    pairing with the coroot c is sum_i c_i * fw_i.
+    """
+    n = datum.rank
+    transposed = tuple(tuple(datum.matrix[j][i] for j in range(n)) for i in range(n))
+    return _positive_root_coords(transposed)
+
+
+def weyl_order(datum: CartanDatum) -> int:
+    """|W| = n! * det(A) * prod of the highest root's coefficients.
+
+    Holds for every indecomposable finite-type matrix, custom ones included;
+    the highest root is the last positive root in height order.
+    """
+    highest = _positive_root_coords(datum.matrix)[-1]
+    return factorial(datum.rank) * datum.det * prod(highest)
 
 
 def weyl_group(datum: CartanDatum, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
     """Enumerate the full Weyl group by breadth-first closure.
 
     BFS depth is the Coxeter length, so each element carries a reduced word
-    and its sign for free.
+    and its sign for free.  A group whose closed-form order exceeds the
+    budget is refused before any element is built.
     """
+    order = weyl_order(datum)
+    if order > budget:
+        raise ResourceBudgetError(
+            f"Weyl group of {datum.label} has {order} elements, over the budget {budget}"
+        )
     n = datum.rank
     gens = [datum.simple_reflection_matrix(i) for i in range(n)]
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

@@ -9,9 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cartan import CartanDatum, Weight, WeylGroup, act, positive_roots
+from .cartan import (
+    DEFAULT_WEYL_BUDGET,
+    CartanDatum,
+    Weight,
+    WeylGroup,
+    act,
+    positive_coroots,
+    positive_roots,
+    weyl_group,
+    weyl_order,
+)
 from .crystal import CrystalCache, CrystalGraph, ModuleSpec, count_f_multiplicity
 from .errors import DomainError, ExactEvaluationError
 
@@ -192,7 +203,13 @@ class CharacterAlgebra:
     """Characters, the stay-in-cone harmonic function and its relatives.
 
     Caches one crystal per dominant weight (straight highest path), the
-    positive roots and the Weyl group of a fixed finite-type datum.
+    positive roots and the Weyl group of a fixed finite-type datum, and every
+    character value per (weight, tau).
+
+    S_lambda(tau) and psi are computed by whichever route costs less: the
+    Weyl alternating sum has |W| terms, the crystal B(lambda) has
+    dim V(lambda) nodes.  The crystal route serves every weight when |W| is
+    over the group budget (E7, E8).
     """
 
     def __init__(self, datum: CartanDatum, group: Optional[WeylGroup] = None,
@@ -201,12 +218,15 @@ class CharacterAlgebra:
         self.cache = cache if cache is not None else CrystalCache(datum)
         self._group = group
         self._posroots = None
+        self._order = weyl_order(datum)
+        self._coroots = positive_coroots(datum)
+        self._rho_dim = prod(sum(c) for c in self._coroots)
+        self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
+        self._denominators: Dict[TauPoint, Fraction] = {}
 
     @property
     def group(self) -> WeylGroup:
         if self._group is None:
-            from .cartan import weyl_group
-
             self._group = weyl_group(self.datum)
         return self._group
 
@@ -215,6 +235,29 @@ class CharacterAlgebra:
         if self._posroots is None:
             self._posroots = positive_roots(self.datum)
         return self._posroots
+
+    def dimension(self, lam: Weight) -> int:
+        """dim V(lambda) by the Weyl dimension formula over the positive coroots."""
+        num = prod(sum(c * (x + 1) for c, x in zip(cor, lam.fw)) for cor in self._coroots)
+        return num // self._rho_dim
+
+    def _uses_weyl_sum(self, lam: Weight) -> bool:
+        """Whether the |W|-term alternating sum is cheaper than B(lambda).
+
+        Non-dominant weights stay on the crystal route, which rejects them.
+        """
+        return (self._order <= DEFAULT_WEYL_BUDGET and lam.is_dominant()
+                and self._order < self.dimension(lam))
+
+    def denominator_value(self, tau: TauPoint) -> Fraction:
+        """prod over positive roots of (1 - tau^alpha), once per tau."""
+        out = self._denominators.get(tau)
+        if out is None:
+            out = Fraction(1)
+            for alpha in self.posroots:
+                out *= 1 - tau.power(alpha.root)
+            self._denominators[tau] = out
+        return out
 
     # -- characters -------------------------------------------------------------
 
@@ -229,7 +272,18 @@ class CharacterAlgebra:
         return ExponentPolynomial(out)
 
     def character_value(self, kappa: Weight, tau: TauPoint) -> Fraction:
-        return self.character_poly(kappa).evaluate(tau)
+        """S_kappa(tau), from the Weyl sum over the denominator where that is
+        cheaper and the denominator is nonzero, else from the crystal."""
+        key = (kappa.fw, tau)
+        out = self._characters.get(key)
+        if out is None:
+            denom = self.denominator_value(tau)
+            if denom != 0 and self._uses_weyl_sum(kappa):
+                out = self.weyl_numerator(kappa).evaluate(tau) / denom
+            else:
+                out = self.character_poly(kappa).evaluate(tau)
+            self._characters[key] = out
+        return out
 
     def weyl_numerator(self, mu: Weight) -> ExponentPolynomial:
         """Alternating orbit sum rebased at mu: sum_w sign(w) tau^{mu+rho-w(mu+rho)}."""
@@ -253,15 +307,16 @@ class CharacterAlgebra:
     # -- psi ---------------------------------------------------------------------
 
     def psi_poly(self, mu: Weight) -> ExponentPolynomial:
+        """prod(1 - tau^alpha) * S_mu; by the Weyl character formula this is
+        the alternating sum weyl_numerator(mu), used where it is cheaper."""
+        if self._uses_weyl_sum(mu):
+            return self.weyl_numerator(mu)
         return self.denominator_poly() * self.character_poly(mu)
 
     def psi(self, mu: Weight, tau: TauPoint) -> Fraction:
-        """Probability of never leaving the cone, as the closed product form."""
+        """Probability of never leaving the cone: prod(1 - tau^alpha) * S_mu(tau)."""
         tau.require_in_region()
-        out = self.character_value(mu, tau)
-        for alpha in self.posroots:
-            out *= 1 - tau.power(alpha.root)
-        return out
+        return self.character_value(mu, tau) * self.denominator_value(tau)
 
     def sigma_m(self, modspec: ModuleSpec, tau: TauPoint) -> Fraction:
         """Normalizer of a direct sum: sum of a_kappa tau^{-kappa} S_kappa(tau)."""

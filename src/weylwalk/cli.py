@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -246,9 +247,9 @@ def cmd_simulate(ctx: RunContext, out: OutputWriter) -> int:
     reports[-1].notes["truncation_bound"] = truncation
     ok = _print_reports(reports)
     out.write("simulate.json", json.dumps([r.as_dict() for r in reports], indent=2))
+    curve = [summary.stay_count_continuous(ell) / n for ell in range(1, horizon + 1)]
     csv = "\n".join(["L,estimate,stderr"] + [
-        f"{ell},{summary.stay_count_continuous(ell) / n},{0.0}"
-        for ell in range(1, horizon + 1)
+        f"{ell},{p},{math.sqrt(p * (1 - p) / n)}" for ell, p in enumerate(curve, start=1)
     ])
     out.write("simulate_curve.csv", csv)
     return EXIT_OK if ok else EXIT_VERIFY

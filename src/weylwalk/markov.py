@@ -64,18 +64,22 @@ class CrystalDistribution:
         for e in entries:
             fw = e.crystal.weights[e.node].fw
             self._weight_mass[fw] = self._weight_mass.get(fw, Fraction(0)) + e.probability
+        self._node_probability = {(id(e.crystal), e.node): e.probability for e in entries}
+        self._rows: Dict[Tuple[int, ...], Dict[Weight, int]] = {}
 
     def probability_of(self, crystal: CrystalGraph, node: int) -> Fraction:
-        for e in self.entries:
-            if e.crystal is crystal and e.node == node:
-                return e.probability
-        raise KeyError("node not in distribution")
+        return self._node_probability[(id(crystal), node)]
 
     def weight_mass(self, delta: Weight) -> Fraction:
         return self._weight_mass.get(delta.fw, Fraction(0))
 
     def multiplicity_row(self, mu: Weight) -> Dict[Weight, int]:
-        return module_multiplicity(self.datum, mu, self.crystals)
+        """Branching row of mu, computed once per mu; callers must not mutate it."""
+        row = self._rows.get(mu.fw)
+        if row is None:
+            row = module_multiplicity(self.datum, mu, self.crystals)
+            self._rows[mu.fw] = row
+        return row
 
     # -- step kernels ----------------------------------------------------------
 

@@ -11,8 +11,8 @@ from weylwalk import (
     positive_roots,
     weyl_group,
 )
-from weylwalk.cartan import act_vector, inverse_element
-from weylwalk.errors import FormatError, NotFiniteTypeError
+from weylwalk.cartan import act_vector, inverse_element, weyl_order
+from weylwalk.errors import FormatError, NotFiniteTypeError, ResourceBudgetError
 from weylwalk.exact import identity_matrix, mat_mul
 
 
@@ -219,3 +219,27 @@ def test_root_coordinate_denominators_divide_det(c2, a2):
 def test_exceptional_positive_root_counts(label, count):
     datum = build_cartan_datum(label)
     assert len(positive_roots(datum)) == count
+
+
+@pytest.mark.parametrize("spec", [
+    "A3", "B3", "C3", "D4", "G2", "F4",
+    [[2, -1], [-3, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+])
+def test_weyl_order_closed_form_matches_enumeration(spec):
+    datum = build_cartan_datum(spec)
+    assert weyl_order(datum) == len(weyl_group(datum))
+
+
+@pytest.mark.parametrize("label,order", [("E6", 51840), ("E7", 2903040), ("E8", 696729600)])
+def test_weyl_order_of_e_types(label, order):
+    """Too slow (E6) or over the group budget (E7, E8) to check by enumeration."""
+    assert weyl_order(build_cartan_datum(label)) == order
+
+
+def test_weyl_group_over_budget_fails_before_enumerating():
+    with pytest.raises(ResourceBudgetError) as info:
+        weyl_group(build_cartan_datum("D4"), budget=100)
+    assert info.value.partial_count == 0
+    with pytest.raises(ResourceBudgetError, match="2903040"):
+        weyl_group(build_cartan_datum("E7"))

@@ -1,0 +1,149 @@
+"""The two character routes agree exactly, and the memos return what a fresh
+computation would.
+
+S_lambda(tau) is the Weyl alternating sum over prod(1 - tau^alpha) or the sum
+over the crystal B(lambda); the algebra takes whichever has fewer terms (|W|
+against dim V(lambda)).  The crystal route is the oracle here.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from weylwalk import build_cartan_datum
+from weylwalk import markov as M
+from weylwalk.cartan import weyl_order
+from weylwalk.charalg import CharacterAlgebra, tau_point, tau_point_from_roots
+from weylwalk.crystal import CrystalCache, module_multiplicity
+from weylwalk.errors import ResourceBudgetError
+
+from conftest import partition_weight
+
+# Per type: weights with dim V(lambda) below |W| and above it, and a generic tau.
+CASES = {
+    "A2": ([(1, 0), (2, 0)], [(1, 1), (3, 2)], ["2/7", "3/5"]),
+    "C2": ([(1, 0), (0, 1)], [(2, 1), (3, 3)], ["1/3", "2/5"]),
+    "G2": ([(1, 0)], [(1, 1), (2, 1)], ["3/7", "1/4"]),
+    "B3": ([(1, 0, 0), (0, 0, 1)], [(1, 1, 0), (1, 0, 2)], ["1/2", "2/7", "3/5"]),
+    "D4": ([(1, 0, 0, 0), (1, 1, 0, 0)], [(1, 0, 1, 1)], ["1/3", "2/5", "3/7", "4/9"]),
+    "F4": ([(0, 0, 0, 1), (1, 0, 0, 1)], [(0, 1, 0, 0)], ["1/2", "2/3", "3/5", "5/7"]),
+}
+
+
+@pytest.fixture(scope="module")
+def algebras():
+    return {label: CharacterAlgebra(build_cartan_datum(label)) for label in CASES}
+
+
+def _weyl_route(algebra, lam, tau):
+    return algebra.weyl_numerator(lam).evaluate(tau) / algebra.denominator_value(tau)
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_weyl_route_equals_crystal_character(algebras, label):
+    algebra = algebras[label]
+    datum = algebra.datum
+    small, large, tau_values = CASES[label]
+    order = weyl_order(datum)
+    points = [tau_point(datum, tau_values)]
+    if label == "A2":
+        points.append(tau_point_from_roots(datum, ["1/2", "2/3"]))
+    for fw in small + large:
+        lam = datum.weight(fw)
+        assert (algebra.dimension(lam) > order) == (fw in large)
+        crystal_poly = algebra.character_poly(lam)
+        for tau in points:
+            expect = crystal_poly.evaluate(tau)
+            assert _weyl_route(algebra, lam, tau) == expect
+            assert algebra.character_value(lam, tau) == expect
+            assert algebra.psi(lam, tau) == expect * algebra.denominator_value(tau)
+        if datum.rank <= 3:  # the product has thousands of terms on D4 and F4
+            assert algebra.psi_poly(lam) == algebra.denominator_poly() * crystal_poly
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_dimension_formula_counts_crystal_nodes(algebras, label):
+    algebra = algebras[label]
+    small, large, _ = CASES[label]
+    for fw in [(0,) * algebra.datum.rank] + small + large:
+        lam = algebra.datum.weight(fw)
+        assert algebra.dimension(lam) == len(algebra.cache.get(lam))
+
+
+def test_weyl_route_off_the_unit_cube(algebras):
+    """Any tau with a nonzero denominator takes the Weyl route; one with a
+    vanishing denominator falls back to the crystal."""
+    algebra = algebras["C2"]
+    datum = algebra.datum
+    lam = datum.weight((3, 3))
+    poly = algebra.character_poly(lam)
+    for values in (["3/2", "1/3"], ["2", "1/2"]):
+        tau = tau_point(datum, values)
+        assert algebra.character_value(lam, tau) == poly.evaluate(tau)
+    assert algebra.denominator_value(tau_point(datum, ["2", "1/2"])) == 0
+
+
+def test_custom_matrix_characters():
+    """A custom matrix knows |W| from its highest root, so it takes the Weyl
+    route like a named type: under a 20-node crystal budget the 64-dimensional
+    V(omega_1 + omega_2) still evaluates, which the crystal route could not."""
+    custom = build_cartan_datum([[2, -1], [-3, 2]])
+    named = build_cartan_datum("G2")
+    assert weyl_order(custom) == 12
+    algebra = CharacterAlgebra(custom, cache=CrystalCache(custom, budget=20))
+    reference = CharacterAlgebra(named)
+    tau = tau_point(custom, ["1/3", "2/5"])
+    for fw in [(0, 0), (1, 0), (1, 1), (2, 1)]:
+        expect = reference.character_poly(named.weight(fw)).evaluate(tau)
+        assert algebra.character_value(custom.weight(fw), tau) == expect
+        assert algebra.psi(custom.weight(fw), tau) == reference.psi(named.weight(fw), tau)
+    with pytest.raises(ResourceBudgetError):
+        algebra.character_poly(custom.weight((1, 1)))
+
+
+def test_denominator_times_character_equals_numerator(c2, a2, c2_algebra, a2_algebra):
+    """The Weyl character formula on the weights of acceptance criterion 3,
+    with the left side built from the crystal.  psi_poly takes the Weyl route
+    on the larger of these weights, so comparing it with weyl_numerator would
+    not test the identity there."""
+    c2_mus = [partition_weight(c2, *p) for p in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)]]
+    a2_mus = [a2.weight(fw) for fw in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)]]
+    for algebra, mus in ((c2_algebra, c2_mus), (a2_algebra, a2_mus)):
+        for mu in mus:
+            product = algebra.denominator_poly() * algebra.character_poly(mu)
+            assert product == algebra.weyl_numerator(mu)
+
+
+def test_character_memo_returns_identical_value(algebras):
+    algebra = algebras["B3"]
+    datum = algebra.datum
+    tau = tau_point(datum, ["1/2", "2/7", "3/5"])
+    for fw in [(1, 0, 0), (1, 1, 0)]:
+        lam = datum.weight(fw)
+        first = algebra.character_value(lam, tau)
+        assert algebra.character_value(datum.weight(fw), tau) is first
+        assert algebra.character_value(lam, tau_point(datum, ["1/2", "2/7", "3/5"])) is first
+
+
+def test_memoized_multiplicity_row_equals_fresh(algebras):
+    algebra = algebras["C2"]
+    datum = algebra.datum
+    tau = tau_point(datum, ["1/3", "2/5"])
+    dist = M.build_distribution(algebra, datum.weight((1, 1)), tau)
+    for fw in [(0, 0), (1, 0), (2, 1), (0, 3)]:
+        mu = datum.weight(fw)
+        first = dist.multiplicity_row(mu)
+        assert dist.multiplicity_row(mu) is first
+        assert first == module_multiplicity(datum, mu, dist.crystals)
+
+
+def test_probability_of_matches_entries(algebras):
+    algebra = algebras["C2"]
+    datum = algebra.datum
+    dist = M.build_distribution(algebra, datum.weight((1, 1)), tau_point(datum, ["1/3", "2/5"]))
+    for e in dist.entries:
+        assert dist.probability_of(e.crystal, e.node) == e.probability
+    assert sum(p for _, _, p in M.twisted_distribution_probabilities(
+        dist, algebra.group.longest())) == Fraction(1)
+    with pytest.raises(KeyError):
+        dist.probability_of(algebra.cache.get(datum.weight((1, 0))), 0)

@@ -1,5 +1,8 @@
+import csv
 import json
+import math
 import os
+import time
 
 import pytest
 
@@ -191,3 +194,27 @@ def test_verify_module_config(tmp_path):
     assert code == 0
     checks = json.loads((outdir / "verify.json").read_text())
     assert all(c["pass"] for c in checks)
+
+
+def test_simulate_curve_stderr_is_binomial(tmp_path):
+    n = 4000
+    cfg = write_config(tmp_path, {
+        "type": "C2", "kappa": [1, 0], "tau": ["1/2", "1/2"],
+        "samples": n, "horizon": 8, "seed": 11,
+    })
+    code, outdir = run(tmp_path, "simulate", "--config", cfg)
+    assert code == 0
+    with open(outdir / "simulate_curve.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["L"]) for r in rows] == list(range(1, 9))
+    for r in rows:
+        p = float(r["estimate"])
+        assert 0 < p < 1
+        assert float(r["stderr"]) == math.sqrt(p * (1 - p) / n)
+
+
+def test_verify_e7_exits_budget_at_once(tmp_path):
+    start = time.perf_counter()
+    code, _ = run(tmp_path, "verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7))
+    assert code == 4
+    assert time.perf_counter() - start < 30
