@@ -561,10 +561,3 @@ def chamber_position(beta: Weight) -> str:
         return "boundary"
     return "outside"
 
-
-def chamber_position_fw(fw: Sequence[Fraction]) -> str:
-    if all(c > 0 for c in fw):
-        return "interior"
-    if all(c >= 0 for c in fw):
-        return "boundary"
-    return "outside"

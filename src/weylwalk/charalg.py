@@ -16,6 +16,7 @@ from .cartan import (
     DEFAULT_WEYL_BUDGET,
     CartanDatum,
     Weight,
+    WeylElement,
     WeylGroup,
     act,
     positive_coroots,
@@ -23,7 +24,7 @@ from .cartan import (
     weyl_group,
     weyl_order,
 )
-from .crystal import CrystalCache, CrystalGraph, ModuleSpec, count_f_multiplicity
+from .crystal import CrystalCache, CrystalGraph, ModuleSpec, as_module, count_f_multiplicity
 from .errors import DomainError, ExactEvaluationError
 
 
@@ -223,6 +224,9 @@ class CharacterAlgebra:
         self._rho_dim = prod(sum(c) for c in self._coroots)
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
+        n = datum.rank
+        self._identity = WeylElement(
+            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (), 1)
 
     @property
     def group(self) -> WeylGroup:
@@ -262,8 +266,9 @@ class CharacterAlgebra:
     # -- characters -------------------------------------------------------------
 
     def character_poly(self, source) -> ExponentPolynomial:
-        """S_kappa as a polynomial: sum over nodes of tau^{kappa - wt}."""
-        crystal = source if isinstance(source, CrystalGraph) else self.cache.get(source)
+        """S_kappa as a polynomial for a dominant weight kappa: sum over the
+        nodes of B(kappa) of tau^{kappa - wt}."""
+        crystal = self.cache.get(source)
         out: Dict[Tuple[Fraction, ...], Fraction] = {}
         for w in crystal.weights:
             diff = crystal.kappa - w
@@ -319,128 +324,107 @@ class CharacterAlgebra:
         return self.character_value(mu, tau) * self.denominator_value(tau)
 
     def sigma_m(self, modspec: ModuleSpec, tau: TauPoint) -> Fraction:
-        """Normalizer of a direct sum: sum of a_kappa tau^{-kappa} S_kappa(tau)."""
+        """Sigma_M(tau) = sum of a_kappa tau^{-kappa} S_kappa(tau) = tau^{-r} N_r(tau)."""
         tau.require_in_region()
-        out = Fraction(0)
-        for kappa, mult in modspec.summands:
-            neg = tuple(-c for c in kappa.root)
-            out += mult * tau.power(neg) * self.character_value(kappa, tau)
-        return out
+        return tau.power((-modspec.reference).root) * self.normalizer(modspec, tau)
 
     def sigma_m_poly(self, modspec: ModuleSpec) -> ExponentPolynomial:
+        shift = ExponentPolynomial.monomial((-modspec.reference).root)
+        return shift * self._normalizer_poly(modspec)
+
+    # -- step sources ----------------------------------------------------------------
+
+    def module_crystals(self, source) -> List[Tuple[CrystalGraph, int]]:
+        return [(self.cache.get(kappa), mult) for kappa, mult in as_module(source).summands]
+
+    def normalizer(self, source, tau: TauPoint) -> Fraction:
+        """N_r(tau) = sum of a_kappa tau^{r - kappa} S_kappa(tau), r the source's
+        reference weight: a_kappa S_kappa(tau) for one summand, Sigma_M(tau) for
+        several."""
+        spec = as_module(source)
+        r = spec.reference
+        return sum((mult * tau.power((r - kappa).root) * self.character_value(kappa, tau)
+                    for kappa, mult in spec.summands), Fraction(0))
+
+    def _normalizer_poly(self, spec: ModuleSpec) -> ExponentPolynomial:
+        r = spec.reference
         out = ExponentPolynomial.zero()
-        for kappa, mult in modspec.summands:
-            neg = tuple(-c for c in kappa.root)
-            out = out + ExponentPolynomial.monomial(neg, mult) * self.character_poly(kappa)
+        for kappa, mult in spec.summands:
+            term = ExponentPolynomial.monomial((r - kappa).root, mult)
+            out = out + term * self.character_poly(kappa)
         return out
 
     # -- finite-horizon quantities -------------------------------------------------
 
-    def module_crystals(self, source) -> List[Tuple[CrystalGraph, int]]:
-        if isinstance(source, ModuleSpec):
-            return [(self.cache.get(kappa), mult) for kappa, mult in source.summands]
-        kappa = source if isinstance(source, Weight) else source.kappa
-        return [(self.cache.get(kappa), 1)]
+    def _branching(self, mu: Weight, spec: ModuleSpec, ell: int):
+        """Counts f^ell_lam(mu) of the source and the exponent base ell * r."""
+        counts = count_f_multiplicity(self.datum, mu, self.module_crystals(spec), ell)
+        return counts, self.datum.weight(tuple(ell * c for c in spec.reference.fw))
 
-    def normalizer(self, source, tau: TauPoint) -> Fraction:
-        """S_kappa(tau) for an irreducible source, Sigma_M(tau) for a sum."""
-        if isinstance(source, ModuleSpec):
-            return self.sigma_m(source, tau)
-        kappa = source if isinstance(source, Weight) else source.kappa
-        return self.character_value(kappa, tau)
-
-    def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:
-        """Finite-horizon stay probability via the branching counts."""
-        tau.require_in_region()
-        if ell == 0:
-            return Fraction(1)
-        crystals = self.module_crystals(source)
-        counts = count_f_multiplicity(self.datum, mu, crystals, ell)
-        norm = self.normalizer(source, tau) ** ell
+    def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
+                      tau: TauPoint, w) -> Fraction:
+        """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell."""
+        w_mu = act(self.datum, w, mu)
         out = Fraction(0)
         for lam, f in counts.items():
-            exponent = self._mu_lam_exponent(source, mu, lam, ell)
-            out += f * tau.power(exponent)
+            out += f * tau.power((ell_r + w_mu - act(self.datum, w, lam)).root)
         return out / norm
 
-    def _mu_lam_exponent(self, source, mu: Weight, lam: Weight, ell: int) -> Tuple[Fraction, ...]:
-        if isinstance(source, ModuleSpec):
-            return (mu - lam).root
-        kappa = source if isinstance(source, Weight) else source.kappa
-        scaled = tuple(ell * c for c in kappa.root)
-        diff = (mu - lam).root
-        return tuple(a + b for a, b in zip(scaled, diff))
+    def _rho_shift(self, mu: Weight, tau: TauPoint, w) -> Fraction:
+        shifted = mu + self.datum.rho
+        return tau.power((shifted - act(self.datum, w, shifted)).root)
+
+    def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:
+        """Finite-horizon stay probability via the branching counts (w = 1)."""
+        return self.psi_ell_twisted(mu, source, tau, ell, self._identity)
 
     def psi_ell_twisted(self, mu: Weight, source, tau: TauPoint, ell: int,
                         w) -> Fraction:
         """Finite-horizon stay probability of the w-twisted walk.
 
-        Uses tau^{ell*kappa + w(mu) - w(lambda)} over the untwisted normalizer;
-        only finite horizons are exposed since the limit vanishes off the
-        identity.
+        Uses tau^{ell*r + w(mu) - w(lambda)} over the untwisted normalizer
+        N_r^ell; only finite horizons are exposed since the limit vanishes off
+        the identity.
         """
         tau.require_in_region()
-        if ell == 0:
-            return Fraction(1)
-        crystals = self.module_crystals(source)
-        counts = count_f_multiplicity(self.datum, mu, crystals, ell)
-        norm = self.normalizer(source, tau) ** ell
-        w_mu = act(self.datum, w, mu)
-        out = Fraction(0)
-        for lam, f in counts.items():
-            w_lam = act(self.datum, w, lam)
-            if isinstance(source, ModuleSpec):
-                exponent = (w_mu - w_lam).root
-            else:
-                kappa = source if isinstance(source, Weight) else source.kappa
-                scaled = tuple(ell * c for c in kappa.root)
-                diff = (w_mu - w_lam).root
-                exponent = tuple(a + b for a, b in zip(scaled, diff))
-            out += f * tau.power(exponent)
-        return out / norm
+        spec = as_module(source)
+        counts, ell_r = self._branching(mu, spec, ell)
+        norm = self.normalizer(spec, tau) ** ell
+        return self._twisted_stay(mu, counts, ell_r, norm, tau, w)
 
     def pi_ell_w(self, mu: Weight, source, tau: TauPoint, ell: int, w) -> Fraction:
         """One twisted term of the finite-horizon expansion of psi's product form."""
-        rho = self.datum.rho
-        shift = (mu + rho) - act(self.datum, w, mu + rho)
-        return tau.power(shift.root) * self.psi_ell_twisted(mu, source, tau, ell, w)
+        return self._rho_shift(mu, tau, w) * self.psi_ell_twisted(mu, source, tau, ell, w)
 
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
 
         Left: the closed product form of psi(mu).  Right: the signed sum of
-        the twisted finite-horizon terms.
+        the twisted finite-horizon terms, which share one set of branching
+        counts and one normalizer.
         """
         left = self.psi(mu, tau)
+        spec = as_module(source)
+        counts, ell_r = self._branching(mu, spec, ell)
+        norm = self.normalizer(spec, tau) ** ell
         right = Fraction(0)
         for w in self.group:
-            right += w.sign * self.pi_ell_w(mu, source, tau, ell, w)
+            stay = self._twisted_stay(mu, counts, ell_r, norm, tau, w)
+            right += w.sign * self._rho_shift(mu, tau, w) * stay
         return left, right
 
     def character_product_identity(self, mu: Weight, source, ell: int) -> bool:
-        """s_mu * s_kappa^ell = sum_lam f^ell_lam s_lam, checked on S-polynomials.
+        """S_mu * N_r^ell = sum_lam f^ell_lam tau^{ell*r + mu - lam} S_lam, checked
+        on S-polynomials.
 
-        Rebasing by tau^{ell*kappa + mu - lam} keeps every exponent in the
-        +root cone, matching the S-normalization of each character.
+        Rebasing by tau^{ell*r + mu - lam} matches the S-normalization of each
+        character on both sides.
         """
-        crystals = self.module_crystals(source)
-        counts = count_f_multiplicity(self.datum, mu, crystals, ell)
-        left = self.character_poly(mu)
-        if isinstance(source, ModuleSpec):
-            base = self.sigma_m_poly(source)
-            left = left * (base ** ell)
-            left = left * ExponentPolynomial.monomial(tuple(-c for c in mu.root))
-            right = ExponentPolynomial.zero()
-            for lam, f in counts.items():
-                right = right + f * ExponentPolynomial.monomial(
-                    tuple(-c for c in lam.root)
-                ) * self.character_poly(lam)
-            return left == right
-        kappa = source if isinstance(source, Weight) else source.kappa
-        skappa = self.character_poly(kappa)
-        left = left * (skappa ** ell)
+        spec = as_module(source)
+        counts, ell_r = self._branching(mu, spec, ell)
+        left = self.character_poly(mu) * self._normalizer_poly(spec) ** ell
         right = ExponentPolynomial.zero()
         for lam, f in counts.items():
-            shift = self._mu_lam_exponent(source, mu, lam, ell)
-            right = right + f * ExponentPolynomial.monomial(shift) * self.character_poly(lam)
+            shift = ExponentPolynomial.monomial((ell_r + mu - lam).root)
+            right = right + f * shift * self.character_poly(lam)
         return left == right

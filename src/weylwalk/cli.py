@@ -60,10 +60,7 @@ class RunContext:
             for item in cfg["module"]:
                 kappa = self.datum.weight(tuple(int(c) for c in item["kappa"]))
                 summands.append((kappa, int(item.get("mult", 1))))
-            spec = ModuleSpec(tuple(summands))
-            if len(spec.summands) == 1 and spec.summands[0][1] == 1:
-                return spec.summands[0][0]
-            return spec
+            return ModuleSpec(tuple(summands))
         kappa = cfg.get("kappa", [1] + [0] * (self.datum.rank - 1))
         return self.datum.weight(tuple(int(c) for c in kappa))
 
@@ -154,7 +151,7 @@ def cmd_crystal(ctx: RunContext, out: OutputWriter) -> int:
 def cmd_character(ctx: RunContext, out: OutputWriter) -> int:
     rows = []
     for crystal, mult in ctx.algebra.module_crystals(ctx.source):
-        poly = ctx.algebra.character_poly(crystal)
+        poly = ctx.algebra.character_poly(crystal.kappa)
         print(f"S_{crystal.kappa.fw} = {poly}")
         for e, c in poly.sorted_terms():
             rows.append([str(crystal.kappa.fw), str(c)] + [str(x) for x in e])
@@ -308,7 +305,9 @@ def cmd_ratio(ctx: RunContext, out: OutputWriter) -> int:
          "target_float": float(r.target), "deviation_float": float(r.deviation)}
         for r in reports
     ], indent=2))
-    trend = reports[-1].deviation < reports[0].deviation
+    # a sequence that is exactly 0 throughout has converged already
+    trend = (reports[-1].deviation < reports[0].deviation
+             or all(r.deviation == 0 for r in reports))
     print(f"deviation trend decreasing: {trend}")
     return EXIT_OK if trend else EXIT_VERIFY
 

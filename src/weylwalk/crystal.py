@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cartan import CartanDatum, Weight, WeylElement
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
@@ -275,6 +275,8 @@ class ModuleSpec:
     summands: Tuple[Tuple[Weight, int], ...]
 
     def __post_init__(self):
+        if not self.summands:
+            raise FormatError("a module needs at least one summand")
         seen = set()
         for kappa, mult in self.summands:
             if not kappa.is_dominant():
@@ -284,6 +286,21 @@ class ModuleSpec:
             if kappa.fw in seen:
                 raise FormatError("summand weights must be distinct")
             seen.add(kappa.fw)
+
+    @property
+    def reference(self) -> Weight:
+        """Reference weight r of the step law a_kappa tau^{r - wt(b)} / N_r.
+
+        kappa for a single summand, which keeps every exponent in the root
+        lattice; 0 for several summands, whose weights need not share a coset.
+        """
+        kappa = self.summands[0][0]
+        return kappa if len(self.summands) == 1 else kappa - kappa
+
+
+def as_module(source: Union[Weight, ModuleSpec]) -> ModuleSpec:
+    """Every step source as a direct sum: a weight kappa is V(kappa) once."""
+    return source if isinstance(source, ModuleSpec) else ModuleSpec(((source, 1),))
 
 
 @dataclass(frozen=True)
@@ -376,11 +393,11 @@ def tensor_apply_f(node: TensorNode, i: int) -> Optional[TensorNode]:
     It hits the earliest factor whose preceding lowering depth beats the
     raising depth of everything after the split point.
     """
+    pre = _prefix_eps_phi(node, i)
     pos = len(node.factors) - 1
     for k in range(len(node.factors) - 1, 0, -1):
-        head = TensorNode(node.factors[:k])
         crys, idx = node.factors[k]
-        if tensor_eps_phi(head, i)[1] > crys.eps[idx][i]:
+        if pre[k][1] > crys.eps[idx][i]:
             pos = k - 1
         else:
             break
@@ -400,11 +417,14 @@ def tensor_is_highest(node: TensorNode) -> bool:
 
 def count_multiplicity(datum: CartanDatum, mu: Weight, crystal: CrystalGraph) -> Dict[Weight, int]:
     """Branching counts by path translation: nodes whose mu-shifted path stays
-    in the dominant cone, grouped by final weight."""
+    in the dominant cone, grouped by final weight.
+
+    The minimum of h_i along a node b is -eps_i(b) (integrality of path
+    minima), so the shifted path stays exactly when mu_i >= eps_i(b).
+    """
     out: Dict[Weight, int] = {}
-    start = tuple(Fraction(c) for c in mu.fw)
-    for idx, node in enumerate(crystal.nodes):
-        if node.stays_in_cone(start):
+    for idx, eps in enumerate(crystal.eps):
+        if all(m >= e for m, e in zip(mu.fw, eps)):
             lam = mu + crystal.weights[idx]
             out[lam] = out.get(lam, 0) + 1
     return out
@@ -441,39 +461,3 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
                 nxt[lam] = nxt.get(lam, 0) + c * m
         state = nxt
     return state
-
-
-def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGraph],
-                             crystals: Sequence[Tuple[CrystalGraph, int]],
-                             ell: int) -> Dict[Weight, int]:
-    """Brute-force oracle: scan the full tensor product for highest paths.
-
-    Uses the path-level raising operators on actual concatenations, staying
-    independent of both the DP and the tensor rule.
-    """
-    from itertools import product as iproduct
-
-    pool: List[Tuple[CrystalGraph, int, int]] = []
-    for crystal, mult in crystals:
-        for idx in range(len(crystal)):
-            pool.append((crystal, idx, mult))
-    firsts: List[Tuple[Optional[P.PiecewisePath], int]] = []
-    if mu_crystal is None:
-        firsts.append((None, 1))
-    else:
-        for idx in range(len(mu_crystal)):
-            firsts.append((mu_crystal.nodes[idx], 1))
-    out: Dict[Weight, int] = {}
-    for first, _ in firsts:
-        for combo in iproduct(pool, repeat=ell):
-            pieces = ([] if first is None else [first]) + [c.nodes[i] for c, i, _ in combo]
-            weight_mult = 1
-            for _, _, m in combo:
-                weight_mult *= m
-            path = P.concat_all(pieces) if pieces else None
-            if path is None:
-                continue
-            if P.all_raising_null(datum, path):
-                lam = P.path_weight(datum, path)
-                out[lam] = out.get(lam, 0) + weight_mult
-    return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .cartan import CartanDatum, Weight, WeylElement, act, act_vector
 from .charalg import CharacterAlgebra, TauPoint
@@ -16,6 +16,7 @@ from .crystal import (
     CrystalGraph,
     ModuleSpec,
     TensorNode,
+    as_module,
     module_multiplicity,
     tensor_apply_e,
     tensor_eps_phi,
@@ -36,25 +37,26 @@ class DistEntry:
 
 
 class CrystalDistribution:
-    """Step distribution on the paths of one crystal or a direct sum of them."""
+    """Step distribution on the paths of a direct sum of crystals.
+
+    Node b of a summand B(kappa) has probability a_kappa tau^{r - wt(b)} / N_r,
+    with r the reference weight of the source (see ``ModuleSpec.reference``)
+    and N_r the normalizer of ``CharacterAlgebra.normalizer``.
+    """
 
     def __init__(self, algebra: CharacterAlgebra, source: Source, tau: TauPoint):
         tau.require_in_region()
         self.algebra = algebra
         self.datum = algebra.datum
-        self.source = source
+        self.source = as_module(source)
+        self.reference = self.source.reference
         self.tau = tau
-        self.is_module = isinstance(source, ModuleSpec)
-        self.crystals = algebra.module_crystals(source)
-        self.normalizer = algebra.normalizer(source, tau)
+        self.crystals = algebra.module_crystals(self.source)
+        self.normalizer = algebra.normalizer(self.source, tau)
         entries: List[DistEntry] = []
         for crystal, mult in self.crystals:
-            for idx in range(len(crystal)):
-                wt = crystal.weights[idx]
-                if self.is_module:
-                    p = mult * tau.power(tuple(-c for c in wt.root)) / self.normalizer
-                else:
-                    p = tau.power((crystal.kappa - wt).root) / self.normalizer
+            for idx, wt in enumerate(crystal.weights):
+                p = mult * tau.power((self.reference - wt).root) / self.normalizer
                 entries.append(DistEntry(crystal, idx, mult, p))
         self.entries: Tuple[DistEntry, ...] = tuple(entries)
         total = sum((e.probability for e in entries), Fraction(0))
@@ -93,23 +95,7 @@ class CrystalDistribution:
         m = row.get(lam, 0)
         if m == 0:
             return Fraction(0)
-        return m * self.tau.power(self._restricted_exponent(mu, lam)) / self.normalizer
-
-    def _restricted_exponent(self, mu: Weight, lam: Weight):
-        if self.is_module:
-            return (mu - lam).root
-        kappa = self.crystals[0][0].kappa
-        return (kappa + mu - lam).root
-
-    def brute_force_restricted(self, mu: Weight, lam: Weight) -> Fraction:
-        """Oracle for the restricted kernel: direct sum of node probabilities."""
-        start = tuple(Fraction(c) for c in mu.fw)
-        out = Fraction(0)
-        for e in self.entries:
-            node = e.crystal.nodes[e.node]
-            if (mu + e.crystal.weights[e.node]) == lam and node.stays_in_cone(start):
-                out += e.probability
-        return out
+        return m * self.tau.power((self.reference + mu - lam).root) / self.normalizer
 
     # -- drift -------------------------------------------------------------------
 
@@ -163,22 +149,9 @@ def in_unit_cube(values: Sequence[Fraction]) -> bool:
 def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
                              crystal: CrystalGraph, node: int) -> Fraction:
     """p^w by the twisted normalization (tau^w)^{kappa - wt} / S_kappa(tau^w)."""
-    tw = twisted_tau(dist.datum, w, dist.tau)
-    wt = crystal.weights[node]
-    diff = (crystal.kappa - wt).root
-    num = Fraction(1)
-    for v, c in zip(tw, diff):
-        if c.denominator != 1:
-            raise DomainError("twisted exponents must be integral")
-        num *= v ** int(c)
-    denom = Fraction(0)
-    for idx in range(len(crystal)):
-        d = (crystal.kappa - crystal.weights[idx]).root
-        term = Fraction(1)
-        for v, c in zip(tw, d):
-            term *= v ** int(c)
-        denom += term
-    return num / denom
+    tw = TauPoint(twisted_tau(dist.datum, w, dist.tau), dist.datum.det)
+    denom = sum((tw.power((crystal.kappa - wt).root) for wt in crystal.weights), Fraction(0))
+    return tw.power((crystal.kappa - crystal.weights[node]).root) / denom
 
 
 def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
@@ -193,18 +166,12 @@ def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
 
 def twisted_walk_transition(dist: CrystalDistribution, w: WeylElement,
                             eta: Weight, beta: Weight) -> Fraction:
-    """One step of the twisted walk: K_{kappa,beta-eta} tau^{kappa+w(eta)-w(beta)} / S."""
-    if dist.is_module:
-        raise DomainError("twisted kernel is defined for irreducible sources")
-    crystal = dist.crystals[0][0]
+    """One step of the twisted walk: K_{M,beta-eta} tau^{r+w(eta)-w(beta)} / N_r."""
     delta = beta - eta
-    count = sum(1 for wt in crystal.weights if wt == delta)
+    count = sum(mult * crystal.weights.count(delta) for crystal, mult in dist.crystals)
     if count == 0:
         return Fraction(0)
-    kappa = crystal.kappa
-    w_eta = act(dist.datum, w, eta)
-    w_beta = act(dist.datum, w, beta)
-    exponent = (kappa + w_eta - w_beta).root
+    exponent = (dist.reference + act(dist.datum, w, eta) - act(dist.datum, w, beta)).root
     return count * dist.tau.power(exponent) / dist.normalizer
 
 
@@ -301,24 +268,30 @@ def coordinate_box(limit: int):
     return lambda s: all(c <= limit for c in s.fw)
 
 
-def restricted_table(dist: CrystalDistribution, states: Sequence[Weight],
-                     strict: bool = True) -> TransitionTable:
-    """Substochastic table of the cone-restricted kernel on the given states."""
+def _table(dist: CrystalDistribution, states: Sequence[Weight], strict: bool,
+           entry: Callable[[Weight, Weight], Fraction], kind: str) -> TransitionTable:
+    """Table of ``entry`` on the states; a row is complete when the branching
+    row of its state stays inside the state set."""
     state_set = set(states)
     missing = []
     rows = []
     complete = []
     for mu in states:
-        row_counts = dist.multiplicity_row(mu)
-        exits = [lam for lam in row_counts if lam not in state_set]
+        exits = [lam for lam in dist.multiplicity_row(mu) if lam not in state_set]
         missing.extend((mu, lam) for lam in exits)
         complete.append(not exits)
-        rows.append(tuple(dist.restricted_transition(mu, lam) for lam in states))
+        rows.append(tuple(entry(mu, lam) for lam in states))
     if missing and strict:
         raise ClosureError(
             f"state set not closed under one step ({len(missing)} exits)", missing
         )
-    return TransitionTable(tuple(states), tuple(rows), "substochastic", tuple(complete))
+    return TransitionTable(tuple(states), tuple(rows), kind, tuple(complete))
+
+
+def restricted_table(dist: CrystalDistribution, states: Sequence[Weight],
+                     strict: bool = True) -> TransitionTable:
+    """Substochastic table of the cone-restricted kernel on the given states."""
+    return _table(dist, states, strict, dist.restricted_transition, "substochastic")
 
 
 @dataclass(frozen=True)
@@ -371,34 +344,20 @@ def psi_harmonic_witness(dist: CrystalDistribution, table: TransitionTable) -> H
 
 
 def hchain_entry(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:
-    """Transition of the transformed walk, in closed character form."""
-    algebra = dist.algebra
-    row = dist.multiplicity_row(mu)
-    m = row.get(lam, 0)
-    if m == 0:
+    """Transition of the transformed walk, in closed character form:
+    the restricted kernel times S_lam(tau) / S_mu(tau)."""
+    base = dist.restricted_transition(mu, lam)
+    if base == 0:
         return Fraction(0)
-    s_lam = algebra.character_value(lam, dist.tau)
-    s_mu = algebra.character_value(mu, dist.tau)
-    shift = dist.tau.power(dist._restricted_exponent(mu, lam))
-    return Fraction(m) * s_lam * shift / (s_mu * dist.normalizer)
+    algebra = dist.algebra
+    return base * algebra.character_value(lam, dist.tau) / algebra.character_value(mu, dist.tau)
 
 
 def hchain_matrix(dist: CrystalDistribution, states: Sequence[Weight],
                   strict: bool = True) -> TransitionTable:
-    state_set = set(states)
-    missing = []
-    rows = []
-    complete = []
-    for mu in states:
-        exits = [lam for lam in dist.multiplicity_row(mu) if lam not in state_set]
-        missing.extend((mu, lam) for lam in exits)
-        complete.append(not exits)
-        rows.append(tuple(hchain_entry(dist, mu, lam) for lam in states))
-    if missing and strict:
-        raise ClosureError(
-            f"state set not closed under one step ({len(missing)} exits)", missing
-        )
-    return TransitionTable(tuple(states), tuple(rows), "stochastic", tuple(complete))
+    """Stochastic table of the transformed walk on the given states."""
+    return _table(dist, states, strict, lambda mu, lam: hchain_entry(dist, mu, lam),
+                  "stochastic")
 
 
 def conditioned_transition(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:

@@ -3,9 +3,11 @@ comparisons.
 
 Random draws come from a counter-based generator (Philox keyed by the seed),
 so runs are reproducible and the stream could be split across workers.  The
-stay-in-cone events are decided in exact integer arithmetic on breakpoints;
-floats only ever enter through the uniform variates themselves, and each
-draw is resolved against the exact rational cumulative weights.
+stay-in-cone events are decided in exact integer arithmetic: the step by node
+b from position x stays in the cone exactly when x_i >= eps_i(b) for every
+color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
+enter through the uniform variates themselves, and each draw is resolved
+against the exact rational cumulative weights.
 """
 
 from __future__ import annotations
@@ -90,18 +92,9 @@ class StepSampler:
             raise DomainError(f"step probabilities sum to {acc}")
         self.cum_fracs = cums
         self.cum_floats = [float(c) for c in cums]
-        # precomputed integer data per node: weight and scaled breakpoints
+        # integer data per node: weight and raising depths
         self.weights = [c.weights[i].fw for c, i in self.nodes]
-        self.breakpoints: List[List[Tuple[int, Tuple[int, ...]]]] = []
-        for c, i in self.nodes:
-            path = c.nodes[i]
-            pts = []
-            for p in path.points:
-                den = 1
-                for x in p:
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-                pts.append((den, tuple(int(x * den) for x in p)))
-            self.breakpoints.append(pts)
+        self.eps = [c.eps[i] for c, i in self.nodes]
 
     @classmethod
     def from_distribution(cls, dist: CrystalDistribution) -> "StepSampler":
@@ -110,34 +103,17 @@ class StepSampler:
     def pick(self, u: float) -> int:
         """Index of the sampled node; exact against the rational boundaries."""
         idx = bisect_right(self.cum_floats, u)
-        if idx >= len(self.cum_fracs):
-            idx = len(self.cum_fracs) - 1
         # the float bisect can be off only within rounding distance of a
-        # boundary; settle those cases with exact comparisons
-        uf = None
-        while idx > 0:
-            if u > self.cum_floats[idx - 1] + 1e-9:
-                break
-            uf = Fraction(u) if uf is None else uf
-            if uf >= self.cum_fracs[idx - 1]:
-                break
-            idx -= 1
-        while idx < len(self.cum_fracs) - 1:
-            if u < self.cum_floats[idx] - 1e-9:
-                break
-            uf = Fraction(u) if uf is None else uf
-            if uf < self.cum_fracs[idx]:
-                break
-            idx += 1
-        return idx
+        # boundary; settle those cases against the exact boundaries
+        lo = self.cum_floats[idx - 1] if idx > 0 else -1.0
+        hi = self.cum_floats[idx] if idx < len(self.cum_floats) else 2.0
+        if u - lo <= 1e-9 or hi - u <= 1e-9:
+            idx = bisect_right(self.cum_fracs, Fraction(u))
+        return min(idx, len(self.cum_fracs) - 1)
 
     def continuous_stay(self, pos: Tuple[int, ...], node_idx: int) -> bool:
-        """Whether pos + path stays dominant across the step (breakpoints)."""
-        for den, nums in self.breakpoints[node_idx]:
-            for p, q in zip(pos, nums):
-                if p * den + q < 0:
-                    return False
-        return True
+        """Whether pos + path stays dominant across the step: pos >= eps."""
+        return all(p >= e for p, e in zip(pos, self.eps[node_idx]))
 
 
 @dataclass
@@ -303,24 +279,6 @@ def h_law_reports(dist: CrystalDistribution, ellmax: int, n: int, seed: int
     return reports
 
 
-def exhaustive_h_trajectories(dist: CrystalDistribution, ell: int
-                              ) -> Dict[Tuple[Tuple[int, ...], ...], Fraction]:
-    """Exact law of (H_1..H_ell) by full enumeration of the tensor power."""
-    from itertools import product as iproduct
-
-    datum = dist.datum
-    pool = [(e.crystal, e.node, e.probability) for e in dist.entries]
-    out: Dict[Tuple[Tuple[int, ...], ...], Fraction] = {}
-    for combo in iproduct(pool, repeat=ell):
-        node = TensorNode(tuple((c, i) for c, i, _ in combo))
-        prob = Fraction(1)
-        for _, _, p in combo:
-            prob *= p
-        traj = tuple(w.fw for w in pitman_prefix_weights(datum, node))
-        out[traj] = out.get(traj, Fraction(0)) + prob
-    return out
-
-
 def h_trajectory_prediction(dist: CrystalDistribution, traj: Sequence[Tuple[int, ...]]
                             ) -> Fraction:
     """Markov-chain prediction for a transformed-walk trajectory from 0."""
@@ -361,22 +319,20 @@ def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     exactly on every sample.
     """
     algebra = dist.algebra
-    if dist.is_module:
-        raise DomainError("sandwich bounds are stated for irreducible sources")
-    crystal = dist.crystals[0][0]
-    kappa0 = crystal.kappa0()
+    if len(dist.crystals) != 1:
+        raise DomainError("sandwich bounds are stated for a single summand")
+    kappa0 = dist.crystals[0][0].kappa0()
     summary = simulate_exits(dist, mu, horizon, n, seed, kappa0=kappa0)
     l0 = min(horizon, exact_horizon if exact_horizon is not None else 12)
-    source = crystal.kappa
     lower = algebra.psi(mu, dist.tau)
     upper = algebra.psi(mu + kappa0, dist.tau)
-    upper_finite = algebra.psi_ell(mu + kappa0, source, dist.tau, l0)
+    upper_finite = algebra.psi_ell(mu + kappa0, dist.source, dist.tau, l0)
     disc = _bernoulli_report(
         f"discrete-stay L={horizon}", summary.stay_count_discrete(horizon), n
     )
     cont = _bernoulli_report(
         f"continuous-stay L={horizon}", summary.stay_count_continuous(horizon), n,
-        target=algebra.psi_ell(mu, source, dist.tau, horizon),
+        target=algebra.psi_ell(mu, dist.source, dist.tau, horizon),
     )
     cont.notes["limit"] = lower
     cont.notes["truncation"] = Fraction(cont.target) - lower

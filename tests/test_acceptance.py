@@ -22,7 +22,6 @@ from weylwalk.crystal import (
     ModuleSpec,
     TensorNode,
     count_f_multiplicity,
-    enumerate_f_multiplicity,
     generate_crystal,
     tensor_apply_e,
     tensor_apply_f,
@@ -30,6 +29,7 @@ from weylwalk.crystal import (
 )
 
 from conftest import partition_weight
+from oracles import enumerate_f_multiplicity, exhaustive_h_trajectories
 
 F = Fraction
 
@@ -209,7 +209,7 @@ def test_criterion_06_pitman_enumeration(c2, c2_algebra, tau_half, b_pi1):
         dist = M.build_distribution(c2_algebra, c2.weight((1, 0)), tau_half)
         rng = random.Random(606)
         for ell in (2, 3):
-            law = MC.exhaustive_h_trajectories(dist, ell)
+            law = exhaustive_h_trajectories(dist, ell)
             assert sum(law.values()) == 1
             for traj, prob in law.items():
                 assert prob == MC.h_trajectory_prediction(dist, traj)

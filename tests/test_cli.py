@@ -218,3 +218,28 @@ def test_verify_e7_exits_budget_at_once(tmp_path):
     code, _ = run(tmp_path, "verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7))
     assert code == 4
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("mu", [None, "2,0"])
+def test_ratio_flags_exit_ok(tmp_path, mu):
+    # with mu = 0 every ratio equals its target, so every deviation is 0
+    argv = ["ratio", "--type", "C2", "--kappa", "1,0", "--tau", "1/2,1/3"]
+    code, outdir = run(tmp_path, *(argv + ([] if mu is None else ["--mu", mu])))
+    assert code == 0
+    payload = json.loads((outdir / "ratio.json").read_text())
+    assert payload
+    if mu is None:
+        assert all(r["deviation_float"] == 0 for r in payload)
+
+
+def test_one_summand_module_config_equals_kappa(tmp_path):
+    """A one-summand module is the weight source, multiplicity and all; its
+    reference weight kappa keeps exponents integral, so no tau roots."""
+    base = {"type": "C2", "tau": ["1/2", "1/3"], "state_limit": 3}
+    outputs = []
+    for source in ({"kappa": [0, 1]}, {"module": [{"kappa": [0, 1], "mult": 2}]}):
+        cfg = write_config(tmp_path, dict(base, **source))
+        code, outdir = run(tmp_path, "hchain", "--config", cfg)
+        assert code == 0
+        outputs.append((outdir / "hchain.csv").read_bytes())
+    assert outputs[0] == outputs[1]

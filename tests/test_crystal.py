@@ -12,7 +12,6 @@ from weylwalk.crystal import (
     TensorNode,
     count_f_multiplicity,
     count_multiplicity,
-    enumerate_f_multiplicity,
     generate_crystal,
     module_multiplicity,
     tensor_apply_e,
@@ -23,6 +22,7 @@ from weylwalk.crystal import (
 from weylwalk.errors import ResourceBudgetError, WeylwalkError
 
 from conftest import lit, partition_weight
+from oracles import enumerate_f_multiplicity
 
 
 def test_b_pi1_golden(c2, c2_paths, b_pi1):

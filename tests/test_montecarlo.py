@@ -9,6 +9,7 @@ from weylwalk.charalg import tau_point
 from weylwalk.crystal import ModuleSpec
 
 from conftest import partition_weight
+from oracles import exhaustive_h_trajectories
 
 F = Fraction
 
@@ -161,7 +162,7 @@ def test_module_distribution_sampling(c2, c2_algebra):
 
 def test_exhaustive_h_law_matches_markov_product(c2, dist10):
     for ell in (1, 2):
-        law = MC.exhaustive_h_trajectories(dist10, ell)
+        law = exhaustive_h_trajectories(dist10, ell)
         assert sum(law.values()) == 1
         for traj, prob in law.items():
             assert prob == MC.h_trajectory_prediction(dist10, traj)
@@ -226,7 +227,7 @@ def test_exhaustive_h_law_module_source(c2, c2_algebra):
     tau = tau_point(c2, [F(1, 4), F(1, 9)], roots=[F(1, 2), F(1, 3)])
     spec = ModuleSpec(((c2.weight((1, 0)), 1), (c2.weight((0, 1)), 1)))
     dist = M.build_distribution(c2_algebra, spec, tau)
-    law = MC.exhaustive_h_trajectories(dist, 2)
+    law = exhaustive_h_trajectories(dist, 2)
     assert sum(law.values()) == 1
     for traj, prob in law.items():
         assert prob == MC.h_trajectory_prediction(dist, traj)
