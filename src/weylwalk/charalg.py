@@ -204,8 +204,8 @@ class CharacterAlgebra:
     """Characters, the stay-in-cone harmonic function and its relatives.
 
     Caches one crystal per dominant weight (straight highest path), the
-    positive roots and the Weyl group of a fixed finite-type datum, and every
-    character value per (weight, tau).
+    positive roots and the Weyl group of a fixed finite-type datum, every
+    character value per (weight, tau) and every Weyl numerator per weight.
 
     S_lambda(tau) and psi are computed by whichever route costs less: the
     Weyl alternating sum has |W| terms, the crystal B(lambda) has
@@ -224,6 +224,7 @@ class CharacterAlgebra:
         self._rho_dim = prod(sum(c) for c in self._coroots)
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
+        self._numerators: Dict[Tuple[int, ...], ExponentPolynomial] = {}
         n = datum.rank
         self._identity = WeylElement(
             tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (), 1)
@@ -291,15 +292,18 @@ class CharacterAlgebra:
         return out
 
     def weyl_numerator(self, mu: Weight) -> ExponentPolynomial:
-        """Alternating orbit sum rebased at mu: sum_w sign(w) tau^{mu+rho-w(mu+rho)}."""
-        rho = self.datum.rho
-        shifted = mu + rho
-        out: Dict[Tuple[Fraction, ...], Fraction] = {}
-        for w in self.group:
-            img = act(self.datum, w, shifted)
-            e = (shifted - img).root
-            out[e] = out.get(e, Fraction(0)) + w.sign
-        return ExponentPolynomial(out)
+        """Alternating orbit sum rebased at mu: sum_w sign(w) tau^{mu+rho-w(mu+rho)}.
+
+        Built once per mu; callers must not mutate it."""
+        poly = self._numerators.get(mu.fw)
+        if poly is None:
+            shifted = mu + self.datum.rho
+            out: Dict[Tuple[Fraction, ...], Fraction] = {}
+            for w in self.group:
+                e = (shifted - act(self.datum, w, shifted)).root
+                out[e] = out.get(e, Fraction(0)) + w.sign
+            poly = self._numerators[mu.fw] = ExponentPolynomial(out)
+        return poly
 
     def denominator_poly(self) -> ExponentPolynomial:
         """prod over positive roots of (1 - tau^alpha); finite type, all m_alpha = 1."""

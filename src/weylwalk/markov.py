@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cartan import CartanDatum, Weight, WeylElement, act, act_vector
 from .charalg import CharacterAlgebra, TauPoint
@@ -127,19 +127,35 @@ def build_distribution(algebra: CharacterAlgebra, source: Source, tau: TauPoint)
 # -- twisting -------------------------------------------------------------------
 
 
+def _monomial(coords: Sequence[Optional[Fraction]], exponent: Sequence[int]
+              ) -> Optional[Fraction]:
+    """prod coords_j^{e_j} over the nonzero e_j; None if one of those coords is."""
+    out = Fraction(1)
+    for x, e in zip(coords, exponent):
+        if e:
+            if x is None:
+                return None
+            out *= x ** e
+    return out
+
+
 def twisted_tau(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> Tuple[Fraction, ...]:
     """Coordinates tau^w with tau_i^w = tau^{w(alpha_i)} (integer exponents)."""
-    out = []
+    return _twisted_point(datum, w, tau).values
+
+
+def _twisted_point(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> TauPoint:
+    """tau^w as a point, with the D-th roots u^{w(alpha_i)} wherever tau has
+    the roots those need, so fractional exponents evaluate at tau^w too."""
+    values, roots = [], []
     for i in range(datum.rank):
-        img_fw = w.apply_fw(datum.matrix[i])
-        root = datum.root_coords(img_fw)
+        root = datum.root_coords(w.apply_fw(datum.matrix[i]))
         if any(c.denominator != 1 for c in root):
             raise DomainError("twisted exponent left the root lattice")
-        val = Fraction(1)
-        for taui, c in zip(tau.values, root):
-            val *= taui ** int(c)
-        out.append(val)
-    return tuple(out)
+        exponent = [int(c) for c in root]
+        values.append(_monomial(tau.values, exponent))
+        roots.append(None if tau.roots is None else _monomial(tau.roots, exponent))
+    return TauPoint(tuple(values), datum.det, None if tau.roots is None else tuple(roots))
 
 
 def in_unit_cube(values: Sequence[Fraction]) -> bool:
@@ -148,10 +164,17 @@ def in_unit_cube(values: Sequence[Fraction]) -> bool:
 
 def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
                              crystal: CrystalGraph, node: int) -> Fraction:
-    """p^w by the twisted normalization (tau^w)^{kappa - wt} / S_kappa(tau^w)."""
-    tw = TauPoint(twisted_tau(dist.datum, w, dist.tau), dist.datum.det)
-    denom = sum((tw.power((crystal.kappa - wt).root) for wt in crystal.weights), Fraction(0))
-    return tw.power((crystal.kappa - crystal.weights[node]).root) / denom
+    """p^w: the step law a_kappa tau^{r - wt} / N_r of the source at tau^w,
+    normalized over every node of every summand with its multiplicity.
+
+    ``crystal`` may be any model of a summand B(kappa): only kappa and the
+    node's weight enter."""
+    tw = _twisted_point(dist.datum, w, dist.tau)
+    r = dist.reference
+    denom = sum((mult * tw.power((r - wt).root)
+                 for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
+    mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
+    return mult * tw.power((r - crystal.weights[node]).root) / denom
 
 
 def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement

@@ -7,7 +7,8 @@ stay-in-cone events are decided in exact integer arithmetic: the step by node
 b from position x stays in the cone exactly when x_i >= eps_i(b) for every
 color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
 enter through the uniform variates themselves, and each draw is resolved
-against the exact rational cumulative weights.
+against the exact rational cumulative weights.  The exit kernel advances a
+chunk of samples together, one numpy pass per time step.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +26,9 @@ from .cartan import Weight
 from .crystal import CrystalGraph, TensorNode
 from .errors import DomainError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
+
+# samples per block of uniforms drawn at once
+CHUNK = 8192
 
 
 @dataclass
@@ -77,7 +82,11 @@ def _bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] =
 
 
 class StepSampler:
-    """Inverse-CDF sampler over a finite node list with exact boundaries."""
+    """Inverse-CDF sampler over a finite node list with exact boundaries.
+
+    ``weights`` and ``eps`` hold the weight and the raising depths of every
+    node as integer arrays of shape (nodes, rank), gathered per draw.
+    """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
         self.nodes = [(c, i) for c, i, _ in weighted_nodes]
@@ -91,29 +100,33 @@ class StepSampler:
         if acc != 1:
             raise DomainError(f"step probabilities sum to {acc}")
         self.cum_fracs = cums
-        self.cum_floats = [float(c) for c in cums]
-        # integer data per node: weight and raising depths
-        self.weights = [c.weights[i].fw for c, i in self.nodes]
-        self.eps = [c.eps[i] for c, i in self.nodes]
+        self.cum_floats = np.array([float(c) for c in cums])
+        # the float boundaries below and above each searchsorted index
+        self._lower = np.concatenate(([-1.0], self.cum_floats))
+        self._upper = np.concatenate((self.cum_floats, [2.0]))
+        self.weights = np.array([c.weights[i].fw for c, i in self.nodes], dtype=np.int64)
+        self.eps = np.array([c.eps[i] for c, i in self.nodes], dtype=np.int64)
 
     @classmethod
     def from_distribution(cls, dist: CrystalDistribution) -> "StepSampler":
         return cls([(e.crystal, e.node, e.probability) for e in dist.entries])
 
-    def pick(self, u: float) -> int:
-        """Index of the sampled node; exact against the rational boundaries."""
-        idx = bisect_right(self.cum_floats, u)
-        # the float bisect can be off only within rounding distance of a
-        # boundary; settle those cases against the exact boundaries
-        lo = self.cum_floats[idx - 1] if idx > 0 else -1.0
-        hi = self.cum_floats[idx] if idx < len(self.cum_floats) else 2.0
-        if u - lo <= 1e-9 or hi - u <= 1e-9:
-            idx = bisect_right(self.cum_fracs, Fraction(u))
-        return min(idx, len(self.cum_fracs) - 1)
+    def pick_many(self, u: np.ndarray) -> np.ndarray:
+        """Indices of the sampled nodes, one per uniform, exact against the
+        rational boundaries."""
+        idx = np.searchsorted(self.cum_floats, u, side="right")
+        # the float search can be off only within rounding distance of a
+        # boundary; settle those draws against the exact boundaries
+        near = (u - self._lower[idx] <= 1e-9) | (self._upper[idx] - u <= 1e-9)
+        if near.any():
+            flat_u, flat_idx = u.reshape(-1), idx.reshape(-1)
+            for j in np.flatnonzero(near):
+                flat_idx[j] = bisect_right(self.cum_fracs, Fraction(float(flat_u[j])))
+        return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
 
-    def continuous_stay(self, pos: Tuple[int, ...], node_idx: int) -> bool:
-        """Whether pos + path stays dominant across the step: pos >= eps."""
-        return all(p >= e for p, e in zip(pos, self.eps[node_idx]))
+    def pick(self, u: float) -> int:
+        """Index of the node sampled by one uniform."""
+        return int(self.pick_many(np.array([u]))[0])
 
 
 @dataclass
@@ -133,19 +146,21 @@ def sample_walk(dist: CrystalDistribution, mu: Weight, horizon: int, seed: int,
                 sampler: Optional[StepSampler] = None) -> WalkSample:
     """One reproducible trajectory of length ``horizon`` started at mu."""
     sampler = sampler or StepSampler.from_distribution(dist)
-    rng = _rng(seed)
-    pos = mu.fw
-    steps: List[int] = []
-    positions: List[Tuple[int, ...]] = []
-    flags: List[bool] = []
-    for _ in range(horizon):
-        u = rng.random()
-        k = sampler.pick(u)
-        steps.append(k)
-        flags.append(sampler.continuous_stay(pos, k))
-        pos = tuple(p + w for p, w in zip(pos, sampler.weights[k]))
-        positions.append(pos)
-    return WalkSample(seed, mu.fw, steps, positions, flags)
+    steps = sampler.pick_many(_rng(seed).random(size=horizon))
+    path = np.cumsum(np.vstack([np.array([mu.fw], dtype=np.int64), sampler.weights[steps]]),
+                     axis=0)
+    flags = (path[:-1] >= sampler.eps[steps]).all(axis=1)
+    positions = [tuple(row) for row in path[1:].tolist()]
+    return WalkSample(seed, mu.fw, steps.tolist(), positions, flags.tolist())
+
+
+def _exited_by(exits: Sequence[Optional[int]], horizon: int) -> List[int]:
+    """Entry ell: the number of samples whose exit step is at most ell."""
+    counts = [0] * (horizon + 1)
+    for e in exits:
+        if e is not None:
+            counts[e] += 1
+    return list(accumulate(counts))
 
 
 @dataclass
@@ -157,65 +172,68 @@ class ExitSummary:
     continuous_exit: List[Optional[int]]
     discrete_exit: List[Optional[int]]
     lemma_violations: int
+    _continuous_by: List[int] = field(init=False, repr=False, compare=False)
+    _discrete_by: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._continuous_by = _exited_by(self.continuous_exit, self.horizon)
+        self._discrete_by = _exited_by(self.discrete_exit, self.horizon)
 
     def stay_count_continuous(self, ell: int) -> int:
-        return sum(1 for e in self.continuous_exit if e is None or e > ell)
+        return self._stay_count(self._continuous_by, ell)
 
     def stay_count_discrete(self, ell: int) -> int:
-        return sum(1 for e in self.discrete_exit if e is None or e > ell)
+        return self._stay_count(self._discrete_by, ell)
+
+    def _stay_count(self, exited_by: List[int], ell: int) -> int:
+        # both exit lists hold one entry per sample
+        return len(self.continuous_exit) - exited_by[min(max(ell, 0), self.horizon)]
 
 
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                    seed: int, kappa0: Optional[Weight] = None,
                    sampler: Optional[StepSampler] = None,
-                   chunk: int = 8192) -> ExitSummary:
+                   chunk: int = CHUNK) -> ExitSummary:
     """First continuous/discrete cone-exit step over n independent samples.
 
     Each sample consumes exactly ``horizon`` uniforms, so the sample set for
-    a given (seed, horizon, n) is independent of any early stopping and
-    nested events across smaller horizons refer to identical trajectories.
-    When ``kappa0`` is given, every sample that stays discretely also has its
+    a given (seed, horizon, n) is independent of the chunk size, and nested
+    events across smaller horizons refer to identical trajectories.  When
+    ``kappa0`` is given, every sample that stays discretely also has its
     kappa0-shifted continuous trajectory checked (exactly) and violations of
     that implication are counted.
+
+    The samples of a chunk advance together, one vectorized step at a time;
+    apart from the (chunk, horizon) block of uniforms, the buffers hold one
+    row per sample.
     """
     sampler = sampler or StepSampler.from_distribution(dist)
     rng = _rng(seed)
-    cont_exit: List[Optional[int]] = []
-    disc_exit: List[Optional[int]] = []
+    # exit step per sample, 0 while the sample has not exited
+    cont = np.zeros(max(n, 0), dtype=np.int64)
+    disc = np.zeros(max(n, 0), dtype=np.int64)
     lemma_bad = 0
-    shifted = None if kappa0 is None else tuple(a + b for a, b in zip(mu.fw, kappa0.fw))
-    remaining = n
-    while remaining > 0:
-        block = min(chunk, remaining)
+    start = np.array(mu.fw, dtype=np.int64)
+    for lo in range(0, n, chunk):
+        block = min(chunk, n - lo)
         us = rng.random(size=(block, horizon))
-        for row in us:
-            pos = mu.fw
-            c_exit: Optional[int] = None
-            d_exit: Optional[int] = None
-            shifted_ok = True
-            spos = shifted
-            for step in range(horizon):
-                k = sampler.pick(float(row[step]))
-                if c_exit is None and not sampler.continuous_stay(pos, k):
-                    c_exit = step + 1
-                if spos is not None and not sampler.continuous_stay(spos, k):
-                    shifted_ok = False
-                pos = tuple(p + w for p, w in zip(pos, sampler.weights[k]))
-                if spos is not None:
-                    spos = tuple(p + w for p, w in zip(spos, sampler.weights[k]))
-                if d_exit is None and any(c < 0 for c in pos):
-                    d_exit = step + 1
-                # a full row of uniforms is drawn up front, so stopping after
-                # both exits (which also settles the shift lemma) cannot
-                # perturb later samples
-                if c_exit is not None and d_exit is not None:
-                    break
-            cont_exit.append(c_exit)
-            disc_exit.append(d_exit)
-            if kappa0 is not None and d_exit is None and not shifted_ok:
-                lemma_bad += 1
-        remaining -= block
-    return ExitSummary(horizon, n, cont_exit, disc_exit, lemma_bad)
+        c_exit, d_exit = cont[lo:lo + block], disc[lo:lo + block]
+        pos = np.tile(start, (block, 1))
+        spos = None if kappa0 is None else pos + np.array(kappa0.fw, dtype=np.int64)
+        shifted_ok = np.ones(block, dtype=bool)
+        for step in range(horizon):
+            k = sampler.pick_many(us[:, step])
+            eps, wt = sampler.eps[k], sampler.weights[k]
+            c_exit[(c_exit == 0) & ~(pos >= eps).all(axis=1)] = step + 1
+            if spos is not None:
+                shifted_ok &= (spos >= eps).all(axis=1)
+                spos += wt
+            pos += wt
+            d_exit[(d_exit == 0) & (pos < 0).any(axis=1)] = step + 1
+        if kappa0 is not None:
+            lemma_bad += int(np.count_nonzero((d_exit == 0) & ~shifted_ok))
+    return ExitSummary(horizon, n, [e or None for e in cont.tolist()],
+                       [e or None for e in disc.tolist()], lemma_bad)
 
 
 def estimate_stay_probability(dist: CrystalDistribution, mu: Weight, horizon: int,
@@ -246,13 +264,13 @@ def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
     datum = dist.datum
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     zero_fw = (0,) * datum.rank
-    for _ in range(n):
-        us = rng.random(size=ellmax)
-        factors = tuple(sampler.nodes[sampler.pick(float(u))] for u in us)
-        node = TensorNode(factors)
-        hs = [zero_fw] + [w.fw for w in pitman_prefix_weights(datum, node)]
-        for a, b in zip(hs, hs[1:]):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
+    for lo in range(0, n, CHUNK):
+        picks = sampler.pick_many(rng.random(size=(min(CHUNK, n - lo), ellmax)))
+        for row in picks.tolist():
+            node = TensorNode(tuple(sampler.nodes[k] for k in row))
+            hs = [zero_fw] + [w.fw for w in pitman_prefix_weights(datum, node)]
+            for a, b in zip(hs, hs[1:]):
+                counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
 

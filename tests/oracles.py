@@ -1,10 +1,12 @@
 """Brute-force oracles for the exact kernels, kept with the tests.
 
 Each one enumerates what the library computes by a shortcut: the full tensor
-product for the branching counts and the transformed-walk law, and the node
-list with the path-level cone test for the restricted kernel.
+product for the branching counts and the transformed-walk law, the node
+list with the path-level cone test for the restricted kernel, and one sample
+and one step at a time for the vectorized Monte-Carlo exit kernel.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -13,6 +15,7 @@ from weylwalk import paths as P
 from weylwalk.cartan import CartanDatum, Weight
 from weylwalk.crystal import CrystalGraph, TensorNode
 from weylwalk.markov import CrystalDistribution, pitman_prefix_weights
+from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
 
 def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGraph],
@@ -74,3 +77,54 @@ def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -
         if (mu + e.crystal.weights[e.node]) == lam and node.stays_in_cone(start):
             out += e.probability
     return out
+
+
+def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
+                          seed: int, kappa0: Optional[Weight] = None,
+                          sampler: Optional[StepSampler] = None,
+                          chunk: int = 8192) -> ExitSummary:
+    """Oracle for ``simulate_exits``: one sample and one step at a time.
+
+    It reads the same Philox uniforms in the same (chunk, horizon) blocks,
+    settles every draw by an exact bisect on the rational cumulative law, and
+    takes the weights and raising depths from the crystals themselves.
+    """
+    sampler = sampler or StepSampler.from_distribution(dist)
+    weights = [c.weights[i].fw for c, i in sampler.nodes]
+    eps = [c.eps[i] for c, i in sampler.nodes]
+    rng = _rng(seed)
+    cont_exit: List[Optional[int]] = []
+    disc_exit: List[Optional[int]] = []
+    lemma_bad = 0
+    shifted = None if kappa0 is None else tuple(a + b for a, b in zip(mu.fw, kappa0.fw))
+    remaining = n
+    while remaining > 0:
+        block = min(chunk, remaining)
+        for row in rng.random(size=(block, horizon)):
+            pos = mu.fw
+            c_exit: Optional[int] = None
+            d_exit: Optional[int] = None
+            shifted_ok = True
+            spos = shifted
+            for step in range(horizon):
+                k = bisect_right(sampler.cum_fracs, Fraction(float(row[step])))
+                if c_exit is None and not all(p >= e for p, e in zip(pos, eps[k])):
+                    c_exit = step + 1
+                if spos is not None and not all(p >= e for p, e in zip(spos, eps[k])):
+                    shifted_ok = False
+                pos = tuple(p + w for p, w in zip(pos, weights[k]))
+                if spos is not None:
+                    spos = tuple(p + w for p, w in zip(spos, weights[k]))
+                if d_exit is None and any(c < 0 for c in pos):
+                    d_exit = step + 1
+                # the row of uniforms is drawn up front, so stopping after
+                # both exits (which also settles the shift lemma) cannot
+                # perturb later samples
+                if c_exit is not None and d_exit is not None:
+                    break
+            cont_exit.append(c_exit)
+            disc_exit.append(d_exit)
+            if kappa0 is not None and d_exit is None and not shifted_ok:
+                lemma_bad += 1
+        remaining -= block
+    return ExitSummary(horizon, n, cont_exit, disc_exit, lemma_bad)

@@ -12,8 +12,9 @@ import pytest
 
 from weylwalk import build_cartan_datum
 from weylwalk import markov as M
-from weylwalk.cartan import weyl_order
-from weylwalk.charalg import CharacterAlgebra, tau_point, tau_point_from_roots
+from weylwalk.cartan import act, weyl_order
+from weylwalk.charalg import (
+    CharacterAlgebra, ExponentPolynomial, tau_point, tau_point_from_roots)
 from weylwalk.crystal import CrystalCache, module_multiplicity
 from weylwalk.errors import ResourceBudgetError
 
@@ -147,3 +148,20 @@ def test_probability_of_matches_entries(algebras):
         dist, algebra.group.longest())) == Fraction(1)
     with pytest.raises(KeyError):
         dist.probability_of(algebra.cache.get(datum.weight((1, 0))), 0)
+
+
+@pytest.mark.parametrize("label,weights", [("C2", [(0, 0), (1, 0), (2, 3)]),
+                                           ("G2", [(0, 0), (0, 1), (2, 1)])])
+def test_memoized_weyl_numerator_equals_fresh_sum(algebras, label, weights):
+    algebra = algebras[label]
+    datum = algebra.datum
+    for fw in weights:
+        mu = datum.weight(fw)
+        first = algebra.weyl_numerator(mu)
+        assert algebra.weyl_numerator(datum.weight(fw)) is first
+        shifted = mu + datum.rho
+        fresh = {}
+        for w in algebra.group:
+            e = (shifted - act(datum, w, shifted)).root
+            fresh[e] = fresh.get(e, 0) + w.sign
+        assert first == ExponentPolynomial(fresh)

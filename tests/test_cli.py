@@ -1,11 +1,16 @@
+import copy
 import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import weylwalk
+from weylwalk import markov as M
 from weylwalk.cli import main
 
 
@@ -243,3 +248,43 @@ def test_one_summand_module_config_equals_kappa(tmp_path):
         assert code == 0
         outputs.append((outdir / "hchain.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_numpy_out():
+    """Only the Monte-Carlo commands need numpy, and they import it themselves."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
+    probe = "import sys, weylwalk.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert done.stdout.strip() == "False"
+
+
+MODULE_1_2 = {
+    "type": "C2",
+    "module": [{"kappa": [1, 0], "mult": 1}, {"kappa": [0, 1], "mult": 2}],
+    "tau": ["1/4", "1/9"], "tau_roots": ["1/2", "1/3"],
+}
+
+
+def test_verify_module_with_multiplicities(tmp_path):
+    code, outdir = run(tmp_path, "verify", "--config", write_config(tmp_path, MODULE_1_2))
+    assert code == 0
+    checks = json.loads((outdir / "verify.json").read_text())
+    assert all(c["pass"] for c in checks)
+
+
+def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
+    """A twisted law that drops the multiplicity 2 fails the check."""
+    original = M.twisted_node_probability
+
+    def ignoring_multiplicity(dist, w, crystal, node):
+        flat = copy.copy(dist)
+        flat.crystals = [(c, 1) for c, _ in dist.crystals]
+        return original(flat, w, crystal, node)
+
+    monkeypatch.setattr(M, "twisted_node_probability", ignoring_multiplicity)
+    code, outdir = run(tmp_path, "verify", "--config", write_config(tmp_path, MODULE_1_2))
+    assert code == 3
+    failed = [c["check"] for c in json.loads((outdir / "verify.json").read_text())
+              if not c["pass"]]
+    assert failed == ["twisted law equals permuted law"]

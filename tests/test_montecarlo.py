@@ -1,15 +1,18 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from weylwalk import build_cartan_datum
 from weylwalk import montecarlo as MC
 from weylwalk import markov as M
-from weylwalk.charalg import tau_point
-from weylwalk.crystal import ModuleSpec
+from weylwalk.charalg import CharacterAlgebra, tau_point
+from weylwalk.crystal import ModuleSpec, TensorNode
 
 from conftest import partition_weight
-from oracles import exhaustive_h_trajectories
+from oracles import exhaustive_h_trajectories, scalar_simulate_exits
 
 F = Fraction
 
@@ -253,3 +256,124 @@ def test_b3_spin_minuscule_sandwich():
     assert report.lower == report.upper  # bounds pinch for minuscule sources
     assert report.discrete.estimate == report.continuous.estimate
     assert report.lemma_violations == 0 and report.bounds_hold
+
+
+# --- the vectorized exit kernel against the scalar oracle ----------------------------
+
+
+KERNEL_CASES = {
+    "A2 (1,0)": ("A2", (1, 0)),
+    "C2 (1,0)": ("C2", (1, 0)),
+    "C2 (0,1)": ("C2", (0, 1)),
+    "C2 (2,0)": ("C2", (2, 0)),
+    "G2 (1,0)": ("G2", (1, 0)),
+    "B3 (0,0,1)": ("B3", (0, 0, 1)),
+    "C2 module": ("C2", "module"),
+}
+
+
+def _kernel_case(name):
+    """Distribution, start and kappa0 of a kernel case; the start is omega_1."""
+    label, kappa = KERNEL_CASES[name]
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    if kappa == "module":
+        spec = ModuleSpec(((datum.weight((1, 0)), 1), (datum.weight((0, 1)), 2)))
+        tau = tau_point(datum, [F(1, 4), F(1, 9)], roots=[F(1, 2), F(1, 3)])
+        dist = M.build_distribution(algebra, spec, tau)
+        kappa0 = datum.weight((1, 0))
+    else:
+        tau = tau_point(datum, [F(1, 2)] + [F(2, 5)] * (datum.rank - 1))
+        dist = M.build_distribution(algebra, datum.weight(kappa), tau)
+        kappa0 = dist.crystals[0][0].kappa0()
+    return dist, datum.fundamental_weight(0), kappa0
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["plain", "kappa0"])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_exit_kernel_equals_scalar_oracle(name, shift):
+    dist, mu, kappa0 = _kernel_case(name)
+    kappa0 = kappa0 if shift else None
+    summary = MC.simulate_exits(dist, mu, 12, 400, seed=29, kappa0=kappa0)
+    assert summary == scalar_simulate_exits(dist, mu, 12, 400, seed=29, kappa0=kappa0)
+    assert any(e is None for e in summary.continuous_exit)
+    assert any(e is not None for e in summary.continuous_exit)
+
+
+@pytest.mark.parametrize("name", ["C2 (0,1)", "C2 module"])
+def test_exit_kernel_chunks_and_short_horizons(name):
+    dist, mu, kappa0 = _kernel_case(name)
+    # n not a multiple of the chunk: the last block is short
+    small = MC.simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0, chunk=7)
+    assert small == scalar_simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0, chunk=7)
+    # the sample set does not depend on the chunk size
+    assert small == MC.simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0)
+    for horizon in (0, 1):
+        summary = MC.simulate_exits(dist, mu, horizon, 60, seed=4, kappa0=kappa0, chunk=16)
+        assert summary == scalar_simulate_exits(dist, mu, horizon, 60, seed=4,
+                                                kappa0=kappa0, chunk=16)
+    assert MC.simulate_exits(dist, mu, 5, 0, seed=4).continuous_exit == []
+
+
+def test_stay_counts_read_exit_steps(c2, dist10):
+    summary = MC.simulate_exits(dist10, c2.zero_weight(), 20, 3000, seed=71)
+    for ell in range(-1, 23):
+        for exits, count in ((summary.continuous_exit, summary.stay_count_continuous),
+                             (summary.discrete_exit, summary.stay_count_discrete)):
+            assert count(ell) == sum(1 for e in exits if e is None or e > ell)
+
+
+def _boundary_sampler():
+    """G2 (1,0) at a generic tau: seven cells, boundaries of large height."""
+    g2 = build_cartan_datum("G2")
+    algebra = CharacterAlgebra(g2)
+    dist = M.build_distribution(algebra, g2.weight((1, 0)), tau_point(g2, [F(3, 7), F(2, 9)]))
+    return MC.StepSampler.from_distribution(dist)
+
+
+def test_pick_many_is_exact_at_edges():
+    sampler = _boundary_sampler()
+    below_one = [np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
+    edges = [0.0] + below_one
+    for c in sampler.cum_floats[:-1]:
+        edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    u = np.array(edges)
+    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
+    assert sampler.pick_many(u).tolist() == exact
+    assert [sampler.pick(x) for x in edges] == exact
+    # any shape, one index per uniform
+    assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
+
+
+def test_pick_many_is_exact_on_a_stream():
+    sampler = _boundary_sampler()
+    u = MC._rng(5).random(size=(200, 30))
+    picks = sampler.pick_many(u)
+    assert picks.shape == u.shape
+    assert picks.ravel().tolist() == [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
+
+
+def test_sample_walk_matches_scalar_draws(c2, dist10):
+    sampler = MC.StepSampler.from_distribution(dist10)
+    sample = MC.sample_walk(dist10, c2.weight((1, 0)), 40, seed=13, sampler=sampler)
+    rng = MC._rng(13)
+    pos = (1, 0)
+    for k, p, flag in zip(sample.steps, sample.positions, sample.stay_flags):
+        crystal, idx = sampler.nodes[k]
+        assert k == bisect_right(sampler.cum_fracs, F(rng.random()))
+        assert flag == all(a >= e for a, e in zip(pos, crystal.eps[idx]))
+        pos = tuple(a + b for a, b in zip(pos, crystal.weights[idx].fw))
+        assert p == pos
+
+
+def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
+    sampler = MC.StepSampler.from_distribution(dist10)
+    rng = MC._rng(19)
+    expected = {}
+    for _ in range(300):
+        row = [bisect_right(sampler.cum_fracs, F(x)) for x in rng.random(size=3)]
+        node = TensorNode(tuple(sampler.nodes[k] for k in row))
+        hs = [(0, 0)] + [w.fw for w in M.pitman_prefix_weights(c2, node)]
+        for a, b in zip(hs, hs[1:]):
+            expected[(a, b)] = expected.get((a, b), 0) + 1
+    assert MC.empirical_h_law(dist10, 3, 300, seed=19) == expected

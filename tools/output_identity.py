@@ -1,0 +1,111 @@
+"""Byte-for-byte output check of a weylwalk tree on the benchmark's job mixes.
+
+    python3 tools/output_identity.py digest --src OLD/src --workload mc-exit \
+        --seeds 1 2 3 --jobs 40 --out old.json
+    python3 tools/output_identity.py digest --src NEW/src --workload mc-exit \
+        --seeds 1 2 3 --jobs 40 --out new.json
+    python3 tools/output_identity.py compare old.json new.json
+
+``digest`` runs the first ``--jobs`` jobs of ``workloads.jobs(workload, seed)``
+for each seed in one process, importing weylwalk from ``--src``, and records
+each job's exit code and the SHA-256 of its standard output and of every file
+it writes.  The manifests are left out: they carry a timestamp.  ``compare``
+prints every job whose record differs and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_job(job: dict, work: str) -> dict:
+    """Run one job in this process; its exit code and output digests."""
+    out = os.path.join(work, job["id"])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        if job["kind"] == "cli":
+            from weylwalk import cli
+
+            cfg = os.path.join(work, job["id"] + ".json")
+            with open(cfg, "w") as f:
+                json.dump(job["config"], f)
+            code = cli.main([job["command"], "--config", cfg, "--output-dir", out])
+        else:
+            import child
+
+            os.makedirs(out)
+            with open(os.path.join(out, "result.json"), "w") as f:
+                json.dump(child.library_task(job["task"], job["params"]), f,
+                          indent=1, sort_keys=True)
+            code = 0
+    files = {}
+    for name in sorted(os.listdir(out)):
+        if not name.endswith("_manifest.json"):
+            with open(os.path.join(out, name), "rb") as f:
+                files[name] = _sha(f.read())
+    return {"code": code, "stdout": _sha(stdout.getvalue().encode()), "files": files}
+
+
+def digest(src: str, workload: str, seeds, count: int) -> dict:
+    sys.path.insert(0, os.path.abspath(src))
+    import weylwalk
+
+    records = {}
+    with tempfile.TemporaryDirectory() as work:
+        for seed in seeds:
+            for job, _ in zip(workloads.jobs(workload, seed), range(count)):
+                records[job["id"]] = run_job(job, work)
+    return {"weylwalk": os.path.dirname(weylwalk.__file__), "jobs": records}
+
+
+def compare(old: dict, new: dict) -> int:
+    differ = [j for j in sorted(set(old["jobs"]) | set(new["jobs"]))
+              if old["jobs"].get(j) != new["jobs"].get(j)]
+    for j in differ:
+        print(f"{j}: {old['jobs'].get(j)} != {new['jobs'].get(j)}")
+    codes = [r["code"] for r in new["jobs"].values()]
+    print(f"{len(old['jobs'])} vs {len(new['jobs'])} jobs, {len(differ)} differ; "
+          f"exit codes of the second: { {c: codes.count(c) for c in sorted(set(codes))} }")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    d = sub.add_parser("digest")
+    d.add_argument("--src", required=True, help="the src/ directory of a weylwalk tree")
+    d.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    d.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    d.add_argument("--jobs", type=int, default=40)
+    d.add_argument("--out", required=True)
+    c = sub.add_parser("compare")
+    c.add_argument("old")
+    c.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.mode == "compare":
+        with open(args.old) as f, open(args.new) as g:
+            return compare(json.load(f), json.load(g))
+    result = digest(args.src, args.workload, args.seeds, args.jobs)
+    with open(args.out, "w") as f:
+        json.dump(result, f, indent=1, sort_keys=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
