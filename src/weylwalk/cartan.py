@@ -92,17 +92,6 @@ def _named_matrix(family: str, n: int) -> IntMatrix:
     raise FormatError(f"unknown type family {family!r}")
 
 
-# Positive-root counts of the finite types, used as a sanity check.
-POSITIVE_ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "G": lambda n: 6,
-    "F": lambda n: 24,
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-}
-
 @dataclass(frozen=True)
 class Realization:
     """Rational ambient model: columns of ``fw_vectors`` are the omega_i.
@@ -167,9 +156,6 @@ class Weight:
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fw)
-
-    def is_strictly_dominant(self) -> bool:
-        return all(c > 0 for c in self.fw)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.fw, other.fw)), add(self.root, other.root))
@@ -483,6 +469,19 @@ def weyl_order(datum: CartanDatum) -> int:
     """
     highest = _positive_root_coords(datum.matrix)[-1]
     return factorial(datum.rank) * datum.det * prod(highest)
+
+
+def longest_word(datum: CartanDatum) -> Tuple[int, ...]:
+    """A reduced word of the longest element w0, without enumerating W.
+
+    Starting at rho, reflecting in a coordinate that is still positive
+    lengthens the element by one; the walk stops at -rho after |Phi+| steps.
+    """
+    x, word = (1,) * datum.rank, []
+    while any(c > 0 for c in x):
+        word.append(next(k for k, c in enumerate(x) if c > 0))
+        x = datum.reflect_fw(word[-1], x)
+    return tuple(word)
 
 
 def weyl_group(datum: CartanDatum, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:

@@ -49,8 +49,10 @@ class RunContext:
         self.cfg = cfg
         type_spec = cfg.get("type", "C2")
         if isinstance(type_spec, dict):
-            type_spec = type_spec.get("matrix")
-        self.datum = build_cartan_datum(type_spec, max_rank=int(cfg.get("max_rank", 8)))
+            if "matrix" not in type_spec:
+                raise FormatError("a \"type\" object needs a \"matrix\"")
+            type_spec = type_spec["matrix"]
+        self.datum = build_cartan_datum(type_spec, max_rank=self.read("max_rank", 8))
         self.algebra = CharacterAlgebra(self.datum)
         self.source = self._source(cfg)
         self.tau = self._tau(cfg)
@@ -58,12 +60,15 @@ class RunContext:
     def _source(self, cfg):
         if "module" in cfg:
             summands = []
-            for item in cfg["module"]:
-                kappa = self.datum.weight(tuple(int(c) for c in item["kappa"]))
-                summands.append((kappa, int(item.get("mult", 1))))
+            items = cfg["module"]
+            if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+                raise FormatError("\"module\" must be a list of objects")
+            for item in items:
+                kappa = self.datum.weight(self.read("kappa", vector=True, table=item))
+                summands.append((kappa, self.read("mult", 1, table=item)))
             return ModuleSpec(tuple(summands))
-        kappa = cfg.get("kappa", [1] + [0] * (self.datum.rank - 1))
-        return self.datum.weight(tuple(int(c) for c in kappa))
+        kappa = self.read("kappa", [1] + [0] * (self.datum.rank - 1), vector=True)
+        return self.datum.weight(kappa)
 
     def _tau(self, cfg) -> Optional[TauPoint]:
         if "tau_roots" in cfg and "tau" not in cfg:
@@ -78,20 +83,43 @@ class RunContext:
             roots = [parse_rational(v) for v in cfg["tau_roots"]]
         return tau_point(self.datum, values, roots)
 
+    def read(self, key: str, default=None, vector: bool = False, table: Optional[Dict] = None):
+        """The integer (integer tuple with ``vector``) at ``key`` of ``table``,
+        by default the config; FormatError names a missing or malformed key."""
+        table = self.cfg if table is None else table
+        value = table.get(key, default)
+        if value is None:
+            raise FormatError(f"missing config key {key!r}")
+
+        def whole(c):
+            if isinstance(c, float) and not c.is_integer():
+                raise ValueError
+            return int(c)
+
+        try:
+            if vector:
+                if not isinstance(value, (list, tuple)):
+                    raise TypeError
+                return tuple(whole(c) for c in value)
+            return whole(value)
+        except (TypeError, ValueError):
+            kind = "a list of integers" if vector else "an integer"
+            raise FormatError(f"config key {key!r} must be {kind}, got {value!r}") from None
+
     def require_tau(self) -> TauPoint:
         if self.tau is None:
             raise FormatError("this command needs a tau value in the config")
         return self.tau
 
     def mu(self, default=None) -> Weight:
-        coords = self.cfg.get("mu", default if default is not None else [0] * self.datum.rank)
-        return self.datum.weight(tuple(int(c) for c in coords))
+        coords = default if default is not None else [0] * self.datum.rank
+        return self.datum.weight(self.read("mu", coords, vector=True))
 
     def distribution(self) -> M.CrystalDistribution:
         return M.build_distribution(self.algebra, self.source, self.require_tau())
 
     def states(self, limit: Optional[int] = None) -> List[Weight]:
-        limit = limit if limit is not None else int(self.cfg.get("state_limit", 4))
+        limit = limit if limit is not None else self.read("state_limit", 4)
         dist = self.distribution()
         seeds = [self.datum.weight((0,) * self.datum.rank), self.mu()]
         return M.state_closure(dist, seeds, inside=M.coordinate_box(limit))
@@ -165,7 +193,7 @@ def cmd_character(ctx: RunContext, out: OutputWriter) -> int:
 def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
     tau = ctx.require_tau()
     tau.require_in_region()
-    limit = int(ctx.cfg.get("mu_limit", 3))
+    limit = ctx.read("mu_limit", 3)
     rows = []
     n = ctx.datum.rank
     from itertools import product as iproduct
@@ -230,10 +258,10 @@ def cmd_simulate(ctx: RunContext, out: OutputWriter) -> int:
 
     dist = ctx.distribution()
     mu = ctx.mu()
-    horizon = int(ctx.cfg.get("horizon", 20))
-    n = int(ctx.cfg.get("samples", 20000))
-    seed = int(ctx.cfg.get("seed", 2024))
-    small = min(horizon, int(ctx.cfg.get("ell", ctx.cfg.get("exact_horizon", 5))))
+    horizon = ctx.read("horizon", 20)
+    n = ctx.read("samples", 20000)
+    seed = ctx.read("seed", 2024)
+    small = min(horizon, ctx.read("ell") if "ell" in ctx.cfg else ctx.read("exact_horizon", 5))
     exact_small = ctx.algebra.psi_ell(mu, ctx.source, dist.tau, small)
     psi_inf = ctx.algebra.psi(mu, dist.tau)
     summary = MC.simulate_exits(dist, mu, horizon, n, seed)
@@ -260,9 +288,9 @@ def cmd_sandwich(ctx: RunContext, out: OutputWriter) -> int:
 
     dist = ctx.distribution()
     mu = ctx.mu()
-    horizon = int(ctx.cfg.get("horizon", 30))
-    n = int(ctx.cfg.get("samples", 20000))
-    seed = int(ctx.cfg.get("seed", 2024))
+    horizon = ctx.read("horizon", 30)
+    n = ctx.read("samples", 20000)
+    seed = ctx.read("seed", 2024)
     report = MC.sandwich_check(dist, mu, horizon, n, seed)
     print(f"kappa0 = {report.kappa0}")
     print(f"limit bounds: {float(report.lower):.6g} <= discrete <= {float(report.upper):.6g}")
@@ -294,9 +322,9 @@ def cmd_ratio(ctx: RunContext, out: OutputWriter) -> int:
 
     dist = ctx.distribution()
     mu = ctx.mu()
-    top = int(ctx.cfg.get("ell", 14))
-    ells = ctx.cfg.get("ells", list(range(4, top + 1, 2)))
-    reports = MC.asymptotic_ratio(dist, mu, [int(e) for e in ells])
+    top = ctx.read("ell", 14)
+    ells = ctx.read("ells", list(range(4, top + 1, 2)), vector=True)
+    reports = MC.asymptotic_ratio(dist, mu, list(ells))
     if not reports:
         print("no admissible endpoint found; nothing to report")
         return EXIT_OK
@@ -420,16 +448,21 @@ def resolve_config(args) -> Dict:
     if args.config:
         with open(args.config) as f:
             cfg = json.load(f)
+        if not isinstance(cfg, dict):
+            raise FormatError("the config document must be a JSON object")
     if args.type:
         cfg["type"] = args.type
     for key in ("seed", "samples", "horizon", "ell", "output_dir"):
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if args.kappa:
-        cfg["kappa"] = [int(c) for c in args.kappa.split(",")]
-    if args.mu:
-        cfg["mu"] = [int(c) for c in args.mu.split(",")]
+    for key in ("kappa", "mu"):
+        text = getattr(args, key)
+        try:
+            if text:
+                cfg[key] = [int(c) for c in text.split(",")]
+        except ValueError:
+            raise FormatError(f"--{key} needs comma-separated integers, got {text!r}") from None
     if args.tau:
         cfg["tau"] = args.tau.split(",")
     if args.tau_roots:
@@ -448,7 +481,7 @@ def main(argv=None) -> int:
         out.manifest(cfg)
         return code
     except (FormatError, NotFiniteTypeError, DomainError, json.JSONDecodeError,
-            FileNotFoundError, KeyError, ValueError) as ex:
+            FileNotFoundError) as ex:
         print(f"config error: {ex}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceBudgetError as ex:

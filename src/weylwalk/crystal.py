@@ -36,7 +36,9 @@ class CrystalGraph:
         self.highest = self.index[highest_path]
         self.weights: List[Weight] = [P.path_weight(datum, b) for b in self.nodes]
         self.kappa: Weight = self.weights[self.highest]
-        self._fill_eps_phi()
+        depths = [[P.eps_phi(b, i) for i in range(datum.rank)] for b in self.nodes]
+        self.eps: List[Tuple[int, ...]] = [tuple(e for e, _ in d) for d in depths]
+        self.phi: List[Tuple[int, ...]] = [tuple(f for _, f in d) for d in depths]
         self.heights: List[int] = [self._height(w) for w in self.weights]
         self._check_unique_highest()
 
@@ -68,34 +70,6 @@ class CrystalGraph:
                 self.f_edge[(idx, i)] = jdx
                 self.e_edge[(jdx, i)] = idx
 
-    def _fill_eps_phi(self) -> None:
-        n = self.datum.rank
-        size = len(self.nodes)
-        self.eps: List[Tuple[int, ...]] = []
-        self.phi: List[Tuple[int, ...]] = []
-        eps_cache = [[-1] * size for _ in range(n)]
-        phi_cache = [[-1] * size for _ in range(n)]
-
-        def walk(idx, i, edge, cache):
-            # distance to the end of the i-chain, memoized along the trail
-            trail = []
-            cur = idx
-            while cache[i][cur] < 0:
-                trail.append(cur)
-                nxt = edge.get((cur, i))
-                if nxt is None:
-                    cache[i][cur] = 0
-                    break
-                cur = nxt
-            for node in reversed(trail):
-                nxt = edge.get((node, i))
-                cache[i][node] = 0 if nxt is None else cache[i][nxt] + 1
-            return cache[i][idx]
-
-        for idx in range(size):
-            self.eps.append(tuple(walk(idx, i, self.e_edge, eps_cache) for i in range(n)))
-            self.phi.append(tuple(walk(idx, i, self.f_edge, phi_cache) for i in range(n)))
-
     def _height(self, w: Weight) -> int:
         diff = self.kappa - w
         total = sum(diff.root)
@@ -113,22 +87,8 @@ class CrystalGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node_weight(self, idx: int) -> Weight:
-        return self.weights[idx]
-
     def edges(self) -> List[Tuple[int, int, int]]:
         return sorted((src, i, dst) for (src, i), dst in self.f_edge.items())
-
-    def i_chains(self, i: int) -> List[List[int]]:
-        """Maximal monochromatic strings of color i (singletons included)."""
-        heads = [k for k in range(len(self.nodes)) if (k, i) not in self.e_edge]
-        chains = []
-        for head in heads:
-            chain = [head]
-            while (chain[-1], i) in self.f_edge:
-                chain.append(self.f_edge[(chain[-1], i)])
-            chains.append(chain)
-        return chains
 
     def weight_counts(self) -> Dict[Weight, int]:
         out: Dict[Weight, int] = {}
@@ -155,14 +115,15 @@ class CrystalGraph:
         return cur
 
     def kappa0(self) -> Weight:
-        """Dominant weight built from the maximal i-chain edge counts.
+        """Dominant weight built from the longest i-string arrow counts.
 
-        Vanishes exactly for minuscule highest weights, where every i-chain
-        has at most one arrow.
+        Every node of an i-string has eps_i + phi_i equal to the string's
+        arrow count.  kappa0 vanishes exactly for minuscule highest weights,
+        where every i-string has at most one arrow.
         """
         coords = []
         for i in range(self.datum.rank):
-            longest = max(len(chain) - 1 for chain in self.i_chains(i))
+            longest = max(e[i] + f[i] for e, f in zip(self.eps, self.phi))
             coords.append(max(longest, 1) - 1)
         return self.datum.weight(tuple(coords))
 
@@ -343,17 +304,8 @@ class TensorNode:
         ) and len(self.factors) == len(other.factors)
 
 
-def tensor_eps_phi(node: TensorNode, i: int) -> Tuple[int, int]:
-    """Raising and lowering depths of the concatenation, by the product rule."""
-    eps, phi = 0, 0
-    for crys, idx in node.factors:
-        fe, fp = crys.eps[idx][i], crys.phi[idx][i]
-        eps = eps + max(0, fe - phi)
-        phi = fp + max(0, phi - fe)
-    return eps, phi
-
-
 def _prefix_eps_phi(node: TensorNode, i: int) -> List[Tuple[int, int]]:
+    """Raising and lowering depths of every prefix, by the product rule."""
     out = [(0, 0)]
     eps, phi = 0, 0
     for crys, idx in node.factors:
@@ -362,6 +314,11 @@ def _prefix_eps_phi(node: TensorNode, i: int) -> List[Tuple[int, int]]:
         phi = fp + max(0, phi - fe)
         out.append((eps, phi))
     return out
+
+
+def tensor_eps_phi(node: TensorNode, i: int) -> Tuple[int, int]:
+    """Raising and lowering depths of the concatenation."""
+    return _prefix_eps_phi(node, i)[-1]
 
 
 def tensor_apply_e(node: TensorNode, i: int) -> Optional[TensorNode]:

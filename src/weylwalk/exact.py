@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
+from .errors import FormatError
+
 Vector = Tuple[Fraction, ...]
 
 
@@ -27,10 +29,6 @@ def add(x: Vector, y: Vector) -> Vector:
 
 def sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
-
-
-def neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
 
 
 def smul(c: Fraction, x: Vector) -> Vector:
@@ -109,9 +107,8 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
-        return Fraction(text.strip())
-    raise TypeError(f"expected exact rational, got {type(text).__name__}")
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"expected an exact rational, got {text!r}")

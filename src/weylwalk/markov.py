@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Weight, WeylElement, act, act_vector
+from .cartan import CartanDatum, Weight, WeylElement, act, act_vector, longest_word
 from .charalg import CharacterAlgebra, TauPoint
 from .crystal import (
     CrystalGraph,
@@ -18,8 +18,6 @@ from .crystal import (
     TensorNode,
     as_module,
     module_multiplicity,
-    tensor_apply_e,
-    tensor_eps_phi,
 )
 from .errors import ClosureError, DomainError, HarmonicityError, ResourceBudgetError
 from .exact import Vector, add, smul, vec, zero
@@ -233,9 +231,6 @@ class TransitionTable:
         j = self.states.index(lam)
         return self.rows[i][j]
 
-    def complete_states(self) -> List[Weight]:
-        return [s for s, ok in zip(self.states, self.row_complete) if ok]
-
     def to_csv(self) -> str:
         head = ["state", "complete"] + ["/".join(map(str, s.fw)) for s in self.states]
         lines = [",".join(head)]
@@ -403,20 +398,27 @@ def pitman(datum: CartanDatum, obj: Union[TensorNode, P.PiecewisePath]
            ) -> Union[TensorNode, P.PiecewisePath]:
     """Raise to the unique all-raising-null element of the connected component.
 
-    Applies raising operators lowest color first; the result is independent
-    of the order because the component has a unique highest node.
+    A tensor node goes through P_w0 = P_{i_1} ... P_{i_N} over a reduced word
+    of w0, one integer pass over the factors per letter.  P_{alpha_i} is
+    e_i^{eps_i}: the i-height dips to ``height - eps_i(b)`` inside a factor b
+    entered at ``height``, and b is raised once for every level by which
+    that dip sets a new minimum below ``low``, the minimum before it.  A path
+    is raised by the root operators, lowest color first; the result does not
+    depend on the order because the component has a unique highest node.
     """
     if isinstance(obj, TensorNode):
-        cur = obj
-        while True:
-            for i in range(datum.rank):
-                if tensor_eps_phi(cur, i)[0] > 0:
-                    nxt = tensor_apply_e(cur, i)
-                    assert nxt is not None
-                    cur = nxt
-                    break
-            else:
-                return cur
+        factors = list(obj.factors)
+        for i in reversed(longest_word(datum)):
+            height = low = 0
+            for k, (crys, idx) in enumerate(factors):
+                dip = height - crys.eps[idx][i]
+                height += crys.weights[idx].fw[i]
+                if dip < low:
+                    for _ in range(low - dip):
+                        idx = crys.e_edge[(idx, i)]
+                    factors[k] = (crys, idx)
+                    low = dip
+        return TensorNode(tuple(factors))
     cur_path = obj
     while True:
         for i in range(datum.rank):
@@ -428,10 +430,15 @@ def pitman(datum: CartanDatum, obj: Union[TensorNode, P.PiecewisePath]
             return cur_path
 
 
-def pitman_prefix_weights(datum: CartanDatum, node: TensorNode) -> List[Weight]:
-    """Transformed-walk positions: endpoint of the raised k-prefix, k = 1..len."""
+def pitman_prefix_weights(datum: CartanDatum, node: TensorNode) -> List[Tuple[int, ...]]:
+    """Transformed-walk positions: endpoint of the raised k-prefix, k = 1..len.
+
+    The transform is causal, so the raised k-prefix is the first k factors of
+    the raised node and the positions are partial sums of its factor weights.
+    """
+    pos = [0] * datum.rank
     out = []
-    for k in range(1, len(node.factors) + 1):
-        raised = pitman(datum, node.prefix(k))
-        out.append(raised.weight())
+    for crys, idx in pitman(datum, node).factors:
+        pos = [a + b for a, b in zip(pos, crys.weights[idx].fw)]
+        out.append(tuple(pos))
     return out

@@ -268,7 +268,7 @@ def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
         picks = sampler.pick_many(rng.random(size=(min(CHUNK, n - lo), ellmax)))
         for row in picks.tolist():
             node = TensorNode(tuple(sampler.nodes[k] for k in row))
-            hs = [zero_fw] + [w.fw for w in pitman_prefix_weights(datum, node)]
+            hs = [zero_fw] + pitman_prefix_weights(datum, node)
             for a, b in zip(hs, hs[1:]):
                 counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts

@@ -12,6 +12,7 @@ root operator is represented by ``None``; it is a value, not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -63,9 +64,6 @@ class PiecewisePath:
     def heights(self, i: int) -> List[Fraction]:
         """Pairing with coroot h_i at the breakpoints (h is linear between)."""
         return [p[i] for p in self.points]
-
-    def translate(self, shift: Vector) -> List[Vector]:
-        return [add(p, shift) for p in self.points]
 
     def stays_in_cone(self, start: Vector) -> bool:
         """Whether start + path keeps nonnegative fw coordinates throughout.
@@ -299,19 +297,16 @@ def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
     return from_displacements(prefix + list(reversed(out_rev)) + suffix, dim=path.dim)
 
 
-def eps_phi(datum: CartanDatum, path: PiecewisePath, i: int) -> Tuple[int, int]:
-    """Number of times the raising / lowering operator applies before None."""
-    eps = 0
-    cur = apply_e(datum, path, i)
-    while cur is not None:
-        eps += 1
-        cur = apply_e(datum, cur, i)
-    phi = 0
-    cur = apply_f(datum, path, i)
-    while cur is not None:
-        phi += 1
-        cur = apply_f(datum, cur, i)
-    return eps, phi
+def eps_phi(path: PiecewisePath, i: int) -> Tuple[int, int]:
+    """Number of times the raising / lowering operator applies before None.
+
+    Each raising lifts the i-height minimum m by one and each lowering takes
+    one from h_i(1) - m, so the counts are (-m, h_i(1) - m), rounded down for
+    a path whose minimum is not integral.
+    """
+    h = path.heights(i)
+    m = min(h)
+    return math.floor(-m), math.floor(h[-1] - m)
 
 
 def is_dominant_path(path: PiecewisePath) -> bool:

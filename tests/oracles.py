@@ -1,9 +1,10 @@
 """Brute-force oracles for the exact kernels, kept with the tests.
 
 Each one enumerates what the library computes by a shortcut: the full tensor
-product for the branching counts and the transformed-walk law, the node
-list with the path-level cone test for the restricted kernel, and one sample
-and one step at a time for the vectorized Monte-Carlo exit kernel.
+product for the branching counts and the transformed-walk law, one raising
+operator at a time for the one-pass Pitman transform, the node list with the
+path-level cone test for the restricted kernel, and one sample and one step
+at a time for the vectorized Monte-Carlo exit kernel.
 """
 
 from bisect import bisect_right
@@ -13,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
 from weylwalk.cartan import CartanDatum, Weight
-from weylwalk.crystal import CrystalGraph, TensorNode
-from weylwalk.markov import CrystalDistribution, pitman_prefix_weights
+from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
+from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
 
@@ -54,18 +55,36 @@ def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGra
 
 def exhaustive_h_trajectories(dist: CrystalDistribution, ell: int
                               ) -> Dict[Tuple[Tuple[int, ...], ...], Fraction]:
-    """Exact law of (H_1..H_ell) by full enumeration of the tensor power."""
+    """Exact law of (H_1..H_ell) by full enumeration of the tensor power.
+
+    H_k is the endpoint of the path-level transform of the concatenated
+    k-prefix, raised on its own; neither the one-pass tensor transform nor
+    its causality is used.
+    """
     datum = dist.datum
     pool = [(e.crystal, e.node, e.probability) for e in dist.entries]
     out: Dict[Tuple[Tuple[int, ...], ...], Fraction] = {}
     for combo in iproduct(pool, repeat=ell):
-        node = TensorNode(tuple((c, i) for c, i, _ in combo))
         prob = Fraction(1)
         for _, _, p in combo:
             prob *= p
-        traj = tuple(w.fw for w in pitman_prefix_weights(datum, node))
+        paths = [c.nodes[i] for c, i, _ in combo]
+        traj = tuple(P.path_weight(datum, pitman(datum, P.concat_all(paths[:k]))).fw
+                     for k in range(1, ell + 1))
         out[traj] = out.get(traj, Fraction(0)) + prob
     return out
+
+
+def repeated_raising_pitman(datum: CartanDatum, node: TensorNode) -> TensorNode:
+    """Oracle for the one-pass tensor ``pitman``: one raising operator at a
+    time through the tensor rule, lowest live color first, until all are null.
+    """
+    cur = node
+    while True:
+        live = next((i for i in range(datum.rank) if tensor_eps_phi(cur, i)[0] > 0), None)
+        if live is None:
+            return cur
+        cur = tensor_apply_e(cur, live)
 
 
 def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:

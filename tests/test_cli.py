@@ -288,3 +288,42 @@ def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     failed = [c["check"] for c in json.loads((outdir / "verify.json").read_text())
               if not c["pass"]]
     assert failed == ["twisted law equals permuted law"]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (["crystal", "--type", "C2", "--kappa", "1,x"], None),
+    (["simulate", "--type", "C2", "--mu", "0;0"], None),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "horizon": "abc"}),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "mu": "0,0"}),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "horizon": 2.7}),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "mu": [0.5, 0]}),
+    (["psi"], {"type": {}, "tau": ["1/2", "1/2"]}),
+    (["psi"], {"type": "C2", "tau": ["1/2", "abc"]}),
+    (["psi"], {"type": "C2", "tau": [0.5, 0.5]}),
+    (["crystal"], {"type": "C2", "module": [{"mult": 2}]}),
+    (["crystal"], {"type": "C2", "module": [[1, 0]]}),
+    (["crystal"], ["C2"]),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_error_names_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"type": "C2", "tau": ["1/2", "1/2"], "horizon": "abc"})
+    assert run(tmp_path, "simulate", "--config", cfg)[0] == 2
+    assert "'horizon'" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    """A bug inside a command propagates instead of exiting 2."""
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(M, "hchain_matrix", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run(tmp_path, "hchain", "--type", "C2", "--tau", "1/2,1/2")
+

@@ -91,7 +91,7 @@ def test_tensor_rule_matches_concatenation(c2, b_pi1, ell):
         concat = node.path()
         for i in range(c2.rank):
             eps, phi = tensor_eps_phi(node, i)
-            assert (eps, phi) == P.eps_phi(c2, concat, i)
+            assert (eps, phi) == P.eps_phi(concat, i)
             te = tensor_apply_e(node, i)
             pe = P.apply_e(c2, concat, i)
             assert (te is None) == (pe is None)
@@ -417,7 +417,7 @@ def test_tensor_rule_on_mixed_shapes(c2, c2_algebra, b_pi1):
             node = TensorNode(((adjoint, ia), (b_pi1, ib)))
             concat = node.path()
             for i in range(2):
-                assert tensor_eps_phi(node, i) == P.eps_phi(c2, concat, i)
+                assert tensor_eps_phi(node, i) == P.eps_phi(concat, i)
                 te = tensor_apply_e(node, i)
                 pe = P.apply_e(c2, concat, i)
                 assert (te is None) == (pe is None)

@@ -323,7 +323,7 @@ def test_pitman_prefix_consistency(c2, b_pi1):
         for k in range(1, len(combo) + 1):
             prefix_path = node.prefix(k).path()
             raised_path = M.pitman(c2, prefix_path)
-            assert raised_path.endpoint() == tuple(F(c) for c in hs[k - 1].fw)
+            assert raised_path.endpoint() == tuple(F(c) for c in hs[k - 1])
 
 
 # --- drift ----------------------------------------------------------------------------

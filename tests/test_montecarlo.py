@@ -373,7 +373,7 @@ def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
     for _ in range(300):
         row = [bisect_right(sampler.cum_fracs, F(x)) for x in rng.random(size=3)]
         node = TensorNode(tuple(sampler.nodes[k] for k in row))
-        hs = [(0, 0)] + [w.fw for w in M.pitman_prefix_weights(c2, node)]
+        hs = [(0, 0)] + M.pitman_prefix_weights(c2, node)
         for a, b in zip(hs, hs[1:]):
             expected[(a, b)] = expected.get((a, b), 0) + 1
     assert MC.empirical_h_law(dist10, 3, 300, seed=19) == expected

@@ -193,11 +193,11 @@ def test_highest_criterion(b_pi1, b_gamma12):
 
 
 def test_eps_phi_goldens(c2, c2_paths):
-    assert P.eps_phi(c2, c2_paths["pi1"], 0) == (0, 1)
-    assert P.eps_phi(c2, c2_paths["pi1"], 1) == (0, 0)
-    assert P.eps_phi(c2, c2_paths["gamma2bar2"], 0) == (1, 1)
+    assert P.eps_phi(c2_paths["pi1"], 0) == (0, 1)
+    assert P.eps_phi(c2_paths["pi1"], 1) == (0, 0)
+    assert P.eps_phi(c2_paths["gamma2bar2"], 0) == (1, 1)
     for i in range(2):
-        assert P.eps_phi(c2, c2_paths["gamma12"], i)[0] == 0
+        assert P.eps_phi(c2_paths["gamma12"], i)[0] == 0
 
 
 def test_path_weight(c2, c2_paths):
