@@ -1,33 +1,27 @@
 """Root-system and Weyl-group arithmetic for finite-type Cartan matrices.
 
-Weights are stored in two exact coordinate systems at once: integer
-coordinates on the fundamental weights (``fw``) and rational coordinates on
-the simple roots (``root``, denominators dividing det A).  The pairing of a
-vector with the coroot h_i is simply its i-th fw coordinate, which keeps
-every chamber test and height function exact.
+A weight is integer data only: its coordinates on the fundamental weights
+(``fw``) and its coordinates on the simple roots scaled by det A
+(``scaled``), read off the integer matrix ``coadj = det A * A^{-T}`` built
+once per datum.  ``Weight.root`` gives the exact root coordinates, ints
+where they are integral.  The pairing of a vector with the coroot h_i is
+simply its i-th fw coordinate, which keeps every chamber test and height
+function exact.
+
+rho is regular, so the Weyl group is in bijection with the orbit of rho: an
+element is stored as w(rho) with a reduced word and its sign, and the orbit
+walk from rho enumerates the group with lengths for free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import FormatError, NotFiniteTypeError, ResourceBudgetError
-from .exact import (
-    Vector,
-    add,
-    determinant,
-    dot,
-    identity_matrix,
-    invert_matrix,
-    mat_mul,
-    mat_vec,
-    sub,
-    vec,
-    zero,
-)
+from .errors import DomainError, FormatError, NotFiniteTypeError, ResourceBudgetError
+from .exact import Rational, Vector, add, dot, sub, vec, zero
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
@@ -119,7 +113,7 @@ class Realization:
 
 def _epsilon_realization(family: str, n: int) -> Optional[Realization]:
     """Standard epsilon-coordinate model for the B/C/D families (dim n)."""
-    e = identity_matrix(n)
+    e = [vec(int(i == j) for j in range(n)) for i in range(n)]
     if family == "C":
         # omega_i = e_1 + ... + e_i; coroots e_i - e_{i+1}, e_n.
         fw = tuple(vec([1] * (i + 1) + [0] * (n - i - 1)) for i in range(n))
@@ -140,15 +134,20 @@ def _epsilon_realization(family: str, n: int) -> Optional[Realization]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weight:
-    """Lattice weight with integer fw coordinates and rational root coordinates."""
+    """Lattice weight: integer fw coordinates and integer root coordinates
+    scaled by ``det``; equality and hashing read ``fw`` only."""
 
     fw: Tuple[int, ...]
-    root: Vector
+    scaled: Tuple[int, ...]
+    det: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "fw", tuple(int(c) for c in self.fw))
+    @property
+    def root(self) -> Tuple[Rational, ...]:
+        """Exact simple-root coordinates: ints where integral, else Fractions."""
+        d = self.det
+        return tuple(c // d if c % d == 0 else Fraction(c, d) for c in self.scaled)
 
     @property
     def rank(self) -> int:
@@ -158,13 +157,15 @@ class Weight:
         return all(c >= 0 for c in self.fw)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.fw, other.fw)), add(self.root, other.root))
+        return Weight(tuple(a + b for a, b in zip(self.fw, other.fw)),
+                      tuple(a + b for a, b in zip(self.scaled, other.scaled)), self.det)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.fw, other.fw)), sub(self.root, other.root))
+        return Weight(tuple(a - b for a, b in zip(self.fw, other.fw)),
+                      tuple(a - b for a, b in zip(self.scaled, other.scaled)), self.det)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.fw), tuple(-a for a in self.root))
+        return Weight(tuple(-a for a in self.fw), tuple(-a for a in self.scaled), self.det)
 
     def __hash__(self):
         return hash(self.fw)
@@ -176,13 +177,26 @@ class Weight:
         return f"Weight{self.fw}"
 
 
+def reflect(matrix: IntMatrix, i: int, x: Sequence) -> Tuple:
+    """Simple reflection s_i on fw coordinates: x - x_i * alpha_i."""
+    xi = x[i]
+    if not xi:
+        return tuple(x)
+    return tuple(c - xi * a for c, a in zip(x, matrix[i]))
+
+
 @dataclass(frozen=True)
 class WeylElement:
-    """Group element stored as its integer matrix on fw coordinates."""
+    """Group element w stored as w(rho) in fw coordinates, which determines w.
 
-    matrix: IntMatrix  # column j = image of omega_j in fw coordinates
-    word: Tuple[int, ...]  # a reduced word in the simple reflections (0-based)
-    sign: int
+    ``word`` is a reduced word with w = s_{word[0]} ... s_{word[-1]}, so
+    the reflections act right to left.  Equality and hashing read w(rho).
+    """
+
+    rho_image: Tuple[int, ...]
+    word: Tuple[int, ...] = field(compare=False)
+    sign: int = field(compare=False)
+    cartan: IntMatrix = field(compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -192,14 +206,11 @@ class WeylElement:
         return not self.word
 
     def apply_fw(self, fw: Sequence) -> Tuple:
-        n = len(self.matrix)
-        return tuple(sum(self.matrix[i][j] * fw[j] for j in range(n)) for i in range(n))
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        """w(x) on fw coordinates, ints or Fractions."""
+        x = tuple(fw)
+        for i in reversed(self.word):
+            x = reflect(self.cartan, i, x)
+        return x
 
 
 @dataclass(frozen=True)
@@ -222,13 +233,16 @@ class WeylGroup:
 
 @dataclass(frozen=True)
 class CartanDatum:
-    """Cartan matrix with its exact derived data and an ambient realization."""
+    """Cartan matrix with its exact derived data and an ambient realization.
+
+    ``coadj`` is det * A^{-T}, the integer cofactor matrix of A: row i gives
+    det times the i-th root coordinate of a weight from its fw coordinates.
+    """
 
     matrix: IntMatrix
     rank: int
     det: int
-    inverse: Tuple[Tuple[Fraction, ...], ...]
-    inverse_transpose: Tuple[Tuple[Fraction, ...], ...]
+    coadj: IntMatrix
     realization: Realization
     label: str = "custom"
 
@@ -238,24 +252,17 @@ class CartanDatum:
         fw_t = tuple(int(c) for c in fw)
         if len(fw_t) != self.rank:
             raise FormatError(f"expected {self.rank} fw coordinates")
-        return Weight(fw_t, self.root_coords(fw_t))
+        return Weight(fw_t, tuple(sum(a * x for a, x in zip(row, fw_t)) for row in self.coadj),
+                      self.det)
 
     def root_coords(self, fw: Sequence) -> Vector:
-        return mat_vec(self.inverse_transpose, vec(fw))
+        """Root coordinates of a rational fw vector."""
+        return tuple(Fraction(sum(a * x for a, x in zip(row, fw)), self.det) for row in self.coadj)
 
-    def fw_from_root(self, root: Sequence) -> Vector:
-        rv = vec(root)
-        n = self.rank
-        return tuple(
-            sum((Fraction(self.matrix[j][i]) * rv[j] for j in range(n)), Fraction(0))
-            for i in range(n)
-        )
-
-    def weight_from_root(self, root: Sequence) -> Weight:
-        fw = self.fw_from_root(root)
-        if any(c.denominator != 1 for c in fw):
-            raise FormatError("root coordinates do not give a lattice weight")
-        return self.weight(tuple(int(c) for c in fw))
+    def fw_from_root(self, root: Sequence) -> Tuple:
+        """fw coordinates A^T r of a vector r in root coordinates (ints or Fractions)."""
+        return tuple(sum(self.matrix[j][i] * c for j, c in enumerate(root))
+                     for i in range(self.rank))
 
     def weight_from_ambient(self, coords: Sequence) -> Weight:
         fw = self.realization.from_ambient(coords)
@@ -279,30 +286,30 @@ class CartanDatum:
     def zero_weight(self) -> Weight:
         return self.weight((0,) * self.rank)
 
-    # --- reflections ----------------------------------------------------------
-
-    def reflect_fw(self, i: int, x: Vector) -> Vector:
+    def reflect_fw(self, i: int, x: Sequence) -> Tuple:
         """Simple reflection s_i on fw coordinates: x - x_i * alpha_i."""
-        xi = x[i]
-        if xi == 0:
-            return x
-        row = self.matrix[i]
-        return tuple(c - xi * a for c, a in zip(x, row))
-
-    def simple_reflection_matrix(self, i: int) -> IntMatrix:
-        n = self.rank
-        cols = []
-        for j in range(n):
-            basis = tuple(Fraction(1 if k == j else 0) for k in range(n))
-            cols.append(self.reflect_fw(i, basis))
-        return tuple(tuple(int(cols[j][k]) for j in range(n)) for k in range(n))
+        return reflect(self.matrix, i, x)
 
 
-def _leading_principal_minors(matrix: IntMatrix):
-    n = len(matrix)
-    for k in range(1, n + 1):
-        sub_m = [row[:k] for row in matrix[:k]]
-        yield k, determinant(sub_m)
+def _determinant(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if not n:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _check_cartan_conditions(matrix) -> IntMatrix:
@@ -360,6 +367,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     """
     label = "custom"
     realization = None
+    matrix = spec
     if isinstance(spec, str):
         family, n = parse_type_label(spec)
         if n > max_rank:
@@ -367,30 +375,29 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
         matrix = _named_matrix(family, n)
         realization = _epsilon_realization(family, n)
         label = f"{family}{n}"
-    else:
-        matrix = _check_cartan_conditions(spec)
     matrix = _check_cartan_conditions(matrix)
     n = len(matrix)
-    for k, minor in _leading_principal_minors(matrix):
+    for k in range(1, n + 1):
+        minor = _determinant([row[:k] for row in matrix[:k]])
         if minor <= 0:
             raise NotFiniteTypeError(
                 f"not finite type: leading principal {k}x{k} minor is {minor}"
             )
-    det = determinant(matrix)
-    inverse = invert_matrix(matrix)
-    inv_t = tuple(tuple(inverse[j][i] for j in range(n)) for i in range(n))
+    det = minor  # the last leading principal minor
+    # cofactor (i, j) = (-1)^(i+j) * minor without row i and column j
+    coadj = tuple(
+        tuple((-1) ** (i + j) * _determinant(
+            [r[:j] + r[j + 1:] for k, r in enumerate(matrix) if k != i]) for j in range(n))
+        for i in range(n)
+    )
     if realization is None:
-        realization = Realization(
-            n,
-            tuple(tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)),
-            tuple(tuple(Fraction(1 if i == j else 0) for i in range(n)) for j in range(n)),
-        )
+        basis = tuple(vec(int(i == j) for i in range(n)) for j in range(n))
+        realization = Realization(n, basis, basis)
     datum = CartanDatum(
         matrix=matrix,
         rank=n,
-        det=int(det),
-        inverse=inverse,
-        inverse_transpose=inv_t,
+        det=det,
+        coadj=coadj,
         realization=realization,
         label=label,
     )
@@ -400,18 +407,18 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
 
 def _verify_datum(datum: CartanDatum) -> None:
     n = datum.rank
-    prod = mat_mul(datum.inverse, [[Fraction(v) for v in row] for row in datum.matrix])
-    if prod != identity_matrix(n):
-        raise FormatError("inverse check failed")
+    # A^T * coadj = det * I, i.e. coadj / det is the inverse transpose
+    for i in range(n):
+        for j in range(n):
+            entry = sum(datum.matrix[k][i] * datum.coadj[k][j] for k in range(n))
+            if entry != datum.det * (i == j):
+                raise FormatError("inverse check failed")
     # realization consistency: omega_i pairs to delta_ij against coroots
     for i in range(n):
         amb = datum.realization.to_ambient(tuple(1 if j == i else 0 for j in range(n)))
         back = datum.realization.from_ambient(amb)
         if back != tuple(Fraction(1 if j == i else 0) for j in range(n)):
             raise FormatError("ambient realization is not dual to the coroots")
-    rho = datum.rho
-    if any(c != 1 for c in rho.fw):
-        raise FormatError("rho pairing check failed")
 
 
 def _positive_root_coords(matrix: IntMatrix) -> List[Tuple[int, ...]]:
@@ -447,7 +454,7 @@ def positive_roots(datum: CartanDatum) -> List[Weight]:
     Finite type only; every root has multiplicity one.  Sorted by height then
     root coordinates for determinism.
     """
-    return [datum.weight_from_root(r) for r in _positive_root_coords(datum.matrix)]
+    return [datum.weight(datum.fw_from_root(r)) for r in _positive_root_coords(datum.matrix)]
 
 
 def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
@@ -484,50 +491,52 @@ def longest_word(datum: CartanDatum) -> Tuple[int, ...]:
     return tuple(word)
 
 
-def weyl_group(datum: CartanDatum, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
-    """Enumerate the full Weyl group by breadth-first closure.
+def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """The W-orbit of a dominant integer fw vector, breadth first.
 
-    BFS depth is the Coxeter length, so each element carries a reduced word
-    and its sign for free.  A group whose closed-form order exceeds the
-    budget is refused before any element is built.
+    Entry k is ``(x, parent, i)`` with x = s_i(orbit[parent][0]); the start
+    comes first as ``(start, -1, -1)``.  Only positive coordinates are
+    reflected, and each such step lengthens the element by one, so the depth
+    of w(start) is the length of w when the start is regular (rho, mu + rho).
+    """
+    if any(c < 0 for c in start):
+        raise DomainError(f"orbit walk needs a dominant start, got {tuple(start)}")
+    orbit = [(tuple(start), -1, -1)]
+    seen = {orbit[0][0]}
+    k = 0
+    while k < len(orbit):
+        x = orbit[k][0]
+        for i, xi in enumerate(x):
+            if xi > 0:
+                y = reflect(datum.matrix, i, x)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append((y, k, i))
+        k += 1
+    return orbit
+
+
+def weyl_group(datum: CartanDatum, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
+    """Enumerate the Weyl group as the orbit of rho.
+
+    Stepping x = w(rho) to s_i(x) gives s_i w, spelled (i,) + word; the BFS
+    depth is the Coxeter length, so every word is reduced and the sign is
+    its parity.  A group whose closed-form order exceeds the budget is
+    refused before any element is built.
     """
     order = weyl_order(datum)
     if order > budget:
         raise ResourceBudgetError(
             f"Weyl group of {datum.label} has {order} elements, over the budget {budget}"
         )
-    n = datum.rank
-    gens = [datum.simple_reflection_matrix(i) for i in range(n)]
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    seen: Dict[IntMatrix, WeylElement] = {}
-    root_elt = WeylElement(ident, (), 1)
-    seen[ident] = root_elt
-    frontier = [root_elt]
-    order = [root_elt]
-    while frontier:
-        nxt: List[WeylElement] = []
-        for w in frontier:
-            for i, g in enumerate(gens):
-                # right multiplication: (w s_i)(x) = w(s_i(x))
-                m = _int_mat_mul(w.matrix, g)
-                if m not in seen:
-                    elt = WeylElement(m, w.word + (i,), -w.sign)
-                    seen[m] = elt
-                    nxt.append(elt)
-                    order.append(elt)
-                    if len(seen) > budget:
-                        raise ResourceBudgetError(
-                            f"Weyl group exceeds budget {budget}", partial_count=len(seen)
-                        )
-        frontier = nxt
-    return WeylGroup(tuple(order))
-
-
-def _int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)) for i in range(n)
-    )
+    elements: List[WeylElement] = []
+    for x, parent, i in weyl_orbit(datum, (1,) * datum.rank):
+        if parent < 0:
+            elements.append(WeylElement(x, (), 1, datum.matrix))
+        else:
+            up = elements[parent]
+            elements.append(WeylElement(x, (i,) + up.word, -up.sign, datum.matrix))
+    return WeylGroup(tuple(elements))
 
 
 def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:
@@ -537,19 +546,16 @@ def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:
 
 def act_vector(w: WeylElement, x: Vector) -> Vector:
     """Same action on an arbitrary rational vector in fw coordinates."""
-    n = len(w.matrix)
-    return tuple(
-        sum((Fraction(w.matrix[i][j]) * x[j] for j in range(n)), Fraction(0)) for i in range(n)
-    )
+    return w.apply_fw(x)
 
 
-def inverse_element(group: WeylGroup, w: WeylElement) -> WeylElement:
-    ident = identity_matrix(len(w.matrix))
-    for cand in group:
-        m = _int_mat_mul(w.matrix, cand.matrix)
-        if all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m))):
-            return cand
-    raise ValueError("inverse not found; group not closed")
+def inverse_element(w: WeylElement) -> WeylElement:
+    """w^{-1}, spelled by the reversed word; w^{-1}(rho) applies the word
+    left to right."""
+    rho = (1,) * len(w.cartan)
+    for i in w.word:
+        rho = reflect(w.cartan, i, rho)
+    return WeylElement(rho, w.word[::-1], w.sign, w.cartan)
 
 
 def chamber_position(beta: Weight) -> str:
@@ -559,4 +565,3 @@ def chamber_position(beta: Weight) -> str:
     if all(c >= 0 for c in beta.fw):
         return "boundary"
     return "outside"
-

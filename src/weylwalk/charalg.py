@@ -1,8 +1,9 @@
 """Exact character algebra in the variables tau_i = e^{-alpha_i}.
 
 Exponent vectors are rational coordinates on the simple roots, closed over
-(1/D)Z with D = det of the Cartan matrix.  Evaluation of fractional
-exponents is exact when the tau point carries rational D-th roots.
+(1/D)Z with D = det of the Cartan matrix; integral coordinates are plain
+ints.  Evaluation of fractional exponents is exact when the tau point
+carries rational D-th roots.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .cartan import (
     positive_coroots,
     positive_roots,
     weyl_group,
+    weyl_orbit,
     weyl_order,
 )
 from .crystal import CrystalCache, CrystalGraph, ModuleSpec, as_module, count_f_multiplicity
-from .errors import DomainError, ExactEvaluationError
+from .errors import DomainError, ExactEvaluationError, FormatError
+from .exact import Rational, exact_unit
 
 
 @dataclass(frozen=True)
@@ -63,16 +66,17 @@ class TauPoint:
         if not self.in_convergence_region():
             raise DomainError(f"tau {tuple(map(str, self.values))} is outside ]0,1[^n")
 
-    def power(self, exponent: Sequence[Fraction]) -> Fraction:
-        """Exact tau^e for a rational exponent vector in root coordinates."""
+    def power(self, exponent: Sequence) -> Fraction:
+        """Exact tau^e for an exponent vector in root coordinates, each an
+        int or a Fraction whose denominator divides D."""
         out = Fraction(1)
-        for taui, ui, e in zip(self.values, self.roots or (None,) * self.rank, exponent):
-            e = Fraction(e)
-            if e.denominator == 1:
-                out *= taui ** int(e)
+        for taui, ui, e in zip(self.values, self.roots or (None,) * self.rank, exponent,
+                               strict=True):
+            num, den = e.numerator, e.denominator
+            if den == 1:
+                out *= taui ** num
             else:
-                scaled = e * self.d
-                if scaled.denominator != 1:
+                if self.d % den:
                     raise ExactEvaluationError(
                         f"exponent {e} is not a multiple of 1/{self.d}"
                     )
@@ -80,36 +84,46 @@ class TauPoint:
                     raise ExactEvaluationError(
                         f"fractional exponent {e} needs {self.d}-th roots of tau"
                     )
-                out *= ui ** int(scaled)
+                out *= ui ** (num * (self.d // den))
         return out
 
 
+def _one_per_rank(datum: CartanDatum, name: str, coords: Sequence) -> Sequence:
+    if len(coords) != datum.rank:
+        raise FormatError(f"{name!r} needs {datum.rank} coordinates, got {len(coords)}")
+    return coords
+
+
 def tau_point(datum: CartanDatum, values: Sequence, roots: Optional[Sequence] = None) -> TauPoint:
-    vals = tuple(Fraction(v) for v in values)
+    vals = tuple(Fraction(v) for v in _one_per_rank(datum, "tau", values))
     rts = None
     if roots is not None:
-        rts = tuple(None if r is None else Fraction(r) for r in roots)
+        rts = tuple(None if r is None else Fraction(r)
+                    for r in _one_per_rank(datum, "tau_roots", roots))
     return TauPoint(vals, datum.det, rts)
 
 
 def tau_point_from_roots(datum: CartanDatum, roots: Sequence) -> TauPoint:
-    rts = tuple(Fraction(r) for r in roots)
+    rts = tuple(Fraction(r) for r in _one_per_rank(datum, "tau_roots", roots))
     vals = tuple(r**datum.det for r in rts)
     return TauPoint(vals, datum.det, rts)
 
 
 class ExponentPolynomial:
-    """Sparse Laurent polynomial with rational exponents and coefficients."""
+    """Sparse Laurent polynomial with rational exponents and coefficients.
+
+    Exponent coordinates and coefficients are ints where integral and
+    Fractions elsewhere; the two compare, hash and print alike."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Tuple[Fraction, ...], Fraction]] = None):
-        self.terms: Dict[Tuple[Fraction, ...], Fraction] = {}
+    def __init__(self, terms: Optional[Dict[Tuple, Rational]] = None):
+        self.terms: Dict[Tuple, Rational] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                c = exact_unit(c)
                 if c != 0:
-                    self.terms[tuple(Fraction(x) for x in e)] = c
+                    self.terms[tuple(exact_unit(x) for x in e)] = c
 
     @staticmethod
     def zero() -> "ExponentPolynomial":
@@ -117,11 +131,11 @@ class ExponentPolynomial:
 
     @staticmethod
     def one(rank: int) -> "ExponentPolynomial":
-        return ExponentPolynomial({(Fraction(0),) * rank: Fraction(1)})
+        return ExponentPolynomial({(0,) * rank: 1})
 
     @staticmethod
     def monomial(exponent: Sequence, coeff=1) -> "ExponentPolynomial":
-        return ExponentPolynomial({tuple(Fraction(x) for x in exponent): Fraction(coeff)})
+        return ExponentPolynomial({tuple(exponent): coeff})
 
     def copy(self) -> "ExponentPolynomial":
         return ExponentPolynomial(dict(self.terms))
@@ -156,7 +170,7 @@ class ExponentPolynomial:
             if other == 0:
                 return ExponentPolynomial()
             return ExponentPolynomial({e: c * other for e, c in self.terms.items()})
-        out: Dict[Tuple[Fraction, ...], Fraction] = {}
+        out: Dict[Tuple, Rational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -185,7 +199,7 @@ class ExponentPolynomial:
     def evaluate(self, tau: TauPoint) -> Fraction:
         return sum((c * tau.power(e) for e, c in self.terms.items()), Fraction(0))
 
-    def sorted_terms(self) -> List[Tuple[Tuple[Fraction, ...], Fraction]]:
+    def sorted_terms(self) -> List[Tuple[Tuple, Rational]]:
         return sorted(self.terms.items())
 
     def __repr__(self):
@@ -225,9 +239,7 @@ class CharacterAlgebra:
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
         self._numerators: Dict[Tuple[int, ...], ExponentPolynomial] = {}
-        n = datum.rank
-        self._identity = WeylElement(
-            tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (), 1)
+        self._identity = WeylElement((1,) * datum.rank, (), 1, datum.matrix)
 
     @property
     def group(self) -> WeylGroup:
@@ -270,11 +282,10 @@ class CharacterAlgebra:
         """S_kappa as a polynomial for a dominant weight kappa: sum over the
         nodes of B(kappa) of tau^{kappa - wt}."""
         crystal = self.cache.get(source)
-        out: Dict[Tuple[Fraction, ...], Fraction] = {}
+        out: Dict[Tuple, int] = {}
         for w in crystal.weights:
-            diff = crystal.kappa - w
-            e = diff.root
-            out[e] = out.get(e, Fraction(0)) + 1
+            e = (crystal.kappa - w).root
+            out[e] = out.get(e, 0) + 1
         return ExponentPolynomial(out)
 
     def character_value(self, kappa: Weight, tau: TauPoint) -> Fraction:
@@ -292,17 +303,22 @@ class CharacterAlgebra:
         return out
 
     def weyl_numerator(self, mu: Weight) -> ExponentPolynomial:
-        """Alternating orbit sum rebased at mu: sum_w sign(w) tau^{mu+rho-w(mu+rho)}.
+        """Alternating orbit sum rebased at dominant mu:
+        sum_w sign(w) tau^{mu+rho-w(mu+rho)}, one term per point of the orbit
+        of mu + rho.
 
-        Built once per mu; callers must not mutate it."""
+        Stepping x to s_i(x) adds x_i to the i-th root coordinate of the
+        exponent (mu + rho) - x and flips the sign.  Built once per mu;
+        callers must not mutate it."""
         poly = self._numerators.get(mu.fw)
         if poly is None:
-            shifted = mu + self.datum.rho
-            out: Dict[Tuple[Fraction, ...], Fraction] = {}
-            for w in self.group:
-                e = (shifted - act(self.datum, w, shifted)).root
-                out[e] = out.get(e, Fraction(0)) + w.sign
-            poly = self._numerators[mu.fw] = ExponentPolynomial(out)
+            orbit = weyl_orbit(self.datum, tuple(c + 1 for c in mu.fw))
+            terms = [((0,) * self.datum.rank, 1)]
+            for _, parent, i in orbit[1:]:
+                e, sign = terms[parent]
+                step = orbit[parent][0][i]
+                terms.append((e[:i] + (e[i] + step,) + e[i + 1:], -sign))
+            poly = self._numerators[mu.fw] = ExponentPolynomial(dict(terms))
         return poly
 
     def denominator_poly(self) -> ExponentPolynomial:

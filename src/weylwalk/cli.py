@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cartan import Weight, build_cartan_datum
@@ -74,14 +75,21 @@ class RunContext:
         if "tau_roots" in cfg and "tau" not in cfg:
             from .charalg import tau_point_from_roots
 
-            return tau_point_from_roots(self.datum, [parse_rational(v) for v in cfg["tau_roots"]])
+            return tau_point_from_roots(self.datum, self.rationals("tau_roots"))
         if "tau" not in cfg:
             return None
-        values = [parse_rational(v) for v in cfg["tau"]]
-        roots = None
-        if "tau_roots" in cfg:
-            roots = [parse_rational(v) for v in cfg["tau_roots"]]
-        return tau_point(self.datum, values, roots)
+        roots = self.rationals("tau_roots") if "tau_roots" in cfg else None
+        return tau_point(self.datum, self.rationals("tau"), roots)
+
+    def rationals(self, key: str) -> List[Fraction]:
+        """The list of exact rationals at ``key``; FormatError names the key."""
+        value = self.cfg[key]
+        if not isinstance(value, list):
+            raise FormatError(f"config key {key!r} must be a list of rationals, got {value!r}")
+        try:
+            return [parse_rational(v) for v in value]
+        except FormatError as ex:
+            raise FormatError(f"config key {key!r}: {ex}") from None
 
     def read(self, key: str, default=None, vector: bool = False, table: Optional[Dict] = None):
         """The integer (integer tuple with ``vector``) at ``key`` of ``table``,
@@ -139,11 +147,13 @@ class OutputWriter:
         self.outputs.append(path)
         return path
 
-    def manifest(self, cfg: Dict) -> None:
+    def manifest(self, cfg: Dict, exit_code: int, error: Optional[str]) -> None:
         payload = {
             "command": self.command,
             "config": cfg,
             "outputs": [os.path.basename(p) for p in self.outputs],
+            "exit_code": exit_code,
+            "error": error,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
         path = os.path.join(self.dir, f"{self.command}_manifest.json")
@@ -471,25 +481,29 @@ def resolve_config(args) -> Dict:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Once the config is resolved, the manifest records the
+    exit code and, for a failed run, the error, on every exit path."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    out, error = None, None
     try:
         cfg = resolve_config(args)
-        ctx = RunContext(cfg)
         out = OutputWriter(cfg, args.command)
-        code = COMMANDS[args.command](ctx, out)
-        out.manifest(cfg)
-        return code
+        code = COMMANDS[args.command](RunContext(cfg), out)
     except (FormatError, NotFiniteTypeError, DomainError, json.JSONDecodeError,
             FileNotFoundError) as ex:
-        print(f"config error: {ex}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"config error: {ex}"
     except ResourceBudgetError as ex:
-        print(f"resource budget exceeded: {ex}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, error = EXIT_BUDGET, f"resource budget exceeded: {ex}"
     except (ClosureError, HarmonicityError, WeylwalkError) as ex:
-        print(f"verification failure: {ex}", file=sys.stderr)
-        return EXIT_VERIFY
+        code, error = EXIT_VERIFY, f"verification failure: {ex}"
+    if error is not None:
+        print(error, file=sys.stderr)
+    elif code != EXIT_OK:
+        error = "one or more checks failed"
+    if out is not None:
+        out.manifest(cfg, code, error)
+    return code
 
 
 if __name__ == "__main__":

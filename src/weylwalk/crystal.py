@@ -136,15 +136,10 @@ class CrystalGraph:
         # every weight must be conjugate to kappa: its dominant representative
         # (sort into the chamber by repeated simple reflections) equals kappa
         for w in counts:
-            fw = tuple(Fraction(c) for c in w.fw)
-            guard = 0
+            fw = w.fw
             while any(c < 0 for c in fw):
-                i = next(k for k, c in enumerate(fw) if c < 0)
-                fw = self.datum.reflect_fw(i, fw)
-                guard += 1
-                if guard > 10_000:
-                    return False
-            if tuple(int(c) for c in fw) != self.kappa.fw:
+                fw = self.datum.reflect_fw(next(k for k, c in enumerate(fw) if c < 0), fw)
+            if fw != self.kappa.fw:
                 return False
         return True
 

@@ -147,10 +147,7 @@ def _twisted_point(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> TauPoin
     the roots those need, so fractional exponents evaluate at tau^w too."""
     values, roots = [], []
     for i in range(datum.rank):
-        root = datum.root_coords(w.apply_fw(datum.matrix[i]))
-        if any(c.denominator != 1 for c in root):
-            raise DomainError("twisted exponent left the root lattice")
-        exponent = [int(c) for c in root]
+        exponent = act(datum, w, datum.simple_root(i)).root  # a root: integral
         values.append(_monomial(tau.values, exponent))
         roots.append(None if tau.roots is None else _monomial(tau.roots, exponent))
     return TauPoint(tuple(values), datum.det, None if tau.roots is None else tuple(roots))

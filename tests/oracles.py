@@ -3,8 +3,10 @@
 Each one enumerates what the library computes by a shortcut: the full tensor
 product for the branching counts and the transformed-walk law, one raising
 operator at a time for the one-pass Pitman transform, the node list with the
-path-level cone test for the restricted kernel, and one sample and one step
-at a time for the vectorized Monte-Carlo exit kernel.
+path-level cone test for the restricted kernel, one sample and one step
+at a time for the vectorized Monte-Carlo exit kernel, integer matrix
+products for the Weyl group, and Gauss-Jordan elimination over the
+rationals for the inverse Cartan matrix.
 """
 
 from bisect import bisect_right
@@ -147,3 +149,71 @@ def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n
                 lemma_bad += 1
         remaining -= block
     return ExitSummary(horizon, n, cont_exit, disc_exit, lemma_bad)
+
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
+
+
+def _int_mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def simple_reflection_matrix(datum: CartanDatum, i: int) -> IntMatrix:
+    """s_i on fw coordinates as an integer matrix (column j = s_i(omega_j))."""
+    n = datum.rank
+    return tuple(
+        tuple((int(j == k) - (j == i) * datum.matrix[i][k]) for j in range(n)) for k in range(n)
+    )
+
+
+def word_matrix(datum: CartanDatum, word: Sequence[int]) -> IntMatrix:
+    """The matrix of s_{word[0]} ... s_{word[-1]}."""
+    n = datum.rank
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in word:
+        out = _int_mat_mul(out, simple_reflection_matrix(datum, i))
+    return out
+
+
+def matrix_weyl_group(datum: CartanDatum) -> Dict[IntMatrix, Tuple[int, ...]]:
+    """Brute-force oracle: W as integer matrices on fw coordinates, closed
+    breadth first under right multiplication by the simple reflections.
+
+    Maps each element to the word of its first discovery, w = s_{word[0]}
+    ... s_{word[-1]}; BFS depth is the length, so these words are reduced.
+    """
+    n = datum.rank
+    gens = [simple_reflection_matrix(datum, i) for i in range(n)]
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    seen = {ident: ()}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i, g in enumerate(gens):
+                prod_m = _int_mat_mul(m, g)
+                if prod_m not in seen:
+                    seen[prod_m] = seen[m] + (i,)
+                    nxt.append(prod_m)
+        frontier = nxt
+    return seen
+
+
+def invert_matrix(m) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Exact inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [inv_p * v for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)

@@ -297,7 +297,7 @@ def test_criterion_10_drift(c2, c2_algebra):
             for w in group:
                 if w.is_identity():
                     continue
-                w_inv = inverse_element(group, w)
+                w_inv = inverse_element(w)
                 twisted = dist.twisted_drift_endpoint(w_inv)
                 assert any(c < 0 for c in twisted)  # strictly outside
 

@@ -151,7 +151,10 @@ def test_probability_of_matches_entries(algebras):
 
 
 @pytest.mark.parametrize("label,weights", [("C2", [(0, 0), (1, 0), (2, 3)]),
-                                           ("G2", [(0, 0), (0, 1), (2, 1)])])
+                                           ("G2", [(0, 0), (0, 1), (2, 1)]),
+                                           ("B3", [(0, 0, 0), (0, 0, 1), (2, 1, 0)]),
+                                           ("D4", [(0, 0, 0, 0), (1, 0, 1, 1), (0, 2, 0, 1)]),
+                                           ("F4", [(0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 2, 0)])])
 def test_memoized_weyl_numerator_equals_fresh_sum(algebras, label, weights):
     algebra = algebras[label]
     datum = algebra.datum

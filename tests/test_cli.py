@@ -327,3 +327,55 @@ def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     with pytest.raises(KeyError, match="internal"):
         run(tmp_path, "hchain", "--type", "C2", "--tau", "1/2,1/2")
 
+
+
+@pytest.mark.parametrize("argv,payload,key", [
+    (["psi", "--type", "C2", "--tau", "1/2"], None, "tau"),
+    (["simulate", "--type", "C2", "--tau", "1/2"], None, "tau"),
+    (["psi", "--type", "C2", "--tau", "1/2,1/3,1/4"], None, "tau"),
+    (["psi"], {"type": "C2", "tau": "1/2"}, "tau"),
+    (["psi"], {"type": "C2", "tau_roots": "1/2"}, "tau_roots"),
+    (["psi"], {"type": "C2", "tau_roots": ["1/2"]}, "tau_roots"),
+    (["psi"], {"type": "C2", "tau": ["1/4", "1/9"], "tau_roots": ["1/2", "1/3", "1"]},
+     "tau_roots"),
+])
+def test_tau_needs_one_rational_per_rank(tmp_path, capsys, argv, payload, key):
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    code, outdir = run(tmp_path, *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
+    assert not (outdir / "psi_table.csv").exists()
+
+
+def _broken_twisted_law(monkeypatch):
+    monkeypatch.setattr(M, "twisted_node_probability", lambda *args: 0)
+
+
+@pytest.mark.parametrize("argv,payload,patch,code,error", [
+    (["psi", "--type", "C2", "--tau", "1/2,1/3"], None, None, 0, None),
+    (["psi"], {"type": "C2", "tau": ["1/2", "1/3"], "kappa": [1, 0, 0]}, None, 2,
+     "config error"),
+    (["verify", "--type", "C2", "--tau", "1/2,1/3"], None, _broken_twisted_law, 3,
+     "checks failed"),
+    (["verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7)], None, None, 4,
+     "resource budget exceeded"),
+])
+def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
+    if payload is not None:
+        argv = argv + ["--config", write_config(tmp_path, payload)]
+    if patch is not None:
+        patch(monkeypatch)
+    manifests = []
+    for _ in range(2):
+        assert run(tmp_path, *argv)[0] == code
+        manifests.append(json.loads((tmp_path / "out" / f"{argv[0]}_manifest.json").read_text()))
+        assert manifests[-1].pop("timestamp")
+    first = manifests[0]
+    assert manifests[1] == first  # the timestamp is the only field that moves
+    assert first["command"] == argv[0] and first["exit_code"] == code
+    if error is None:
+        assert first["error"] is None and first["outputs"]
+    else:
+        assert error in first["error"]

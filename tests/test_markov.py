@@ -351,7 +351,7 @@ def test_twisted_drift_outside_cone(c2, c2_algebra, dist10):
     group = weyl_group(c2)
     m1 = dist10.drift_endpoint()
     for w in group:
-        w_inv = inverse_element(group, w)
+        w_inv = inverse_element(w)
         twisted = dist10.twisted_drift_endpoint(w_inv)
         # matches the permuted-law expectation
         perm = M.twisted_distribution_probabilities(dist10, w)

@@ -1,0 +1,119 @@
+"""The integer weight lattice and the Weyl group as the orbit of rho.
+
+Weights carry int fw coordinates and int root coordinates scaled by det A;
+``Weight.root`` is checked against the rational inverse transpose of the
+Cartan matrix, and the orbit-of-rho group against the matrix-product
+closure, both oracles kept in ``oracles``.  The orbit-of-(mu + rho) Weyl
+numerator is checked against the ``act``-based alternating sum in
+``test_character_engine.py``.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from weylwalk import build_cartan_datum, weyl_group
+from weylwalk.cartan import act, inverse_element, positive_roots, weyl_orbit
+from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
+from weylwalk.errors import DomainError, ExactEvaluationError
+
+from oracles import invert_matrix, matrix_weyl_group, word_matrix
+
+CUSTOM = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+GROUP_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+               "D4", "D5", "G2", "F4", CUSTOM]
+
+
+@pytest.mark.parametrize("spec", GROUP_TYPES, ids=str)
+def test_orbit_group_equals_matrix_group(spec):
+    datum = build_cartan_datum(spec)
+    rho = (1,) * datum.rank
+    oracle = matrix_weyl_group(datum)
+    by_image = {tuple(sum(a * x for a, x in zip(row, rho)) for row in m): m for m in oracle}
+    group = weyl_group(datum)
+    assert len(by_image) == len(oracle) == len(group)
+    assert {w.rho_image for w in group} == set(by_image)
+    probe = tuple(range(2, datum.rank + 2))
+    for w in group:
+        m = by_image[w.rho_image]
+        assert word_matrix(datum, w.word) == m  # the word spells its element
+        assert len(w.word) == len(oracle[m])  # ... and is reduced
+        assert w.sign == (-1) ** len(w.word)
+        assert w.apply_fw(probe) == tuple(sum(a * x for a, x in zip(row, probe)) for row in m)
+    assert group.identity.word == () and group.identity.rho_image == rho
+
+
+def test_inverse_element_on_f4():
+    datum = build_cartan_datum("F4")
+    group = weyl_group(datum)
+    elements = set(group)
+    rho = (1,) * datum.rank
+    for w in group:
+        inv = inverse_element(w)
+        assert inv in elements
+        assert inv.apply_fw(w.rho_image) == rho and w.apply_fw(inv.rho_image) == rho
+        assert (inv.sign, len(inv.word)) == (w.sign, len(w.word))
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "C2", "G2", "B3", "D4", "F4", "E6", CUSTOM],
+                         ids=str)
+def test_root_equals_inverse_transpose_product(spec):
+    datum = build_cartan_datum(spec)
+    n = datum.rank
+    inverse = invert_matrix(datum.matrix)
+    for fw in [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,), tuple(range(n)),
+               tuple((-1) ** k * (k + 2) for k in range(n))]:
+        expect = tuple(sum(inverse[j][i] * fw[j] for j in range(n)) for i in range(n))
+        root = datum.weight(fw).root
+        assert root == expect
+        for c, e in zip(root, expect):
+            assert type(c) is (int if e.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("label", ["C2", "G2", "B3", "D4"])
+def test_weight_and_group_arithmetic_stays_integer(label):
+    datum = build_cartan_datum(label)
+    lam, mu = datum.weight((1,) * datum.rank), datum.fundamental_weight(0)
+    for w in (lam, mu, lam + mu, lam - mu, -mu, datum.rho, *positive_roots(datum)):
+        assert all(type(c) is int for c in w.fw + w.scaled)
+        assert type(w.det) is int
+    for w in weyl_group(datum):
+        assert all(type(c) is int for c in w.rho_image)
+        assert all(type(c) is int for c in act(datum, w, mu).scaled)
+    algebra = CharacterAlgebra(datum)
+    for fw in [(0,) * datum.rank, (2,) + (1,) * (datum.rank - 1)]:
+        for e, c in algebra.weyl_numerator(datum.weight(fw)).terms.items():
+            assert all(type(x) is int for x in e) and type(c) is int
+
+
+def test_orbit_depth_is_length_and_start_must_be_dominant():
+    datum = build_cartan_datum("B3")
+    orbit = weyl_orbit(datum, (1, 0, 2))
+    depth = [0]
+    for _, parent, _ in orbit[1:]:
+        depth.append(depth[parent] + 1)
+    assert depth == sorted(depth)  # breadth first
+    assert len({x for x, _, _ in orbit}) == len(orbit)
+    with pytest.raises(DomainError):
+        weyl_orbit(datum, (1, -1, 0))
+    with pytest.raises(DomainError):
+        CharacterAlgebra(datum).weyl_numerator(datum.weight((-2, 0, 0)))
+
+
+def test_int_and_fraction_exponents_are_one_key():
+    poly = ExponentPolynomial({(Fraction(1), Fraction(1, 2)): 2, (0, 0): 1})
+    assert poly == ExponentPolynomial({(1, Fraction(1, 2)): 2, (Fraction(0), 0): 1})
+    assert [type(c) for e in poly.terms for c in e] == [int, Fraction, int, int]
+    assert repr(poly) == "1 + 2*t1^1*t2^1/2"
+
+
+def test_power_takes_int_and_rational_exponents():
+    tau = TauPoint((Fraction(1, 4), Fraction(1, 9)), 2, (Fraction(1, 2), None))
+    assert tau.power((2, -1)) == Fraction(9, 16)
+    assert tau.power((Fraction(3, 2), Fraction(2))) == Fraction(1, 8) / 81
+    with pytest.raises(ExactEvaluationError):
+        tau.power((0, Fraction(1, 2)))  # no root of tau_2
+    with pytest.raises(ExactEvaluationError):
+        tau.power((Fraction(1, 3), 0))  # not a multiple of 1/2
+    with pytest.raises(ValueError):
+        tau.power((1,))  # one coordinate short
