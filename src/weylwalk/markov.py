@@ -157,19 +157,32 @@ def in_unit_cube(values: Sequence[Fraction]) -> bool:
     return all(0 < v < 1 for v in values)
 
 
+def twisted_law(dist: CrystalDistribution, w: WeylElement
+                ) -> Dict[Tuple[Weight, Weight], Fraction]:
+    """p^w keyed by (kappa, node weight): the step law a_kappa tau^{r - wt} / N_r
+    of the source at tau^w, normalized over every node of every summand with
+    its multiplicity.
+
+    One tau^w power per (summand, weight) and one normalizer for the whole
+    law, so reading p^w off every node at one w costs at most |nodes| powers."""
+    tw = _twisted_point(dist.datum, w, dist.tau)
+    r = dist.reference
+    law: Dict[Tuple[Weight, Weight], Fraction] = {}
+    denom = Fraction(0)
+    for summand, m in dist.crystals:
+        for wt, count in summand.weight_counts().items():
+            law[(summand.kappa, wt)] = p = m * tw.power((r - wt).root)
+            denom += count * p
+    return {key: p / denom for key, p in law.items()}
+
+
 def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
                              crystal: CrystalGraph, node: int) -> Fraction:
-    """p^w: the step law a_kappa tau^{r - wt} / N_r of the source at tau^w,
-    normalized over every node of every summand with its multiplicity.
+    """p^w of one node, read off ``twisted_law``; 0 off the source's summands.
 
     ``crystal`` may be any model of a summand B(kappa): only kappa and the
     node's weight enter."""
-    tw = _twisted_point(dist.datum, w, dist.tau)
-    r = dist.reference
-    denom = sum((mult * tw.power((r - wt).root)
-                 for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
-    mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
-    return mult * tw.power((r - crystal.weights[node]).root) / denom
+    return twisted_law(dist, w).get((crystal.kappa, crystal.weights[node]), Fraction(0))
 
 
 def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement

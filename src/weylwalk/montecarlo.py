@@ -9,6 +9,10 @@ color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
 enter through the uniform variates themselves, and each draw is resolved
 against the exact rational cumulative weights.  The exit kernel advances a
 chunk of samples together, one numpy pass per time step.
+
+Only the sampling kernels need numpy, and each imports it where it runs, so
+importing this module, or using its exact helpers (``asymptotic_ratio``,
+``nearest_dominant``, ``h_trajectory_prediction``), does not load numpy.
 """
 
 from __future__ import annotations
@@ -18,14 +22,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .cartan import Weight
 from .crystal import CrystalGraph, TensorNode
 from .errors import DomainError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # samples per block of uniforms drawn at once
 CHUNK = 8192
@@ -89,6 +94,8 @@ class StepSampler:
     """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
+        import numpy as np
+
         self.nodes = [(c, i) for c, i, _ in weighted_nodes]
         cums: List[Fraction] = []
         acc = Fraction(0)
@@ -114,6 +121,8 @@ class StepSampler:
     def pick_many(self, u: np.ndarray) -> np.ndarray:
         """Indices of the sampled nodes, one per uniform, exact against the
         rational boundaries."""
+        import numpy as np
+
         idx = np.searchsorted(self.cum_floats, u, side="right")
         # the float search can be off only within rounding distance of a
         # boundary; settle those draws against the exact boundaries
@@ -126,6 +135,8 @@ class StepSampler:
 
     def pick(self, u: float) -> int:
         """Index of the node sampled by one uniform."""
+        import numpy as np
+
         return int(self.pick_many(np.array([u]))[0])
 
 
@@ -139,12 +150,16 @@ class WalkSample:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 def sample_walk(dist: CrystalDistribution, mu: Weight, horizon: int, seed: int,
                 sampler: Optional[StepSampler] = None) -> WalkSample:
     """One reproducible trajectory of length ``horizon`` started at mu."""
+    import numpy as np
+
     sampler = sampler or StepSampler.from_distribution(dist)
     steps = sampler.pick_many(_rng(seed).random(size=horizon))
     path = np.cumsum(np.vstack([np.array([mu.fw], dtype=np.int64), sampler.weights[steps]]),
@@ -207,6 +222,8 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     apart from the (chunk, horizon) block of uniforms, the buffers hold one
     row per sample.
     """
+    import numpy as np
+
     sampler = sampler or StepSampler.from_distribution(dist)
     rng = _rng(seed)
     # exit step per sample, 0 while the sample has not exited

@@ -5,8 +5,9 @@ product for the branching counts and the transformed-walk law, one raising
 operator at a time for the one-pass Pitman transform, the node list with the
 path-level cone test for the restricted kernel, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
-products for the Weyl group, and Gauss-Jordan elimination over the
-rationals for the inverse Cartan matrix.
+products for the Weyl group, Gauss-Jordan elimination over the
+rationals for the inverse Cartan matrix, and one normalizer per node for the
+twisted step law.
 """
 
 from bisect import bisect_right
@@ -15,9 +16,9 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
-from weylwalk.cartan import CartanDatum, Weight
+from weylwalk.cartan import CartanDatum, Weight, WeylElement
 from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
-from weylwalk.markov import CrystalDistribution, pitman
+from weylwalk.markov import CrystalDistribution, _twisted_point, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
 
@@ -87,6 +88,18 @@ def repeated_raising_pitman(datum: CartanDatum, node: TensorNode) -> TensorNode:
         if live is None:
             return cur
         cur = tensor_apply_e(cur, live)
+
+
+def per_node_twisted_probability(dist: CrystalDistribution, w: WeylElement,
+                                 crystal: CrystalGraph, node: int) -> Fraction:
+    """Oracle for ``twisted_law``: p^w of one node from its definition,
+    rebuilding tau^w and the whole normalizer at tau^w for that node."""
+    tw = _twisted_point(dist.datum, w, dist.tau)
+    r = dist.reference
+    denom = sum((mult * tw.power((r - wt).root)
+                 for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
+    mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
+    return mult * tw.power((r - crystal.weights[node]).root) / denom
 
 
 def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:

@@ -1,3 +1,4 @@
+import collections
 import copy
 import csv
 import json
@@ -250,13 +251,41 @@ def test_one_summand_module_config_equals_kappa(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+IMPORT_PROBE = """
+import sys, tempfile
+from fractions import Fraction
+import weylwalk, weylwalk.cli, weylwalk.montecarlo as MC
+from weylwalk import build_cartan_datum, markov as M
+from weylwalk.charalg import CharacterAlgebra, tau_point
+
+def loaded(stage):
+    print("loaded", stage, *[m for m in ("numpy", "datetime") if m in sys.modules])
+
+loaded("import")
+datum = build_cartan_datum("C2")
+tau = tau_point(datum, [Fraction(1, 2), Fraction(1, 3)])
+dist = M.build_distribution(CharacterAlgebra(datum), datum.weight((1, 0)), tau)
+assert MC.asymptotic_ratio(dist, datum.weight((2, 0)), [4, 6])
+with tempfile.TemporaryDirectory() as out:
+    assert weylwalk.cli.main(["ratio", "--type", "C2", "--kappa", "1,0", "--tau",
+                              "1/2,1/3", "--mu", "2,0", "--output-dir", out]) == 0
+loaded("ratio")
+MC.simulate_exits(dist, datum.zero_weight(), 3, 10, seed=1)
+loaded("simulate")
+"""
+
+
 def test_cli_import_leaves_numpy_out():
-    """Only the Monte-Carlo commands need numpy, and they import it themselves."""
+    """Importing the package, the CLI and ``montecarlo`` loads neither numpy nor
+    datetime; the exact ratio paths, in the library and the CLI, run without
+    numpy; the first sampling call loads it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
-    probe = "import sys, weylwalk.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    stages = {words[1]: words[2:] for words in map(str.split, done.stdout.splitlines())
+              if words[:1] == ["loaded"]}
+    assert stages["import"] == [] and stages["ratio"] == []
+    assert "numpy" in stages["simulate"]
 
 
 MODULE_1_2 = {
@@ -275,14 +304,14 @@ def test_verify_module_with_multiplicities(tmp_path):
 
 def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     """A twisted law that drops the multiplicity 2 fails the check."""
-    original = M.twisted_node_probability
+    original = M.twisted_law
 
-    def ignoring_multiplicity(dist, w, crystal, node):
+    def ignoring_multiplicity(dist, w):
         flat = copy.copy(dist)
         flat.crystals = [(c, 1) for c, _ in dist.crystals]
-        return original(flat, w, crystal, node)
+        return original(flat, w)
 
-    monkeypatch.setattr(M, "twisted_node_probability", ignoring_multiplicity)
+    monkeypatch.setattr(M, "twisted_law", ignoring_multiplicity)
     code, outdir = run(tmp_path, "verify", "--config", write_config(tmp_path, MODULE_1_2))
     assert code == 3
     failed = [c["check"] for c in json.loads((outdir / "verify.json").read_text())
@@ -350,7 +379,7 @@ def test_tau_needs_one_rational_per_rank(tmp_path, capsys, argv, payload, key):
 
 
 def _broken_twisted_law(monkeypatch):
-    monkeypatch.setattr(M, "twisted_node_probability", lambda *args: 0)
+    monkeypatch.setattr(M, "twisted_law", lambda *args: collections.defaultdict(int))
 
 
 @pytest.mark.parametrize("argv,payload,patch,code,error", [

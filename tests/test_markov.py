@@ -4,15 +4,16 @@ from itertools import product as iproduct
 
 import pytest
 
+from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk import markov as M
 from weylwalk.cartan import act, act_vector, inverse_element
-from weylwalk.charalg import tau_point
+from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode, generate_crystal, tensor_apply_e, tensor_eps_phi
 from weylwalk.errors import DomainError, HarmonicityError
 
 from conftest import partition_weight
-from oracles import brute_force_restricted
+from oracles import brute_force_restricted, per_node_twisted_probability
 
 F = Fraction
 
@@ -245,6 +246,27 @@ def test_twisted_law_is_permuted_law(c2, c2_algebra, tau_half, b_pi1, b_gamma12)
                 img = crystal.weyl_action_on_node(w, idx)
                 p_img = tau_half.power((crystal.kappa - crystal.weights[img]).root) / S
                 assert M.twisted_node_probability(dist, w, crystal, idx) == p_img
+
+
+@pytest.mark.parametrize("label,summands,tau,roots", [
+    ("A2", [((1, 1), 1)], [F(1, 2), F(1, 3)], None),  # adjoint: weight 0 twice
+    ("C2", [((1, 0), 1)], [F(1, 2), F(1, 3)], None),
+    ("G2", [((1, 0), 1)], [F(1, 2), F(1, 3)], None),
+    ("B3", [((0, 0, 1), 1)], [F(1, 2), F(1, 3), F(1, 5)], None),
+    ("C2", [((1, 0), 1), ((0, 1), 2)], [F(1, 4), F(1, 9)], [F(1, 2), F(1, 3)]),
+])
+def test_twisted_law_matches_per_node_formula(label, summands, tau, roots):
+    """The per-w law equals the per-node formula at every w and node."""
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    spec = ModuleSpec(tuple((datum.weight(fw), m) for fw, m in summands))
+    dist = M.build_distribution(algebra, spec, tau_point(datum, tau, roots))
+    for w in algebra.group:
+        law = M.twisted_law(dist, w)
+        for e in dist.entries:
+            oracle = per_node_twisted_probability(dist, w, e.crystal, e.node)
+            assert law[(e.crystal.kappa, e.crystal.weights[e.node])] == oracle
+            assert M.twisted_node_probability(dist, w, e.crystal, e.node) == oracle
 
 
 def test_twisted_walk_transition_formula(c2, c2_algebra, dist10, tau_half):
