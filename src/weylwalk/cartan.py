@@ -149,10 +149,6 @@ class Weight:
         d = self.det
         return tuple(c // d if c % d == 0 else Fraction(c, d) for c in self.scaled)
 
-    @property
-    def rank(self) -> int:
-        return len(self.fw)
-
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fw)
 

@@ -137,17 +137,11 @@ class ExponentPolynomial:
     def monomial(exponent: Sequence, coeff=1) -> "ExponentPolynomial":
         return ExponentPolynomial({tuple(exponent): coeff})
 
-    def copy(self) -> "ExponentPolynomial":
-        return ExponentPolynomial(dict(self.terms))
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, ExponentPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
         out = dict(self.terms)
@@ -227,11 +221,10 @@ class CharacterAlgebra:
     over the group budget (E7, E8).
     """
 
-    def __init__(self, datum: CartanDatum, group: Optional[WeylGroup] = None,
-                 cache: Optional[CrystalCache] = None):
+    def __init__(self, datum: CartanDatum, cache: Optional[CrystalCache] = None):
         self.datum = datum
         self.cache = cache if cache is not None else CrystalCache(datum)
-        self._group = group
+        self._group = None
         self._posroots = None
         self._order = weyl_order(datum)
         self._coroots = positive_coroots(datum)

@@ -42,6 +42,11 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
+# [low, high) of the integer config keys that have a range
+KEY_RANGES = {"samples": (1, math.inf), "horizon": (1, math.inf), "seed": (0, 2**64),
+              "ell": (0, math.inf), "ells": (0, math.inf), "exact_horizon": (0, math.inf),
+              "state_limit": (0, math.inf), "mu_limit": (0, math.inf)}
+
 
 class RunContext:
     """Resolved configuration plus the derived algebra objects."""
@@ -57,6 +62,7 @@ class RunContext:
         self.algebra = CharacterAlgebra(self.datum)
         self.source = self._source(cfg)
         self.tau = self._tau(cfg)
+        self._dist = None
 
     def _source(self, cfg):
         if "module" in cfg:
@@ -93,7 +99,8 @@ class RunContext:
 
     def read(self, key: str, default=None, vector: bool = False, table: Optional[Dict] = None):
         """The integer (integer tuple with ``vector``) at ``key`` of ``table``,
-        by default the config; FormatError names a missing or malformed key."""
+        by default the config; FormatError names a missing or malformed key,
+        or one outside its ``KEY_RANGES`` entry."""
         table = self.cfg if table is None else table
         value = table.get(key, default)
         if value is None:
@@ -108,11 +115,16 @@ class RunContext:
             if vector:
                 if not isinstance(value, (list, tuple)):
                     raise TypeError
-                return tuple(whole(c) for c in value)
-            return whole(value)
+                out = tuple(whole(c) for c in value)
+            else:
+                out = whole(value)
         except (TypeError, ValueError):
             kind = "a list of integers" if vector else "an integer"
             raise FormatError(f"config key {key!r} must be {kind}, got {value!r}") from None
+        low, high = KEY_RANGES.get(key, (-math.inf, math.inf))
+        if not all(low <= c < high for c in (out if vector else (out,))):
+            raise FormatError(f"config key {key!r} must be in [{low}, {high}), got {value!r}")
+        return out
 
     def require_tau(self) -> TauPoint:
         if self.tau is None:
@@ -124,13 +136,15 @@ class RunContext:
         return self.datum.weight(self.read("mu", coords, vector=True))
 
     def distribution(self) -> M.CrystalDistribution:
-        return M.build_distribution(self.algebra, self.source, self.require_tau())
+        """The step distribution of the run, built on first use."""
+        if self._dist is None:
+            self._dist = M.build_distribution(self.algebra, self.source, self.require_tau())
+        return self._dist
 
     def states(self, limit: Optional[int] = None) -> List[Weight]:
         limit = limit if limit is not None else self.read("state_limit", 4)
-        dist = self.distribution()
         seeds = [self.datum.weight((0,) * self.datum.rank), self.mu()]
-        return M.state_closure(dist, seeds, inside=M.coordinate_box(limit))
+        return M.state_closure(self.distribution(), seeds, inside=M.coordinate_box(limit))
 
 
 def _utc_timestamp() -> str:
@@ -261,6 +275,10 @@ def cmd_pitman(ctx: RunContext, out: OutputWriter) -> int:
     literal = ctx.cfg.get("path")
     if literal is None:
         raise FormatError("pitman needs a \"path\" literal in the config")
+    if not isinstance(literal, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[1], list) for e in literal):
+        raise FormatError(f"config key 'path' must be a list of [time, [coords...]] pairs, "
+                          f"got {literal!r}")
     basis = ctx.cfg.get("basis", "ambient")
     path = P.path_from_literal(ctx.datum, literal, basis=basis)
     raised = M.pitman(ctx.datum, path)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Weight, WeylElement
+from .cartan import CartanDatum, Weight, WeylElement, weyl_orbit
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
 from . import paths as P
 
@@ -29,11 +29,10 @@ class CrystalGraph:
             raise WeylwalkError("highest path leaves the dominant cone")
         self.datum = datum
         self.nodes: List[P.PiecewisePath] = []
-        self.index: Dict[P.PiecewisePath, int] = {}
         self.f_edge: Dict[Tuple[int, int], int] = {}
         self.e_edge: Dict[Tuple[int, int], int] = {}
         self._generate(highest_path, budget)
-        self.highest = self.index[highest_path]
+        self.highest = 0  # generation starts at the highest path
         self.weights: List[Weight] = [P.path_weight(datum, b) for b in self.nodes]
         self.kappa: Weight = self.weights[self.highest]
         depths = [[P.eps_phi(b, i) for i in range(datum.rank)] for b in self.nodes]
@@ -47,7 +46,7 @@ class CrystalGraph:
     def _generate(self, seed: P.PiecewisePath, budget: int) -> None:
         datum = self.datum
         self.nodes.append(seed)
-        self.index[seed] = 0
+        index = {seed: 0}
         frontier = [0]
         while frontier:
             idx = frontier.pop()
@@ -56,7 +55,7 @@ class CrystalGraph:
                 img = P.apply_f(datum, b, i)
                 if img is None:
                     continue
-                jdx = self.index.get(img)
+                jdx = index.get(img)
                 if jdx is None:
                     if len(self.nodes) >= budget:
                         raise ResourceBudgetError(
@@ -65,7 +64,7 @@ class CrystalGraph:
                         )
                     jdx = len(self.nodes)
                     self.nodes.append(img)
-                    self.index[img] = jdx
+                    index[img] = jdx
                     frontier.append(jdx)
                 self.f_edge[(idx, i)] = jdx
                 self.e_edge[(jdx, i)] = idx
@@ -128,20 +127,13 @@ class CrystalGraph:
         return self.datum.weight(tuple(coords))
 
     def is_minuscule(self) -> bool:
-        """Whether the node weights form a single Weyl orbit (no repeats)."""
-        counts = self.weight_counts()
-        return all(c == 1 for c in counts.values()) and self._single_orbit(counts)
+        """Whether the node weights form a single Weyl orbit (no repeats).
 
-    def _single_orbit(self, counts: Dict[Weight, int]) -> bool:
-        # every weight must be conjugate to kappa: its dominant representative
-        # (sort into the chamber by repeated simple reflections) equals kappa
-        for w in counts:
-            fw = w.fw
-            while any(c < 0 for c in fw):
-                fw = self.datum.reflect_fw(next(k for k, c in enumerate(fw) if c < 0), fw)
-            if fw != self.kappa.fw:
-                return False
-        return True
+        W(kappa) lies among the weights, so repeat-free weights form one
+        orbit exactly when there are as many nodes as orbit points."""
+        counts = self.weight_counts()
+        return (all(c == 1 for c in counts.values())
+                and len(weyl_orbit(self.datum, self.kappa.fw)) == len(counts))
 
     # -- exports -----------------------------------------------------------------
 

@@ -25,12 +25,13 @@ from . import paths as P
 
 Source = Union[Weight, ModuleSpec]
 
+CLOSURE_CAP = 4096
+
 
 @dataclass(frozen=True)
 class DistEntry:
     crystal: CrystalGraph
     node: int
-    summand_mult: int
     probability: Fraction
 
 
@@ -55,7 +56,7 @@ class CrystalDistribution:
         for crystal, mult in self.crystals:
             for idx, wt in enumerate(crystal.weights):
                 p = mult * tau.power((self.reference - wt).root) / self.normalizer
-                entries.append(DistEntry(crystal, idx, mult, p))
+                entries.append(DistEntry(crystal, idx, p))
         self.entries: Tuple[DistEntry, ...] = tuple(entries)
         total = sum((e.probability for e in entries), Fraction(0))
         if total != 1:
@@ -236,11 +237,6 @@ class TransitionTable:
             if total > 1:
                 raise DomainError(f"row sums to {total} > 1")
 
-    def entry(self, mu: Weight, lam: Weight) -> Fraction:
-        i = self.states.index(mu)
-        j = self.states.index(lam)
-        return self.rows[i][j]
-
     def to_csv(self) -> str:
         head = ["state", "complete"] + ["/".join(map(str, s.fw)) for s in self.states]
         lines = [",".join(head)]
@@ -267,24 +263,24 @@ class TransitionTable:
 
 
 def state_closure(dist: CrystalDistribution, seeds: Sequence[Weight],
-                  inside=None, cap: int = 4096) -> List[Weight]:
+                  inside: Callable[[Weight], bool]) -> List[Weight]:
     """States reachable from the seeds under the restricted kernel.
 
-    ``inside`` bounds the expansion (the reachable set is infinite without
-    it); discovered states outside the predicate are dropped, which leaves
-    the corresponding boundary rows incomplete in the resulting tables.
+    ``inside`` bounds the expansion (the reachable set is infinite); discovered
+    states outside the predicate are dropped, which leaves the corresponding
+    boundary rows incomplete in the resulting tables.  More than
+    ``CLOSURE_CAP`` states raise ``ResourceBudgetError``.
     """
-    keep = inside if inside is not None else (lambda s: True)
-    seeds = [s for s in seeds if keep(s)]
+    seeds = [s for s in seeds if inside(s)]
     seen = set(seeds)
     frontier = list(seeds)
     while frontier:
         mu = frontier.pop()
         for lam in dist.multiplicity_row(mu):
-            if lam not in seen and keep(lam):
-                if len(seen) >= cap:
+            if lam not in seen and inside(lam):
+                if len(seen) >= CLOSURE_CAP:
                     raise ResourceBudgetError(
-                        f"state closure exceeds cap {cap}", partial_count=len(seen)
+                        f"state closure exceeds cap {CLOSURE_CAP}", partial_count=len(seen)
                     )
                 seen.add(lam)
                 frontier.append(lam)

@@ -54,12 +54,11 @@ class EstimatorReport:
     slack: float = 0.0
     notes: Dict[str, object] = field(default_factory=dict)
 
-    def within(self, sigmas: float, slack: Optional[float] = None) -> bool:
+    def within(self, sigmas: float) -> bool:
         if self.target is None:
             return True
-        allowance = self.slack if slack is None else slack
         gap = abs(self.estimate - float(self.target))
-        return gap <= max(sigmas * self.stderr, allowance)
+        return gap <= max(sigmas * self.stderr, self.slack)
 
     def as_dict(self) -> Dict[str, object]:
         out = {
@@ -77,13 +76,13 @@ class EstimatorReport:
 
 
 def _bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = None,
-                      slack: float = 0.0, **notes) -> EstimatorReport:
+                      slack: float = 0.0) -> EstimatorReport:
     p_hat = hits / n
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n)
     z = None
     if target is not None:
         z = (p_hat - float(target)) / stderr if stderr > 0 else math.inf
-    return EstimatorReport(name, p_hat, n, stderr, target, z, slack, dict(notes))
+    return EstimatorReport(name, p_hat, n, stderr, target, z, slack)
 
 
 class StepSampler:
@@ -342,23 +341,23 @@ class SandwichReport:
 
 
 def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
-                   seed: int, exact_horizon: Optional[int] = None) -> SandwichReport:
+                   seed: int) -> SandwichReport:
     """Estimate the discrete stay probability and test the two-sided bounds.
 
     Lower bound: exit-free probability of the continuous path.  Upper bound:
     the same quantity started kappa0 deeper in the cone; since the estimate
     stops at a finite horizon, the bound actually asserted is its exact
-    finite-horizon form (stay up to L0 started kappa0 deeper), which the
-    per-sample shift lemma implies for every L >= L0.  That lemma (discrete
-    stay forces the kappa0-shifted continuous path to stay) is also checked
-    exactly on every sample.
+    finite-horizon form (stay up to L0 = min(L, 12) started kappa0 deeper),
+    which the per-sample shift lemma implies for every L >= L0.  That lemma
+    (discrete stay forces the kappa0-shifted continuous path to stay) is also
+    checked exactly on every sample.
     """
     algebra = dist.algebra
     if len(dist.crystals) != 1:
         raise DomainError("sandwich bounds are stated for a single summand")
     kappa0 = dist.crystals[0][0].kappa0()
     summary = simulate_exits(dist, mu, horizon, n, seed, kappa0=kappa0)
-    l0 = min(horizon, exact_horizon if exact_horizon is not None else 12)
+    l0 = min(horizon, 12)
     lower = algebra.psi(mu, dist.tau)
     upper = algebra.psi(mu + kappa0, dist.tau)
     upper_finite = algebra.psi_ell(mu + kappa0, dist.source, dist.tau, l0)

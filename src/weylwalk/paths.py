@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cartan import CartanDatum, Weight
+from .cartan import CartanDatum, Weight, reflect
 from .errors import FormatError, IntegralityError
 from .exact import Vector, add, is_zero, sub, vec, zero
 
@@ -86,13 +86,9 @@ def _proportional_same_direction(d1: Vector, d2: Vector) -> bool:
     return all(b == ratio * a for a, b in zip(d1, d2))
 
 
-def from_displacements(displacements: Sequence[Vector], dim: Optional[int] = None) -> PiecewisePath:
-    """Canonical path tracing the given displacement sequence from 0."""
+def from_displacements(displacements: Sequence[Vector], dim: int) -> PiecewisePath:
+    """Canonical path in ``dim`` coordinates tracing the displacements from 0."""
     disp = [vec(d) for d in displacements if not is_zero(vec(d))]
-    if dim is None:
-        if not displacements:
-            raise FormatError("cannot infer dimension of an empty path")
-        dim = len(tuple(displacements[0]))
     merged: List[Vector] = []
     for d in disp:
         if merged and _proportional_same_direction(merged[-1], d):
@@ -142,9 +138,7 @@ def concat(p1: PiecewisePath, p2: PiecewisePath) -> PiecewisePath:
     """Concatenation, first p1 then p2 translated to start at p1's endpoint."""
     if p1.dim != p2.dim:
         raise FormatError("dimension mismatch in concatenation")
-    d1 = [] if p1.is_constant() else p1.displacements()
-    d2 = [] if p2.is_constant() else p2.displacements()
-    return from_displacements(d1 + d2, dim=p1.dim)
+    return concat_all((p1, p2))
 
 
 def concat_all(paths: Sequence[PiecewisePath]) -> PiecewisePath:
@@ -177,19 +171,6 @@ def path_weight(datum: CartanDatum, path: PiecewisePath) -> Weight:
 
 
 # --- root operators ---------------------------------------------------------
-
-
-def _alpha_row(datum: CartanDatum, i: int) -> Vector:
-    return tuple(Fraction(a) for a in datum.matrix[i])
-
-
-def _reflect_displacement(datum: CartanDatum, i: int, d: Vector) -> Vector:
-    """Simple reflection s_{alpha_i} applied to a displacement vector."""
-    coeff = d[i]
-    if coeff == 0:
-        return d
-    alpha = _alpha_row(datum, i)
-    return tuple(c - coeff * a for c, a in zip(d, alpha))
 
 
 def _split_displacement(d: Vector, lam: Fraction) -> Tuple[Vector, Vector]:
@@ -241,9 +222,9 @@ def apply_e(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
             lam = (running_min - ha) / (hb - ha)
             keep, drop = _split_displacement(d, lam)
             out.append(keep)
-            out.append(_reflect_displacement(datum, i, drop))
+            out.append(reflect(datum.matrix, i, drop))
         else:  # ha == running_min: the whole segment descends the ladder
-            out.append(_reflect_displacement(datum, i, d))
+            out.append(reflect(datum.matrix, i, d))
         running_min = hb
     return from_displacements(prefix + out + suffix, dim=path.dim)
 
@@ -290,9 +271,9 @@ def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
             lam = (running_min - ha) / (hb - ha)
             climb, keep = _split_displacement(d, lam)
             out_rev.append(keep)
-            out_rev.append(_reflect_displacement(datum, i, climb))
+            out_rev.append(reflect(datum.matrix, i, climb))
         else:  # hb == running_min: the whole segment climbs the ladder
-            out_rev.append(_reflect_displacement(datum, i, d))
+            out_rev.append(reflect(datum.matrix, i, d))
         running_min = ha
     return from_displacements(prefix + list(reversed(out_rev)) + suffix, dim=path.dim)
 
@@ -332,11 +313,10 @@ def path_from_literal(datum: CartanDatum, literal, basis: str = "ambient") -> Pi
 
     times = [parse_rational(entry[0]) for entry in literal]
     raw = [tuple(parse_rational(c) for c in entry[1]) for entry in literal]
+    if basis != "ambient" and any(len(p) != datum.rank for p in raw):
+        raise FormatError(f"expected {datum.rank} {basis} coordinates")
     if basis == "ambient":
-        pts = []
-        for p in raw:
-            fw = datum.realization.from_ambient(p)
-            pts.append(fw)
+        pts = [datum.realization.from_ambient(p) for p in raw]
     elif basis == "fw":
         pts = list(raw)
     elif basis == "root":

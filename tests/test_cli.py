@@ -332,6 +332,7 @@ def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     (["crystal"], {"type": "C2", "module": [{"mult": 2}]}),
     (["crystal"], {"type": "C2", "module": [[1, 0]]}),
     (["crystal"], ["C2"]),
+    (["pitman"], {"type": "C2", "basis": "fw", "path": [["0", ["0"]], ["1", ["1"]]]}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
     if payload is not None:
@@ -341,10 +342,36 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
     assert "config error" in capsys.readouterr().err
 
 
+TAU = ["--type", "C2", "--tau", "1/2,1/2"]
+
+
+# (argv, config payload or None, the key the error must name)
+KEY_ERRORS = [
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "horizon": "abc"}, "horizon"),
+    (["simulate", *TAU, "--samples", "0"], None, "samples"),
+    (["simulate", *TAU, "--samples", "-5"], None, "samples"),
+    (["sandwich", *TAU, "--samples", "0"], None, "samples"),
+    (["simulate", *TAU, "--seed", "-1"], None, "seed"),
+    (["sandwich", *TAU, "--seed", str(2**64)], None, "seed"),
+    (["simulate", *TAU, "--horizon", "-1"], None, "horizon"),
+    (["simulate", *TAU, "--horizon", "0"], None, "horizon"),
+    (["sandwich", *TAU, "--horizon", "0"], None, "horizon"),
+    (["simulate", *TAU, "--ell", "-1"], None, "ell"),
+    (["ratio"], {"type": "C2", "tau": ["1/2", "1/2"], "ells": [4, -2]}, "ells"),
+    (["hchain"], {"type": "C2", "tau": ["1/2", "1/2"], "state_limit": -1}, "state_limit"),
+    (["psi"], {"type": "C2", "tau": ["1/2", "1/2"], "mu_limit": -1}, "mu_limit"),
+    (["pitman"], {"type": "C2", "path": [1, 2]}, "path"),
+    (["pitman"], {"type": "C2", "path": [["0", ["0", "0"]], ["1"]]}, "path"),
+]
+
+
 def test_config_error_names_the_key(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"type": "C2", "tau": ["1/2", "1/2"], "horizon": "abc"})
-    assert run(tmp_path, "simulate", "--config", cfg)[0] == 2
-    assert "'horizon'" in capsys.readouterr().err
+    for argv, payload, key in KEY_ERRORS:
+        if payload is not None:
+            argv = argv + ["--config", write_config(tmp_path, payload)]
+        assert run(tmp_path, *argv)[0] == 2, argv
+        err = capsys.readouterr().err
+        assert "config error" in err and f"'{key}'" in err, (argv, err)
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """The benchmark's exact checker reads the library directly: ``Weight.root``,
 rational ``TauPoint.power``, ``CharacterAlgebra.posroots`` and the ``word`` and
-``sign`` of Weyl elements.  Run it in-process on small real outputs, so a
-refactor that breaks that view fails here rather than in a benchmark run.
+``sign`` of Weyl elements.  Its library jobs call ``state_closure(...,
+inside=)``, the kernel tables and ``h_law_reports``.  Run one small job of
+every kind in-process, so a refactor that breaks that view or the output
+files the checker reads fails here rather than in a benchmark run.
 The files under ``perfbench/`` are only read."""
 
 import importlib.util
@@ -43,6 +45,10 @@ def _run_cli(tmp_path, command, cfg):
 @pytest.mark.parametrize("command,cfg", [
     ("psi", dict(workloads.psi("C2", 2, [1, 0]), tau=["1/3", "2/5"])),
     ("hchain", dict(workloads.module_box(2), tau_roots=["1/2", "2/3"])),
+    ("conditioned", dict(workloads.box("C2", [1, 0], 2), tau=["1/3", "2/5"])),
+    ("verify", dict(workloads.source("A2", [1, 0]), tau=["1/2", "1/3"])),
+    ("simulate", dict(workloads.mc("C2", [1, 0], 2000, 20), tau=["2/5", "1/2"], seed=7)),
+    ("sandwich", dict(workloads.mc("C2", [1, 0], 2000, 20), tau=["2/5", "1/2"], seed=7)),
 ])
 def test_checker_accepts_cli_outputs(tmp_path, checker, command, cfg):
     code, out = _run_cli(tmp_path, command, cfg)
@@ -52,6 +58,8 @@ def test_checker_accepts_cli_outputs(tmp_path, checker, command, cfg):
 @pytest.mark.parametrize("task,params", [
     ("master_identity", dict(workloads.master("B3", 2, True), tau=["1/2", "2/3", "3/4"])),
     ("weyl_group", {"type": "F4"}),
+    ("doob_hchain", dict(workloads._DOOB["C3"], tau=["1/2", "2/3", "3/4"])),
+    ("h_law", dict(workloads.h_law("C2", [1, 0], 4), tau=["2/5", "1/2"], seed=11)),
 ])
 def test_checker_accepts_library_results(tmp_path, checker, task, params):
     result = child.library_task(task, params)
