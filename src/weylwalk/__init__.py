@@ -42,6 +42,7 @@ from .paths import (
     apply_f,
     canonical_path,
     concat,
+    dual,
     eps_phi,
     height_function_extrema,
     path_weight,

@@ -282,10 +282,6 @@ class CartanDatum:
     def zero_weight(self) -> Weight:
         return self.weight((0,) * self.rank)
 
-    def reflect_fw(self, i: int, x: Sequence) -> Tuple:
-        """Simple reflection s_i on fw coordinates: x - x_i * alpha_i."""
-        return reflect(self.matrix, i, x)
-
 
 def _determinant(m: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix by Bareiss fraction-free elimination."""
@@ -483,7 +479,7 @@ def longest_word(datum: CartanDatum) -> Tuple[int, ...]:
     x, word = (1,) * datum.rank, []
     while any(c > 0 for c in x):
         word.append(next(k for k, c in enumerate(x) if c > 0))
-        x = datum.reflect_fw(word[-1], x)
+        x = reflect(datum.matrix, word[-1], x)
     return tuple(word)
 
 

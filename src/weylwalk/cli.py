@@ -131,9 +131,11 @@ class RunContext:
             raise FormatError("this command needs a tau value in the config")
         return self.tau
 
-    def mu(self, default=None) -> Weight:
-        coords = default if default is not None else [0] * self.datum.rank
-        return self.datum.weight(self.read("mu", coords, vector=True))
+    def mu(self) -> Weight:
+        mu = self.datum.weight(self.read("mu", [0] * self.datum.rank, vector=True))
+        if not mu.is_dominant():
+            raise FormatError(f"config key 'mu' must be dominant, got {list(mu.fw)}")
+        return mu
 
     def distribution(self) -> M.CrystalDistribution:
         """The step distribution of the run, built on first use."""
@@ -161,7 +163,12 @@ class OutputWriter:
         self.dir = cfg.get("output_dir", ".")
         self.command = command
         self.outputs: List[str] = []
-        os.makedirs(self.dir, exist_ok=True)
+        if not isinstance(self.dir, str):
+            raise FormatError(f"config key 'output_dir' must be a path, got {self.dir!r}")
+        try:
+            os.makedirs(self.dir, exist_ok=True)
+        except OSError as ex:
+            raise FormatError(f"config key 'output_dir' is not a usable directory: {ex}") from None
 
     def write(self, name: str, text: str) -> str:
         path = os.path.join(self.dir, name)

@@ -291,67 +291,51 @@ class TensorNode:
         ) and len(self.factors) == len(other.factors)
 
 
-def _prefix_eps_phi(node: TensorNode, i: int) -> List[Tuple[int, int]]:
-    """Raising and lowering depths of every prefix, by the product rule."""
-    out = [(0, 0)]
-    eps, phi = 0, 0
+def _factor_lows(node: TensorNode, i: int) -> Tuple[List[int], int]:
+    """The i-height minimum inside each factor, and the final i-height.
+
+    Factor b entered at height H dips to H - eps_i(b) (integrality of path
+    minima), so the minimum m of the concatenation is the least of these.
+    """
+    lows = []
+    height = 0
     for crys, idx in node.factors:
-        fe, fp = crys.eps[idx][i], crys.phi[idx][i]
-        eps = eps + max(0, fe - phi)
-        phi = fp + max(0, phi - fe)
-        out.append((eps, phi))
-    return out
+        lows.append(height - crys.eps[idx][i])
+        height += crys.weights[idx].fw[i]
+    return lows, height
+
+
+def _move_factor(node: TensorNode, pos: int, i: int, up: bool) -> Optional[TensorNode]:
+    """Raise (``up``) or lower factor ``pos`` along its i-edge; None off the end."""
+    crys, idx = node.factors[pos]
+    nxt = (crys.e_edge if up else crys.f_edge).get((idx, i))
+    return None if nxt is None else TensorNode(
+        node.factors[:pos] + ((crys, nxt),) + node.factors[pos + 1:])
 
 
 def tensor_eps_phi(node: TensorNode, i: int) -> Tuple[int, int]:
-    """Raising and lowering depths of the concatenation."""
-    return _prefix_eps_phi(node, i)[-1]
+    """Raising and lowering depths of the concatenation: (-m, h_i(1) - m)."""
+    lows, end = _factor_lows(node, i)
+    m = min(lows)
+    return -m, end - m
 
 
 def tensor_apply_e(node: TensorNode, i: int) -> Optional[TensorNode]:
     """Raising operator through the tensor rule: None iff it kills the node.
 
-    For a split head * last, the operator hits the last factor exactly when
-    its raising depth exceeds the lowering depth of the head; otherwise it
-    descends into the head.
+    The path-level operator acts at the first visit of the minimum, so it
+    raises the first factor whose dip reaches it.
     """
-    pre = _prefix_eps_phi(node, i)
-    pos = 0
-    for k in range(len(node.factors), 0, -1):
-        crys, idx = node.factors[k - 1]
-        if crys.eps[idx][i] > pre[k - 1][1]:
-            pos = k - 1
-            break
-    crys, idx = node.factors[pos]
-    up = crys.e_edge.get((idx, i))
-    if up is None:
-        return None
-    factors = list(node.factors)
-    factors[pos] = (crys, up)
-    return TensorNode(tuple(factors))
+    lows, _ = _factor_lows(node, i)
+    return _move_factor(node, lows.index(min(lows)), i, up=True)
 
 
 def tensor_apply_f(node: TensorNode, i: int) -> Optional[TensorNode]:
-    """Lowering operator through the tensor rule (mirror of the raising one).
-
-    It hits the earliest factor whose preceding lowering depth beats the
-    raising depth of everything after the split point.
-    """
-    pre = _prefix_eps_phi(node, i)
-    pos = len(node.factors) - 1
-    for k in range(len(node.factors) - 1, 0, -1):
-        crys, idx = node.factors[k]
-        if pre[k][1] > crys.eps[idx][i]:
-            pos = k - 1
-        else:
-            break
-    crys, idx = node.factors[pos]
-    down = crys.f_edge.get((idx, i))
-    if down is None:
-        return None
-    factors = list(node.factors)
-    factors[pos] = (crys, down)
-    return TensorNode(tuple(factors))
+    """Lowering operator through the tensor rule: it acts at the last visit of
+    the minimum, so it lowers the last factor whose dip reaches it."""
+    lows, _ = _factor_lows(node, i)
+    m = min(lows)
+    return _move_factor(node, max(k for k, low in enumerate(lows) if low == m), i, up=False)
 
 
 def tensor_is_highest(node: TensorNode) -> bool:

@@ -8,6 +8,10 @@ segments uniformly at breakpoints k/K, so path equality is tuple equality.
 Points are stored in fundamental-weight coordinates, where the pairing
 against the coroot h_i is simply the i-th coordinate.  The null result of a
 root operator is represented by ``None``; it is a value, not an error.
+
+Only the lowering operator f_i is written out.  The duality
+pi*(t) = pi(1 - t) - pi(1) swaps raising and lowering (Littelmann 1995), so
+the raising operator is e_i = * f_i *.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ class PiecewisePath:
 
     def displacements(self) -> List[Vector]:
         return [sub(self.points[k + 1], self.points[k]) for k in range(self.num_segments)]
-
-    def is_constant(self) -> bool:
-        return all(is_zero(sub(p, self.points[0])) for p in self.points)
 
     def value_at(self, t: Fraction) -> Vector:
         """Exact value of the canonical representative at rational time t."""
@@ -144,10 +145,8 @@ def concat(p1: PiecewisePath, p2: PiecewisePath) -> PiecewisePath:
 def concat_all(paths: Sequence[PiecewisePath]) -> PiecewisePath:
     if not paths:
         raise FormatError("empty concatenation")
-    disp: List[Vector] = []
-    for p in paths:
-        if not p.is_constant():
-            disp.extend(p.displacements())
+    # a constant path adds zero displacements, which from_displacements drops
+    disp = [d for p in paths for d in p.displacements()]
     return from_displacements(disp, dim=paths[0].dim)
 
 
@@ -178,64 +177,33 @@ def _split_displacement(d: Vector, lam: Fraction) -> Tuple[Vector, Vector]:
     return first, sub(d, first)
 
 
-def apply_e(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
-    """Raising operator: returns None iff the i-height minimum exceeds -1.
+def dual(path: PiecewisePath) -> PiecewisePath:
+    """The path t -> path(1 - t) - path(1): points reversed, shifted by the end.
 
-    The changed window runs from the last time the height equals m+1 up to
-    the first time it reaches the minimum m.  Inside it, the sub-segments
-    descending below the running minimum are reflected by s_{alpha_i}; the
-    excursions above it are kept.  The endpoint gains alpha_i.
+    Reversal keeps the breakpoints uniform and the segments unmerged, so the
+    dual of a canonical path is canonical.
     """
-    if path is None:
-        return None
-    h = path.heights(i)
-    m = min(h)
-    if m > -1:
-        return None
-    disp = path.displacements()
-    k1 = next(k for k, v in enumerate(h) if v == m)  # first minimum breakpoint
-    target = m + 1
-    # last index j < k1 from which the segment [j, j+1] crosses (or touches)
-    # the level m+1; exists because h(0) = 0 >= m+1
-    j = next(j for j in range(k1 - 1, -1, -1) if h[j] >= target)
-    prefix = disp[:j]
-    window: List[Tuple[Vector, Fraction, Fraction]] = []
-    if h[j] == target:
-        window_start = j
-    else:
-        lam = (target - h[j]) / (h[j + 1] - h[j])
-        before, after = _split_displacement(disp[j], lam)
-        prefix = prefix + [before]
-        window = [(after, target, h[j + 1])]
-        window_start = j + 1
-    for k in range(window_start, k1):
-        window.append((disp[k], h[k], h[k + 1]))
-    suffix = disp[k1:]
+    end = path.points[-1]
+    return PiecewisePath(path.times, tuple(sub(p, end) for p in reversed(path.points)))
 
-    out: List[Vector] = []
-    running_min = target
-    for d, ha, hb in window:
-        if hb >= running_min:
-            out.append(d)
-            continue
-        if ha > running_min:
-            lam = (running_min - ha) / (hb - ha)
-            keep, drop = _split_displacement(d, lam)
-            out.append(keep)
-            out.append(reflect(datum.matrix, i, drop))
-        else:  # ha == running_min: the whole segment descends the ladder
-            out.append(reflect(datum.matrix, i, d))
-        running_min = hb
-    return from_displacements(prefix + out + suffix, dim=path.dim)
+
+def apply_e(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
+    """Raising operator e_i = * f_i *, with * the :func:`dual`.
+
+    None iff the i-height minimum m exceeds -1.  The dual's final height lies
+    -m above its minimum, so otherwise the lowering operator applies to it.
+    """
+    if path is None or min(path.heights(i)) > -1:
+        return None
+    return dual(apply_f(datum, dual(path), i))
 
 
 def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
     """Lowering operator: returns None iff the final height is below m+1.
 
-    Mirror image of :func:`apply_e`: the window runs from the last visit of
-    the minimum m to the last time the height equals m+1, and the
-    sub-segments climbing the future minimum are reflected.  The endpoint
-    loses alpha_i.
+    The window runs from the last visit of the minimum m to the last time
+    the height equals m+1, and the sub-segments climbing the future minimum
+    are reflected.  The endpoint loses alpha_i.
     """
     if path is None:
         return None

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylwalk import build_cartan_datum, generate_crystal, weyl_group
+from weylwalk import build_cartan_datum, generate_crystal
 from weylwalk import paths as P
 from weylwalk.charalg import CharacterAlgebra, tau_point
 

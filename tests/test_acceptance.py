@@ -4,25 +4,20 @@ exact checks are exact (==), statistical ones use 4-sigma bands with the
 stated truncation allowances.
 """
 
-import math
 import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as iproduct
 
-import pytest
-
-from weylwalk import paths as P
 from weylwalk import markov as M
 from weylwalk import montecarlo as MC
-from weylwalk.cartan import act, build_cartan_datum, inverse_element, weyl_group
-from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, tau_point
+from weylwalk.cartan import act, inverse_element, weyl_group
+from weylwalk.charalg import ExponentPolynomial, tau_point
 from weylwalk.crystal import (
     ModuleSpec,
     TensorNode,
     count_f_multiplicity,
-    generate_crystal,
     tensor_apply_e,
     tensor_apply_f,
     tensor_eps_phi,

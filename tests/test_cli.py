@@ -362,6 +362,13 @@ KEY_ERRORS = [
     (["psi"], {"type": "C2", "tau": ["1/2", "1/2"], "mu_limit": -1}, "mu_limit"),
     (["pitman"], {"type": "C2", "path": [1, 2]}, "path"),
     (["pitman"], {"type": "C2", "path": [["0", ["0", "0"]], ["1"]]}, "path"),
+    (["psi", *TAU, "--mu=-1,0"], None, "mu"),
+    (["hchain", *TAU, "--mu=-1,0"], None, "mu"),
+    (["conditioned", *TAU, "--mu=-1,0"], None, "mu"),
+    (["verify", *TAU, "--mu=-1,0"], None, "mu"),
+    (["simulate", *TAU, "--mu=-1,0"], None, "mu"),
+    (["sandwich", *TAU, "--mu=-1,0"], None, "mu"),
+    (["ratio", *TAU, "--mu=-1,0"], None, "mu"),
 ]
 
 
@@ -372,6 +379,19 @@ def test_config_error_names_the_key(tmp_path, capsys):
         assert run(tmp_path, *argv)[0] == 2, argv
         err = capsys.readouterr().err
         assert "config error" in err and f"'{key}'" in err, (argv, err)
+
+
+@pytest.mark.parametrize("value,flag", [(5, False), ("FILE", False), ("FILE", True)])
+def test_bad_output_dir_exits_2(tmp_path, capsys, value, flag):
+    """A non-string output_dir, or one naming an existing file, is a config error."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    value = str(blocker) if value == "FILE" else value
+    payload = {"type": "C2"} if flag else {"type": "C2", "output_dir": value}
+    argv = ["crystal", "--config", write_config(tmp_path, payload)]
+    assert main(argv + (["--output-dir", value] if flag else [])) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'output_dir'" in err
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk import markov as M
-from weylwalk.cartan import act, act_vector, inverse_element
+from weylwalk.cartan import inverse_element
 from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode, generate_crystal, tensor_apply_e, tensor_eps_phi
 from weylwalk.errors import DomainError, HarmonicityError

@@ -11,7 +11,6 @@ from weylwalk import markov as M
 from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode
 
-from conftest import partition_weight
 from oracles import exhaustive_h_trajectories, scalar_simulate_exits
 
 F = Fraction

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,6 @@ from hypothesis import strategies as st
 
 from weylwalk import paths as P
 from weylwalk.errors import FormatError, IntegralityError
-
-from conftest import lit
 
 
 def test_collinear_segments_merge(c2):
@@ -289,3 +288,50 @@ def test_operator_involution_on_random_integral_paths(moves):
         h = path.heights(i)
         assert (up is None) == (min(h) > -1)
         assert (down is None) == (h[-1] < min(h) + 1)
+
+
+def _iterate(datum, op, path, i):
+    n, cur = 0, op(datum, path, i)
+    while cur is not None:
+        n, cur = n + 1, op(datum, cur, i)
+    return n
+
+
+def _check_rational_path(datum, path):
+    assert P.dual(P.dual(path)) == path
+    for i in range(datum.rank):
+        counts = (_iterate(datum, P.apply_e, path, i), _iterate(datum, P.apply_f, path, i))
+        assert counts == P.eps_phi(path, i)
+        up = P.apply_e(datum, path, i)
+        if up is not None:
+            assert P.apply_f(datum, up, i) == path
+        down = P.apply_f(datum, path, i)
+        if down is not None:
+            assert P.apply_e(datum, down, i) == path
+
+
+@pytest.mark.parametrize("label", ["C2", "G2", "B3"])
+def test_operators_invert_each_other_on_rational_paths(label):
+    """Off the lattice the height minima are not integral; e_i = * f_i * must
+    still apply eps_i times and undo f_i, whatever the seed."""
+    from weylwalk import build_cartan_datum
+
+    datum = build_cartan_datum(label)
+    for seed in range(10):
+        rng = random.Random(seed)
+        for _ in range(60):
+            steps = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(datum.rank))
+                     for _ in range(rng.randint(1, 4))]
+            _check_rational_path(datum, P.from_displacements(steps, dim=datum.rank))
+
+
+def test_raising_with_a_half_integral_minimum(c2):
+    """i-heights 0, -1, -1/2, -3/2: eps = 1, so e applies once and f undoes it."""
+    path = P.from_displacements([(-1, 0), (Fraction(1, 2), 0), (-1, 0)], dim=2)
+    assert path.heights(0) == [0, -1, Fraction(-1, 2), Fraction(-3, 2)]
+    assert P.eps_phi(path, 0) == (1, 0)
+    up = P.apply_e(c2, path, 0)
+    assert up is not None and P.apply_e(c2, up, 0) is None
+    assert P.apply_f(c2, up, 0) == path
+    _check_rational_path(c2, path)

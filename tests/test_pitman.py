@@ -16,7 +16,7 @@ import pytest
 from weylwalk import build_cartan_datum, weyl_group
 from weylwalk import markov as M
 from weylwalk import paths as P
-from weylwalk.cartan import longest_word, positive_roots
+from weylwalk.cartan import longest_word, positive_roots, reflect
 from weylwalk.charalg import CharacterAlgebra
 from weylwalk.crystal import ModuleSpec, TensorNode, tensor_eps_phi
 
@@ -57,7 +57,7 @@ def test_longest_word_is_reduced_and_reaches_minus_rho(label):
     assert len(word) == len(positive_roots(datum))
     x = (1,) * datum.rank
     for i in word:
-        x = datum.reflect_fw(i, x)
+        x = reflect(datum.matrix, i, x)
     assert x == (-1,) * datum.rank
 
 
@@ -66,7 +66,7 @@ def test_longest_word_spells_the_longest_element(spec):
     datum = build_cartan_datum(spec)
     x = tuple(range(1, datum.rank + 1))
     for i in reversed(longest_word(datum)):
-        x = datum.reflect_fw(i, x)
+        x = reflect(datum.matrix, i, x)
     assert x == weyl_group(datum).longest().apply_fw(tuple(range(1, datum.rank + 1)))
 
 
