@@ -27,7 +27,7 @@ from .cartan import (
     weyl_order,
 )
 from .crystal import CrystalCache, CrystalGraph, ModuleSpec, as_module, count_f_multiplicity
-from .errors import DomainError, ExactEvaluationError, FormatError
+from .errors import DomainError, ExactEvaluationError, FormatError, ResourceBudgetError
 from .exact import Rational, exact_unit
 
 
@@ -218,7 +218,7 @@ class CharacterAlgebra:
     S_lambda(tau) and psi are computed by whichever route costs less: the
     Weyl alternating sum has |W| terms, the crystal B(lambda) has
     dim V(lambda) nodes.  The crystal route serves every weight when |W| is
-    over the group budget (E7, E8).
+    over the group budget (E7, E8), where psi_poly, always the sum, is refused.
     """
 
     def __init__(self, datum: CartanDatum, cache: Optional[CrystalCache] = None):
@@ -302,9 +302,16 @@ class CharacterAlgebra:
 
         Stepping x to s_i(x) adds x_i to the i-th root coordinate of the
         exponent (mu + rho) - x and flips the sign.  Built once per mu;
-        callers must not mutate it."""
+        callers must not mutate it.  A non-dominant mu is refused, and so is a
+        group over the budget, as by ``weyl_group``."""
         poly = self._numerators.get(mu.fw)
         if poly is None:
+            if not mu.is_dominant():
+                raise DomainError(f"weight {mu.fw} is not dominant")
+            if self._order > DEFAULT_WEYL_BUDGET:
+                raise ResourceBudgetError(f"Weyl group of {self.datum.label} has "
+                                          f"{self._order} elements, over the budget "
+                                          f"{DEFAULT_WEYL_BUDGET}")
             orbit = weyl_orbit(self.datum, tuple(c + 1 for c in mu.fw))
             terms = [((0,) * self.datum.rank, 1)]
             for _, parent, i in orbit[1:]:
@@ -325,11 +332,10 @@ class CharacterAlgebra:
     # -- psi ---------------------------------------------------------------------
 
     def psi_poly(self, mu: Weight) -> ExponentPolynomial:
-        """prod(1 - tau^alpha) * S_mu; by the Weyl character formula this is
-        the alternating sum weyl_numerator(mu), used where it is cheaper."""
-        if self._uses_weyl_sum(mu):
-            return self.weyl_numerator(mu)
-        return self.denominator_poly() * self.character_poly(mu)
+        """prod(1 - tau^alpha) * S_mu, which by the Weyl character formula is
+        the alternating sum weyl_numerator(mu): the expanded product alone
+        has |W| terms, so the numerator is never the dearer route."""
+        return self.weyl_numerator(mu)
 
     def psi(self, mu: Weight, tau: TauPoint) -> Fraction:
         """Probability of never leaving the cone: prod(1 - tau^alpha) * S_mu(tau)."""

@@ -27,6 +27,7 @@ from .crystal import ModuleSpec, TensorNode, tensor_apply_e
 from .errors import (
     ClosureError,
     DomainError,
+    ExactEvaluationError,
     FormatError,
     HarmonicityError,
     NotFiniteTypeError,
@@ -107,7 +108,7 @@ class RunContext:
             raise FormatError(f"missing config key {key!r}")
 
         def whole(c):
-            if isinstance(c, float) and not c.is_integer():
+            if isinstance(c, bool) or isinstance(c, float) and not c.is_integer():
                 raise ValueError
             return int(c)
 
@@ -138,9 +139,16 @@ class RunContext:
         return mu
 
     def distribution(self) -> M.CrystalDistribution:
-        """The step distribution of the run, built on first use."""
+        """The step distribution of the run, built on first use; a fractional
+        exponent with no ``tau_roots`` given is a config error."""
         if self._dist is None:
-            self._dist = M.build_distribution(self.algebra, self.source, self.require_tau())
+            tau = self.require_tau()
+            try:
+                self._dist = M.build_distribution(self.algebra, self.source, tau)
+            except ExactEvaluationError as ex:
+                if tau.roots is not None:
+                    raise
+                raise FormatError(f"config key 'tau_roots' is needed: {ex}") from None
         return self._dist
 
     def states(self, limit: Optional[int] = None) -> List[Weight]:

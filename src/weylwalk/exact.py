@@ -59,7 +59,7 @@ def parse_rational(text) -> Fraction:
     """Parse a rational given as int, float-free string "p/q" or "p"."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:

@@ -19,7 +19,7 @@ from .crystal import (
     as_module,
     module_multiplicity,
 )
-from .errors import ClosureError, DomainError, HarmonicityError, ResourceBudgetError
+from .errors import ClosureError, HarmonicityError, ResourceBudgetError, WeylwalkError
 from .exact import Vector, add, smul, vec, zero
 from . import paths as P
 
@@ -60,7 +60,7 @@ class CrystalDistribution:
         self.entries: Tuple[DistEntry, ...] = tuple(entries)
         total = sum((e.probability for e in entries), Fraction(0))
         if total != 1:
-            raise DomainError(f"probabilities sum to {total}, not 1")
+            raise WeylwalkError(f"probabilities sum to {total}, not 1")
         self._weight_mass: Dict[Tuple[int, ...], Fraction] = {}
         for e in entries:
             fw = e.crystal.weights[e.node].fw
@@ -231,11 +231,11 @@ class TransitionTable:
         for row, complete in zip(self.rows, self.row_complete):
             total = sum(row, Fraction(0))
             if any(x < 0 for x in row):
-                raise DomainError("negative transition probability")
+                raise WeylwalkError("negative transition probability")
             if self.kind == "stochastic" and complete and total != 1:
-                raise DomainError(f"complete row sums to {total}, expected 1")
+                raise WeylwalkError(f"complete row sums to {total}, expected 1")
             if total > 1:
-                raise DomainError(f"row sums to {total} > 1")
+                raise WeylwalkError(f"row sums to {total} > 1")
 
     def to_csv(self) -> str:
         head = ["state", "complete"] + ["/".join(map(str, s.fw)) for s in self.states]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .cartan import Weight
 from .crystal import CrystalGraph, TensorNode
-from .errors import DomainError
+from .errors import DomainError, WeylwalkError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
 
 if TYPE_CHECKING:
@@ -100,11 +100,11 @@ class StepSampler:
         acc = Fraction(0)
         for _, _, p in weighted_nodes:
             if p <= 0:
-                raise DomainError("step probabilities must be positive")
+                raise WeylwalkError("step probabilities must be positive")
             acc += p
             cums.append(acc)
         if acc != 1:
-            raise DomainError(f"step probabilities sum to {acc}")
+            raise WeylwalkError(f"step probabilities sum to {acc}")
         self.cum_fracs = cums
         self.cum_floats = np.array([float(c) for c in cums])
         # the float boundaries below and above each searchsorted index

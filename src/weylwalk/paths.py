@@ -9,9 +9,9 @@ Points are stored in fundamental-weight coordinates, where the pairing
 against the coroot h_i is simply the i-th coordinate.  The null result of a
 root operator is represented by ``None``; it is a value, not an error.
 
-Only the lowering operator f_i is written out.  The duality
-pi*(t) = pi(1 - t) - pi(1) swaps raising and lowering (Littelmann 1995), so
-the raising operator is e_i = * f_i *.
+The lowering operator is f_i pi(t) = pi(t) - min(1, min_{s>=t} h_i(s) - m) alpha_i,
+m the minimum of h_i.  The duality pi*(t) = pi(1 - t) - pi(1) swaps raising
+and lowering (Littelmann 1995), so the raising operator is e_i = * f_i *.
 """
 
 from __future__ import annotations
@@ -199,11 +199,11 @@ def apply_e(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
 
 
 def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
-    """Lowering operator: returns None iff the final height is below m+1.
+    """Lowering operator: None iff the final height is below m+1.
 
-    The window runs from the last visit of the minimum m to the last time
-    the height equals m+1, and the sub-segments climbing the future minimum
-    are reflected.  The endpoint loses alpha_i.
+    Walking back from the end to the last minimum of h_i, with level =
+    min(m + 1, the later minimum of h_i), the part of each segment below
+    level is reflected by s_i and the rest kept.
     """
     if path is None:
         return None
@@ -212,38 +212,17 @@ def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
     if h[-1] < m + 1:
         return None
     disp = path.displacements()
-    k0 = max(k for k, v in enumerate(h) if v == m)  # last minimum breakpoint
-    target = m + 1
-    # last segment [j, j+1] with h[j] < m+1: the window closes inside it
-    j = max(j for j in range(k0, len(disp)) if h[j] < target)
-    prefix = disp[:k0]
-    window: List[Tuple[Vector, Fraction, Fraction]] = []
-    for k in range(k0, j):
-        window.append((disp[k], h[k], h[k + 1]))
-    if h[j + 1] == target:
-        window.append((disp[j], h[j], h[j + 1]))
-        suffix = disp[j + 1 :]
-    else:
-        lam = (target - h[j]) / (h[j + 1] - h[j])
-        before, after = _split_displacement(disp[j], lam)
-        window.append((before, h[j], target))
-        suffix = [after] + disp[j + 1 :]
-
+    k, level = len(disp), m + 1
     out_rev: List[Vector] = []
-    running_min = target
-    for d, ha, hb in reversed(window):
-        if ha >= running_min:
-            out_rev.append(d)
-            continue
-        if hb > running_min:
-            lam = (running_min - ha) / (hb - ha)
-            climb, keep = _split_displacement(d, lam)
-            out_rev.append(keep)
-            out_rev.append(reflect(datum.matrix, i, climb))
-        else:  # hb == running_min: the whole segment climbs the ladder
-            out_rev.append(reflect(datum.matrix, i, d))
-        running_min = ha
-    return from_displacements(prefix + list(reversed(out_rev)) + suffix, dim=path.dim)
+    while level > m:
+        k -= 1
+        if h[k] < level:  # level <= h[k + 1], so the segment climbs through it
+            below, rest = _split_displacement(disp[k], (level - h[k]) / (h[k + 1] - h[k]))
+            out_rev += [rest, reflect(datum.matrix, i, below)]
+            level = h[k]
+        else:
+            out_rev.append(disp[k])
+    return from_displacements(disp[:k] + out_rev[::-1], dim=path.dim)
 
 
 def eps_phi(path: PiecewisePath, i: int) -> Tuple[int, int]:

@@ -6,8 +6,9 @@ operator at a time for the one-pass Pitman transform, the node list with the
 path-level cone test for the restricted kernel, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
-rationals for the inverse Cartan matrix, and one normalizer per node for the
-twisted step law.
+rationals for the inverse Cartan matrix, one normalizer per node for the
+twisted step law, and the window-and-ladder construction for the lowering
+operator.
 """
 
 from bisect import bisect_right
@@ -16,7 +17,7 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
-from weylwalk.cartan import CartanDatum, Weight, WeylElement
+from weylwalk.cartan import CartanDatum, Weight, WeylElement, reflect
 from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
 from weylwalk.markov import CrystalDistribution, _twisted_point, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
@@ -230,3 +231,53 @@ def invert_matrix(m) -> Tuple[Tuple[Fraction, ...], ...]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def ladder_apply_f(datum: CartanDatum, path: Optional[P.PiecewisePath], i: int
+                   ) -> Optional[P.PiecewisePath]:
+    """Lowering operator by the window and the ladder: None iff the final
+    height is below m+1.
+
+    The window runs from the last visit of the minimum m to the last time
+    the height equals m+1, and the sub-segments climbing the future minimum
+    are reflected.  The endpoint loses alpha_i.
+    """
+    if path is None:
+        return None
+    h = path.heights(i)
+    m = min(h)
+    if h[-1] < m + 1:
+        return None
+    disp = path.displacements()
+    k0 = max(k for k, v in enumerate(h) if v == m)  # last minimum breakpoint
+    target = m + 1
+    # last segment [j, j+1] with h[j] < m+1: the window closes inside it
+    j = max(j for j in range(k0, len(disp)) if h[j] < target)
+    prefix = disp[:k0]
+    window = []
+    for k in range(k0, j):
+        window.append((disp[k], h[k], h[k + 1]))
+    if h[j + 1] == target:
+        window.append((disp[j], h[j], h[j + 1]))
+        suffix = disp[j + 1:]
+    else:
+        lam = (target - h[j]) / (h[j + 1] - h[j])
+        before, after = P._split_displacement(disp[j], lam)
+        window.append((before, h[j], target))
+        suffix = [after] + disp[j + 1:]
+
+    out_rev = []
+    running_min = target
+    for d, ha, hb in reversed(window):
+        if ha >= running_min:
+            out_rev.append(d)
+            continue
+        if hb > running_min:
+            lam = (running_min - ha) / (hb - ha)
+            climb, keep = P._split_displacement(d, lam)
+            out_rev.append(keep)
+            out_rev.append(reflect(datum.matrix, i, climb))
+        else:  # hb == running_min: the whole segment climbs the ladder
+            out_rev.append(reflect(datum.matrix, i, d))
+        running_min = ha
+    return P.from_displacements(prefix + list(reversed(out_rev)) + suffix, dim=path.dim)

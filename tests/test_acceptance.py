@@ -93,11 +93,14 @@ def test_criterion_03_weyl_formula_identity(c2, a2, c2_algebra, a2_algebra):
     with criterion(3, 5.0, "denominator-times-character equals the signed orbit sum"):
         c2_mus = [partition_weight(c2, *p) for p in
                   [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)]]
+        # psi_poly is the signed orbit sum; the product is built from the crystal
         for mu in c2_mus:
-            assert c2_algebra.psi_poly(mu) == c2_algebra.weyl_numerator(mu)
+            product = c2_algebra.denominator_poly() * c2_algebra.character_poly(mu)
+            assert c2_algebra.psi_poly(mu) == product
         a2_mus = [a2.weight(fw) for fw in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1)]]
         for mu in a2_mus:
-            assert a2_algebra.psi_poly(mu) == a2_algebra.weyl_numerator(mu)
+            product = a2_algebra.denominator_poly() * a2_algebra.character_poly(mu)
+            assert a2_algebra.psi_poly(mu) == product
         # symbolic eight-term display, term for term
         rho = c2.rho
 

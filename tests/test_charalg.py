@@ -103,6 +103,13 @@ def test_psi_product_equals_numerator(c2, a2, c2_algebra, a2_algebra):
             assert algebra.psi_poly(mu) == algebra.weyl_numerator(mu)
 
 
+def test_psi_poly_refuses_non_dominant_weights(c2, c2_algebra):
+    """The orbit walk from a singular mu + rho would give a wrong signed sum."""
+    for fw in [(-1, 0), (0, -1), (-1, -1)]:
+        with pytest.raises(DomainError):
+            c2_algebra.psi_poly(c2.weight(fw))
+
+
 def test_psi_value_golden(c2, c2_algebra, tau_half):
     assert c2_algebra.psi(c2.zero_weight(), tau_half) == F(21, 128)
 

@@ -343,6 +343,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
 
 
 TAU = ["--type", "C2", "--tau", "1/2,1/2"]
+README_MODULE = {"type": "C2",
+                 "module": [{"kappa": [1, 0], "mult": 1}, {"kappa": [0, 1], "mult": 1}]}
 
 
 # (argv, config payload or None, the key the error must name)
@@ -369,6 +371,16 @@ KEY_ERRORS = [
     (["simulate", *TAU, "--mu=-1,0"], None, "mu"),
     (["sandwich", *TAU, "--mu=-1,0"], None, "mu"),
     (["ratio", *TAU, "--mu=-1,0"], None, "mu"),
+    # a summand off the root lattice needs the D-th roots of tau
+    *[([c], {**README_MODULE, "tau": ["1/4", "1/9"]}, "tau_roots")
+      for c in ("hchain", "conditioned", "verify", "simulate", "sandwich", "ratio")],
+    # JSON true is no integer and no rational
+    (["hchain"], {"type": "C2", "tau": ["1/2", "1/2"], "kappa": [True, False]}, "kappa"),
+    (["hchain"], {"type": "C2", "tau": ["1/2", "1/2"], "state_limit": True}, "state_limit"),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "samples": True}, "samples"),
+    (["hchain"], {"type": "C2", "tau": ["1/2", "1/2"],
+                  "module": [{"kappa": [1, 0], "mult": True}]}, "mult"),
+    (["psi"], {"type": "C2", "tau": [True, "1/2"]}, "tau"),
 ]
 
 
@@ -392,6 +404,20 @@ def test_bad_output_dir_exits_2(tmp_path, capsys, value, flag):
     assert main(argv + (["--output-dir", value] if flag else [])) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'output_dir'" in err
+
+
+def test_psi_e7_exits_budget(tmp_path):
+    """psi_poly is the |W|-term numerator, which E7 is refused at once; the
+    run leaves a manifest.  The timeout guards against a hang."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
+    cfg = write_config(tmp_path, {"type": "E7", "tau": ["1/2"] * 7, "mu_limit": 0})
+    done = subprocess.run([sys.executable, "-m", "weylwalk.cli", "psi", "--config", cfg,
+                           "--output-dir", str(tmp_path / "out")], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=10)
+    assert done.returncode == 4, done.stderr
+    assert "resource budget exceeded" in done.stderr
+    manifest = json.loads((tmp_path / "out" / "psi_manifest.json").read_text())
+    assert manifest["exit_code"] == 4
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -429,12 +455,22 @@ def _broken_twisted_law(monkeypatch):
     monkeypatch.setattr(M, "twisted_law", lambda *args: collections.defaultdict(int))
 
 
+def _doubled_hchain_entry(monkeypatch):
+    """Complete rows then sum to 2: a bug on valid input, not a config error."""
+    entry = M.hchain_entry
+    monkeypatch.setattr(M, "hchain_entry", lambda *args: 2 * entry(*args))
+
+
 @pytest.mark.parametrize("argv,payload,patch,code,error", [
     (["psi", "--type", "C2", "--tau", "1/2,1/3"], None, None, 0, None),
+    # psi never builds the step law, so it needs no tau_roots
+    (["psi"], {**README_MODULE, "tau": ["1/4", "1/9"]}, None, 0, None),
     (["psi"], {"type": "C2", "tau": ["1/2", "1/3"], "kappa": [1, 0, 0]}, None, 2,
      "config error"),
     (["verify", "--type", "C2", "--tau", "1/2,1/3"], None, _broken_twisted_law, 3,
      "checks failed"),
+    (["hchain", "--type", "C2", "--tau", "1/2,1/3"], None, _doubled_hchain_entry, 3,
+     "verification failure"),
     (["verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7)], None, None, 4,
      "resource budget exceeded"),
 ])

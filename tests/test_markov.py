@@ -10,7 +10,7 @@ from weylwalk import markov as M
 from weylwalk.cartan import inverse_element
 from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode, generate_crystal, tensor_apply_e, tensor_eps_phi
-from weylwalk.errors import DomainError, HarmonicityError
+from weylwalk.errors import DomainError, HarmonicityError, WeylwalkError
 
 from conftest import partition_weight
 from oracles import brute_force_restricted, per_node_twisted_probability
@@ -423,10 +423,12 @@ def test_table_validation():
 
     datum = build_cartan_datum("A1")
     s = (datum.weight((0,)), datum.weight((1,)))
-    with pytest.raises(DomainError):
+    with pytest.raises(WeylwalkError) as bad:
         TransitionTable(s, ((F(1, 2), F(-1, 2)), (F(0), F(1))), "stochastic")
-    with pytest.raises(DomainError):
+    assert not isinstance(bad.value, DomainError)
+    with pytest.raises(WeylwalkError) as bad:
         TransitionTable(s, ((F(1, 2), F(1, 4)), (F(0), F(1))), "stochastic")
+    assert not isinstance(bad.value, DomainError)
     TransitionTable(s, ((F(1, 2), F(1, 4)), (F(0), F(1))), "substochastic")
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from weylwalk import paths as P
 from weylwalk.errors import FormatError, IntegralityError
 
+from oracles import ladder_apply_f
+
 
 def test_collinear_segments_merge(c2):
     path = P.canonical_path(
@@ -335,3 +337,36 @@ def test_raising_with_a_half_integral_minimum(c2):
     assert up is not None and P.apply_e(c2, up, 0) is None
     assert P.apply_f(c2, up, 0) == path
     _check_rational_path(c2, path)
+
+
+@pytest.mark.parametrize("label", ["C2", "G2", "B3"])
+def test_closed_form_lowering_equals_ladder_on_rational_paths(label):
+    """The later-minimum rule and the window-and-ladder are one operator, on
+    paths whose heights have denominators up to 6."""
+    from weylwalk import build_cartan_datum
+
+    datum = build_cartan_datum(label)
+    applied = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(200):
+            steps = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+                           for _ in range(datum.rank))
+                     for _ in range(rng.randint(1, 8))]
+            path = P.from_displacements(steps, dim=datum.rank)
+            for i in range(datum.rank):
+                down = P.apply_f(datum, path, i)
+                assert down == ladder_apply_f(datum, path, i)
+                applied += down is not None
+    assert applied > 200 * datum.rank  # a good share of pairs reach the non-null branch
+
+
+@pytest.mark.parametrize("label,kappa", [("C2", (2, 1)), ("G2", (1, 1)), ("B3", (1, 0, 1))])
+def test_closed_form_lowering_equals_ladder_on_crystals(label, kappa):
+    from weylwalk import build_cartan_datum, generate_crystal
+
+    datum = build_cartan_datum(label)
+    crystal = generate_crystal(datum, P.straight_path(datum.weight(kappa).fw))
+    for node in crystal.nodes:
+        for i in range(datum.rank):
+            assert P.apply_f(datum, node, i) == ladder_apply_f(datum, node, i)
