@@ -463,16 +463,16 @@ def _doubled_hchain_entry(monkeypatch):
 
 @pytest.mark.parametrize("argv,payload,patch,code,error", [
     (["psi", "--type", "C2", "--tau", "1/2,1/3"], None, None, 0, None),
-    # psi never builds the step law, so it needs no tau_roots
-    (["psi"], {**README_MODULE, "tau": ["1/4", "1/9"]}, None, 0, None),
     (["psi"], {"type": "C2", "tau": ["1/2", "1/3"], "kappa": [1, 0, 0]}, None, 2,
      "config error"),
     (["verify", "--type", "C2", "--tau", "1/2,1/3"], None, _broken_twisted_law, 3,
      "checks failed"),
-    (["hchain", "--type", "C2", "--tau", "1/2,1/3"], None, _doubled_hchain_entry, 3,
-     "verification failure"),
     (["verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7)], None, None, 4,
      "resource budget exceeded"),
+    # psi never builds the step law, so it needs no tau_roots
+    (["psi"], {**README_MODULE, "tau": ["1/4", "1/9"]}, None, 0, None),
+    (["hchain", "--type", "C2", "--tau", "1/2,1/3"], None, _doubled_hchain_entry, 3,
+     "verification failure"),
 ])
 def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
     if payload is not None:
