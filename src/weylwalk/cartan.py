@@ -15,7 +15,6 @@ walk from rho enumerates the group with lengths for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 from typing import List, Optional, Sequence, Tuple
@@ -27,6 +26,44 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 
 MAX_NAMED_RANK = 8
 DEFAULT_WEYL_BUDGET = 2_000_000
+
+
+class Record:
+    """Value class over ``__slots__``: equal to an instance of the same class
+    whose ``_values()`` are equal, by default all slots in order.  Records
+    are unhashable unless a subclass says how."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class Frozen(Record):
+    """Immutable record, hashed by ``_values()``.  ``__init__`` sets each slot
+    once through ``object.__setattr__``, as does ``__setstate__`` for copy and
+    pickle; later assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots here, not through __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 def _named_matrix(family: str, n: int) -> IntMatrix:
@@ -86,17 +123,20 @@ def _named_matrix(family: str, n: int) -> IntMatrix:
     raise FormatError(f"unknown type family {family!r}")
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Frozen):
     """Rational ambient model: columns of ``fw_vectors`` are the omega_i.
 
     ``coroot_vectors`` pair against ambient coordinates by the standard dot
     product.  The default model uses the fundamental-weight basis itself.
     """
 
-    dim: int
-    fw_vectors: Tuple[Vector, ...]
-    coroot_vectors: Tuple[Vector, ...]
+    __slots__ = ("dim", "fw_vectors", "coroot_vectors")
+
+    def __init__(self, dim: int, fw_vectors: Tuple[Vector, ...],
+                 coroot_vectors: Tuple[Vector, ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "fw_vectors", fw_vectors)
+        object.__setattr__(self, "coroot_vectors", coroot_vectors)
 
     def to_ambient(self, fw: Sequence) -> Vector:
         out = zero(self.dim)
@@ -134,14 +174,16 @@ def _epsilon_realization(family: str, n: int) -> Optional[Realization]:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class Weight:
+class Weight(Frozen):
     """Lattice weight: integer fw coordinates and integer root coordinates
     scaled by ``det``; equality and hashing read ``fw`` only."""
 
-    fw: Tuple[int, ...]
-    scaled: Tuple[int, ...]
-    det: int
+    __slots__ = ("fw", "scaled", "det")
+
+    def __init__(self, fw: Tuple[int, ...], scaled: Tuple[int, ...], det: int):
+        object.__setattr__(self, "fw", fw)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "det", det)
 
     @property
     def root(self) -> Tuple[Rational, ...]:
@@ -181,18 +223,24 @@ def reflect(matrix: IntMatrix, i: int, x: Sequence) -> Tuple:
     return tuple(c - xi * a for c, a in zip(x, matrix[i]))
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """Group element w stored as w(rho) in fw coordinates, which determines w.
 
     ``word`` is a reduced word with w = s_{word[0]} ... s_{word[-1]}, so
     the reflections act right to left.  Equality and hashing read w(rho).
     """
 
-    rho_image: Tuple[int, ...]
-    word: Tuple[int, ...] = field(compare=False)
-    sign: int = field(compare=False)
-    cartan: IntMatrix = field(compare=False, repr=False)
+    __slots__ = ("rho_image", "word", "sign", "cartan")
+
+    def __init__(self, rho_image: Tuple[int, ...], word: Tuple[int, ...], sign: int,
+                 cartan: IntMatrix):
+        object.__setattr__(self, "rho_image", rho_image)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "cartan", cartan)
+
+    def _values(self) -> tuple:
+        return (self.rho_image,)
 
     @property
     def length(self) -> int:
@@ -209,9 +257,11 @@ class WeylElement:
         return x
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    elements: Tuple[WeylElement, ...]
+class WeylGroup(Frozen):
+    __slots__ = ("elements",)
+
+    def __init__(self, elements: Tuple[WeylElement, ...]):
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)
@@ -227,20 +277,23 @@ class WeylGroup:
         return max(self.elements, key=lambda w: w.length)
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Frozen):
     """Cartan matrix with its exact derived data and an ambient realization.
 
     ``coadj`` is det * A^{-T}, the integer cofactor matrix of A: row i gives
     det times the i-th root coordinate of a weight from its fw coordinates.
     """
 
-    matrix: IntMatrix
-    rank: int
-    det: int
-    coadj: IntMatrix
-    realization: Realization
-    label: str = "custom"
+    __slots__ = ("matrix", "rank", "det", "coadj", "realization", "label")
+
+    def __init__(self, matrix: IntMatrix, rank: int, det: int, coadj: IntMatrix,
+                 realization: Realization, label: str = "custom"):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "coadj", coadj)
+        object.__setattr__(self, "realization", realization)
+        object.__setattr__(self, "label", label)
 
     # --- coordinate plumbing -------------------------------------------------
 

@@ -8,7 +8,6 @@ carries rational D-th roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cartan import (
     DEFAULT_WEYL_BUDGET,
     CartanDatum,
+    Frozen,
     Weight,
     WeylElement,
     WeylGroup,
@@ -31,8 +31,7 @@ from .errors import DomainError, ExactEvaluationError, FormatError, ResourceBudg
 from .exact import Rational, exact_unit
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(Frozen):
     """Positive rational tau with optional exact D-th roots u_i (u_i^D = tau_i).
 
     Roots may be supplied per coordinate (None where no rational root exists
@@ -40,19 +39,21 @@ class TauPoint:
     fail loudly at evaluation time.
     """
 
-    values: Tuple[Fraction, ...]
-    d: int
-    roots: Optional[Tuple[Optional[Fraction], ...]] = None
+    __slots__ = ("values", "d", "roots")
 
-    def __post_init__(self):
-        if any(v <= 0 for v in self.values):
+    def __init__(self, values: Tuple[Fraction, ...], d: int,
+                 roots: Optional[Tuple[Optional[Fraction], ...]] = None):
+        if any(v <= 0 for v in values):
             raise DomainError("tau coordinates must be positive")
-        if self.roots is not None:
-            if len(self.roots) != len(self.values):
+        if roots is not None:
+            if len(roots) != len(values):
                 raise DomainError("need one root slot per tau coordinate")
-            for u, v in zip(self.roots, self.values):
-                if u is not None and (u <= 0 or u**self.d != v):
-                    raise DomainError(f"root {u} is not an exact {self.d}-th root of {v}")
+            for u, v in zip(roots, values):
+                if u is not None and (u <= 0 or u**d != v):
+                    raise DomainError(f"root {u} is not an exact {d}-th root of {v}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "roots", roots)
 
     @property
     def rank(self) -> int:

@@ -3,8 +3,10 @@
 One JSON config document drives every command; flags override single fields.
 All rationals cross the I/O boundary as strings "p/q".  Every run writes a
 manifest echoing the resolved configuration next to its outputs.  The
-Monte-Carlo commands import ``montecarlo`` when they run; its docstring says
-where numpy is loaded.
+commands that use ``markov`` or ``montecarlo`` import it when they run, so
+``psi``, ``character`` and ``crystal`` never load ``markov``, and only the
+Monte-Carlo commands load ``montecarlo`` (its docstring says where numpy is
+loaded).
 
 Exit codes: 0 success, 2 config error, 3 verification failure, 4 resource
 budget exceeded.
@@ -35,7 +37,6 @@ from .errors import (
     WeylwalkError,
 )
 from .exact import parse_rational
-from . import markov as M
 from . import paths as P
 
 EXIT_OK = 0
@@ -138,9 +139,12 @@ class RunContext:
             raise FormatError(f"config key 'mu' must be dominant, got {list(mu.fw)}")
         return mu
 
-    def distribution(self) -> M.CrystalDistribution:
-        """The step distribution of the run, built on first use; a fractional
-        exponent with no ``tau_roots`` given is a config error."""
+    def distribution(self):
+        """The step distribution of the run (a ``markov.CrystalDistribution``),
+        built on first use; a fractional exponent with no ``tau_roots`` given
+        is a config error."""
+        from . import markov as M
+
         if self._dist is None:
             tau = self.require_tau()
             try:
@@ -152,6 +156,8 @@ class RunContext:
         return self._dist
 
     def states(self, limit: Optional[int] = None) -> List[Weight]:
+        from . import markov as M
+
         limit = limit if limit is not None else self.read("state_limit", 4)
         seeds = [self.datum.weight((0,) * self.datum.rank), self.mu()]
         return M.state_closure(self.distribution(), seeds, inside=M.coordinate_box(limit))
@@ -262,6 +268,8 @@ def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
 
 
 def cmd_hchain(ctx: RunContext, out: OutputWriter) -> int:
+    from . import markov as M
+
     dist = ctx.distribution()
     states = ctx.states()
     table = M.hchain_matrix(dist, states, strict=False)
@@ -273,6 +281,8 @@ def cmd_hchain(ctx: RunContext, out: OutputWriter) -> int:
 
 
 def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
+    from . import markov as M
+
     dist = ctx.distribution()
     states = ctx.states()
     sub = M.restricted_table(dist, states, strict=False)
@@ -287,6 +297,8 @@ def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
 
 
 def cmd_pitman(ctx: RunContext, out: OutputWriter) -> int:
+    from . import markov as M
+
     literal = ctx.cfg.get("path")
     if literal is None:
         raise FormatError("pitman needs a \"path\" literal in the config")
@@ -401,6 +413,8 @@ def cmd_ratio(ctx: RunContext, out: OutputWriter) -> int:
 
 def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
     """Exact self-checks of the central identities on the configured data."""
+    from . import markov as M
+
     tau = ctx.require_tau()
     tau.require_in_region()
     algebra = ctx.algebra

@@ -9,11 +9,10 @@ cross-checked against the path-level operators in the tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Weight, WeylElement, weyl_orbit
+from .cartan import CartanDatum, Frozen, Weight, WeylElement, weyl_orbit
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
 from . import paths as P
 
@@ -216,17 +215,16 @@ class CrystalCache:
         return len(self.get(w))
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Frozen):
     """Direct sum of irreducible summands with positive multiplicities."""
 
-    summands: Tuple[Tuple[Weight, int], ...]
+    __slots__ = ("summands",)
 
-    def __post_init__(self):
-        if not self.summands:
+    def __init__(self, summands: Tuple[Tuple[Weight, int], ...]):
+        if not summands:
             raise FormatError("a module needs at least one summand")
         seen = set()
-        for kappa, mult in self.summands:
+        for kappa, mult in summands:
             if not kappa.is_dominant():
                 raise FormatError(f"summand {kappa.fw} is not dominant")
             if mult < 1:
@@ -234,6 +232,7 @@ class ModuleSpec:
             if kappa.fw in seen:
                 raise FormatError("summand weights must be distinct")
             seen.add(kappa.fw)
+        object.__setattr__(self, "summands", summands)
 
     @property
     def reference(self) -> Weight:
@@ -251,15 +250,15 @@ def as_module(source: Union[Weight, ModuleSpec]) -> ModuleSpec:
     return source if isinstance(source, ModuleSpec) else ModuleSpec(((source, 1),))
 
 
-@dataclass(frozen=True)
-class TensorNode:
+class TensorNode(Frozen):
     """Ordered factors (crystal, node index), realized as the concatenation."""
 
-    factors: Tuple[Tuple[CrystalGraph, int], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: Tuple[Tuple[CrystalGraph, int], ...]):
+        if not factors:
             raise FormatError("tensor node needs at least one factor")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def datum(self) -> CartanDatum:
@@ -282,13 +281,9 @@ class TensorNode:
     def prefix(self, k: int) -> "TensorNode":
         return TensorNode(self.factors[:k])
 
-    def __hash__(self):
-        return hash(tuple((id(c), i) for c, i in self.factors))
-
-    def __eq__(self, other):
-        return isinstance(other, TensorNode) and all(
-            a is c and i == j for (a, i), (c, j) in zip(self.factors, other.factors)
-        ) and len(self.factors) == len(other.factors)
+    def _values(self) -> tuple:
+        # factors are equal when they are the same crystal at the same node
+        return tuple((id(c), i) for c, i in self.factors)
 
 
 def _factor_lows(node: TensorNode, i: int) -> Tuple[List[int], int]:

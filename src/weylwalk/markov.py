@@ -6,11 +6,10 @@ node.  Everything is exact rational; nothing here samples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Weight, WeylElement, act, act_vector, longest_word
+from .cartan import CartanDatum, Frozen, Weight, WeylElement, act, act_vector, longest_word
 from .charalg import CharacterAlgebra, TauPoint
 from .crystal import (
     CrystalGraph,
@@ -28,11 +27,13 @@ Source = Union[Weight, ModuleSpec]
 CLOSURE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class DistEntry:
-    crystal: CrystalGraph
-    node: int
-    probability: Fraction
+class DistEntry(Frozen):
+    __slots__ = ("crystal", "node", "probability")
+
+    def __init__(self, crystal: CrystalGraph, node: int, probability: Fraction):
+        object.__setattr__(self, "crystal", crystal)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "probability", probability)
 
 
 class CrystalDistribution:
@@ -210,8 +211,7 @@ def twisted_walk_transition(dist: CrystalDistribution, w: WeylElement,
 # -- transition tables ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransitionTable:
+class TransitionTable(Frozen):
     """Exact kernel on a finite list of dominant states.
 
     The dominant lattice is infinite, so a finite state set is in general not
@@ -220,22 +220,24 @@ class TransitionTable:
     asserted on complete rows.
     """
 
-    states: Tuple[Weight, ...]
-    rows: Tuple[Tuple[Fraction, ...], ...]
-    kind: str  # "stochastic" | "substochastic"
-    row_complete: Tuple[bool, ...] = ()
+    __slots__ = ("states", "rows", "kind", "row_complete")
 
-    def __post_init__(self):
-        if not self.row_complete:
-            object.__setattr__(self, "row_complete", (True,) * len(self.states))
-        for row, complete in zip(self.rows, self.row_complete):
+    def __init__(self, states: Tuple[Weight, ...], rows: Tuple[Tuple[Fraction, ...], ...],
+                 kind: str, row_complete: Tuple[bool, ...] = ()):
+        # kind is "stochastic" or "substochastic"
+        row_complete = row_complete or (True,) * len(states)
+        for row, complete in zip(rows, row_complete):
             total = sum(row, Fraction(0))
             if any(x < 0 for x in row):
                 raise WeylwalkError("negative transition probability")
-            if self.kind == "stochastic" and complete and total != 1:
+            if kind == "stochastic" and complete and total != 1:
                 raise WeylwalkError(f"complete row sums to {total}, expected 1")
             if total > 1:
                 raise WeylwalkError(f"row sums to {total} > 1")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "row_complete", row_complete)
 
     def to_csv(self) -> str:
         head = ["state", "complete"] + ["/".join(map(str, s.fw)) for s in self.states]
@@ -318,10 +320,12 @@ def restricted_table(dist: CrystalDistribution, states: Sequence[Weight],
     return _table(dist, states, strict, dist.restricted_transition, "substochastic")
 
 
-@dataclass(frozen=True)
-class HarmonicWitness:
-    values: Dict[Weight, Fraction]
-    table: TransitionTable
+class HarmonicWitness(Frozen):
+    __slots__ = ("values", "table")
+
+    def __init__(self, values: Dict[Weight, Fraction], table: TransitionTable):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "table", table)
 
     def value(self, s: Weight) -> Fraction:
         return self.values[s]

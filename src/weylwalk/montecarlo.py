@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .cartan import Weight
+from .cartan import Record, Weight
 from .crystal import CrystalGraph, TensorNode
 from .errors import DomainError, WeylwalkError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
@@ -36,8 +35,7 @@ if TYPE_CHECKING:
 CHUNK = 8192
 
 
-@dataclass
-class EstimatorReport:
+class EstimatorReport(Record):
     """Bernoulli estimate with its standard error and optional exact target.
 
     ``slack`` widens the acceptance band to max(sigmas * stderr, slack); it
@@ -45,14 +43,19 @@ class EstimatorReport:
     infinite-horizon limit probed at a finite horizon.
     """
 
-    name: str
-    estimate: float
-    n: int
-    stderr: float
-    target: Optional[Fraction] = None
-    z: Optional[float] = None
-    slack: float = 0.0
-    notes: Dict[str, object] = field(default_factory=dict)
+    __slots__ = ("name", "estimate", "n", "stderr", "target", "z", "slack", "notes")
+
+    def __init__(self, name: str, estimate: float, n: int, stderr: float,
+                 target: Optional[Fraction] = None, z: Optional[float] = None,
+                 slack: float = 0.0, notes: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.estimate = estimate
+        self.n = n
+        self.stderr = stderr
+        self.target = target
+        self.z = z
+        self.slack = slack
+        self.notes = {} if notes is None else notes
 
     def within(self, sigmas: float) -> bool:
         if self.target is None:
@@ -139,13 +142,16 @@ class StepSampler:
         return int(self.pick_many(np.array([u]))[0])
 
 
-@dataclass
-class WalkSample:
-    seed: int
-    start: Tuple[int, ...]
-    steps: List[int]
-    positions: List[Tuple[int, ...]]  # positions after each step
-    stay_flags: List[bool]  # continuous stay during step k
+class WalkSample(Record):
+    __slots__ = ("seed", "start", "steps", "positions", "stay_flags")
+
+    def __init__(self, seed: int, start: Tuple[int, ...], steps: List[int],
+                 positions: List[Tuple[int, ...]], stay_flags: List[bool]):
+        self.seed = seed
+        self.start = start
+        self.steps = steps
+        self.positions = positions  # positions after each step
+        self.stay_flags = stay_flags  # continuous stay during step k
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -177,21 +183,21 @@ def _exited_by(exits: Sequence[Optional[int]], horizon: int) -> List[int]:
     return list(accumulate(counts))
 
 
-@dataclass
-class ExitSummary:
+class ExitSummary(Record):
     """First violation steps per sample; None means no violation up to L."""
 
-    horizon: int
-    n: int
-    continuous_exit: List[Optional[int]]
-    discrete_exit: List[Optional[int]]
-    lemma_violations: int
-    _continuous_by: List[int] = field(init=False, repr=False, compare=False)
-    _discrete_by: List[int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("horizon", "n", "continuous_exit", "discrete_exit", "lemma_violations",
+                 "_continuous_by", "_discrete_by")
 
-    def __post_init__(self):
-        self._continuous_by = _exited_by(self.continuous_exit, self.horizon)
-        self._discrete_by = _exited_by(self.discrete_exit, self.horizon)
+    def __init__(self, horizon: int, n: int, continuous_exit: List[Optional[int]],
+                 discrete_exit: List[Optional[int]], lemma_violations: int):
+        self.horizon = horizon
+        self.n = n
+        self.continuous_exit = continuous_exit
+        self.discrete_exit = discrete_exit
+        self.lemma_violations = lemma_violations
+        self._continuous_by = _exited_by(continuous_exit, horizon)
+        self._discrete_by = _exited_by(discrete_exit, horizon)
 
     def stay_count_continuous(self, ell: int) -> int:
         return self._stay_count(self._continuous_by, ell)
@@ -326,18 +332,24 @@ def h_trajectory_prediction(dist: CrystalDistribution, traj: Sequence[Tuple[int,
     return out
 
 
-@dataclass
-class SandwichReport:
-    mu: Tuple[int, ...]
-    kappa0: Tuple[int, ...]
-    discrete: EstimatorReport
-    continuous: EstimatorReport
-    lower: Fraction
-    upper: Fraction
-    upper_finite: Fraction
-    exact_horizon: int
-    lemma_violations: int
-    bounds_hold: bool
+class SandwichReport(Record):
+    __slots__ = ("mu", "kappa0", "discrete", "continuous", "lower", "upper", "upper_finite",
+                 "exact_horizon", "lemma_violations", "bounds_hold")
+
+    def __init__(self, mu: Tuple[int, ...], kappa0: Tuple[int, ...],
+                 discrete: EstimatorReport, continuous: EstimatorReport, lower: Fraction,
+                 upper: Fraction, upper_finite: Fraction, exact_horizon: int,
+                 lemma_violations: int, bounds_hold: bool):
+        self.mu = mu
+        self.kappa0 = kappa0
+        self.discrete = discrete
+        self.continuous = continuous
+        self.lower = lower
+        self.upper = upper
+        self.upper_finite = upper_finite
+        self.exact_horizon = exact_horizon
+        self.lemma_violations = lemma_violations
+        self.bounds_hold = bounds_hold
 
 
 def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
@@ -380,12 +392,14 @@ def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     )
 
 
-@dataclass
-class RatioReport:
-    ell: int
-    lam: Tuple[int, ...]
-    ratio: Fraction
-    target: Fraction
+class RatioReport(Record):
+    __slots__ = ("ell", "lam", "ratio", "target")
+
+    def __init__(self, ell: int, lam: Tuple[int, ...], ratio: Fraction, target: Fraction):
+        self.ell = ell
+        self.lam = lam
+        self.ratio = ratio
+        self.target = target
 
     @property
     def deviation(self) -> Fraction:

@@ -17,23 +17,28 @@ and lowering (Littelmann 1995), so the raising operator is e_i = * f_i *.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cartan import CartanDatum, Weight, reflect
+from .cartan import CartanDatum, Frozen, Weight, reflect
 from .errors import FormatError, IntegralityError
 from .exact import Vector, add, is_zero, sub, vec, zero
 
 MaybePath = Optional["PiecewisePath"]
 
 
-@dataclass(frozen=True)
-class PiecewisePath:
+class PiecewisePath(Frozen):
     """Canonical-form path; build through :func:`canonical_path` or helpers."""
 
-    times: Tuple[Fraction, ...]
-    points: Tuple[Vector, ...]
+    __slots__ = ("times", "points")
+
+    def __init__(self, times: Tuple[Fraction, ...], points: Tuple[Vector, ...]):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "points", points)
+
+    def _values(self) -> tuple:
+        # spelled out: crystal generation hashes every path it reaches
+        return (self.times, self.points)
 
     @property
     def dim(self) -> int:

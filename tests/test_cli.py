@@ -254,13 +254,17 @@ def test_one_summand_module_config_equals_kappa(tmp_path):
 IMPORT_PROBE = """
 import sys, tempfile
 from fractions import Fraction
-import weylwalk, weylwalk.cli, weylwalk.montecarlo as MC
-from weylwalk import build_cartan_datum, markov as M
-from weylwalk.charalg import CharacterAlgebra, tau_point
+import weylwalk.cli
+
+WATCHED = ("numpy", "datetime", "dataclasses", "weylwalk.markov", "weylwalk.montecarlo")
 
 def loaded(stage):
-    print("loaded", stage, *[m for m in ("numpy", "datetime") if m in sys.modules])
+    print("loaded", stage, *[m for m in WATCHED if m in sys.modules])
 
+loaded("cli")
+import weylwalk, weylwalk.montecarlo as MC
+from weylwalk import build_cartan_datum, markov as M
+from weylwalk.charalg import CharacterAlgebra, tau_point
 loaded("import")
 datum = build_cartan_datum("C2")
 tau = tau_point(datum, [Fraction(1, 2), Fraction(1, 3)])
@@ -276,15 +280,19 @@ loaded("simulate")
 
 
 def test_cli_import_leaves_numpy_out():
-    """Importing the package, the CLI and ``montecarlo`` loads neither numpy nor
-    datetime; the exact ratio paths, in the library and the CLI, run without
-    numpy; the first sampling call loads it."""
+    """``import weylwalk.cli`` loads neither ``markov`` nor ``montecarlo``, nor
+    numpy, datetime or dataclasses.  Importing the package and every layer
+    loads neither numpy, datetime nor dataclasses; the exact ratio paths, in
+    the library and the CLI, run without them; the first sampling call loads
+    numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     stages = {words[1]: words[2:] for words in map(str.split, done.stdout.splitlines())
               if words[:1] == ["loaded"]}
-    assert stages["import"] == [] and stages["ratio"] == []
+    assert stages["cli"] == []
+    for stage in ("import", "ratio"):
+        assert not {"numpy", "datetime", "dataclasses"} & set(stages[stage]), stage
     assert "numpy" in stages["simulate"]
 
 

@@ -2,11 +2,15 @@
 
     python3 tools/import_cost.py [--runs N]
 
-For each of ``weylwalk.cli``, ``weylwalk.montecarlo`` and ``numpy`` it starts N fresh interpreters that import it and takes the median
-wall time, minus the median wall time of N ``python -c pass`` runs.  The runs
-go round-robin over the baseline and the modules, so drift in machine speed
-hits every column alike.  It also lists the third-party top-level modules the
-import loads, and how many modules in all it adds to a bare interpreter.
+For each of ``weylwalk.cli``, ``weylwalk.markov``, ``weylwalk.montecarlo`` and
+``numpy`` it starts N fresh interpreters that import it and takes the median
+wall time, minus the median wall time of N ``python -c pass`` runs.
+``weylwalk.cli`` is what every command loads; ``weylwalk.markov`` (timed on
+its own) is the layer that ``hchain``, ``conditioned``, ``pitman`` and
+``verify`` load on top of it.  The runs go round-robin over the baseline and
+the modules, so drift in machine speed hits every column alike.  It also
+lists the third-party top-level modules the import loads, and how many
+modules in all it adds to a bare interpreter.
 
 The children import weylwalk from this checkout's ``src`` and inherit the
 environment.  With ``PYTHONDONTWRITEBYTECODE`` set and no cached bytecode,
@@ -27,7 +31,7 @@ from typing import Dict, List, Optional, Set
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-MODULES = ("weylwalk.cli", "weylwalk.montecarlo", "numpy")
+MODULES = ("weylwalk.cli", "weylwalk.markov", "weylwalk.montecarlo", "numpy")
 FIRST_PARTY = {"weylwalk"}
 
 
