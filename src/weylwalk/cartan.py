@@ -27,13 +27,25 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 MAX_NAMED_RANK = 8
 DEFAULT_WEYL_BUDGET = 2_000_000
 
+# sets a slot past Frozen.__setattr__; bound once, as every value class uses it
+_set_slot = object.__setattr__
+
 
 class Record:
-    """Value class over ``__slots__``: equal to an instance of the same class
-    whose ``_values()`` are equal, by default all slots in order.  Records
-    are unhashable unless a subclass says how."""
+    """Value class over ``__slots__``, built from one value per slot in order:
+    equal to an instance of the same class whose ``_values()`` are equal, by
+    default all slots in order.  Records are unhashable unless a subclass says
+    how.  A subclass writes ``__init__`` only to validate or derive."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(names, values):
+            _set_slot(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -45,9 +57,9 @@ class Record:
 
 
 class Frozen(Record):
-    """Immutable record, hashed by ``_values()``.  ``__init__`` sets each slot
-    once through ``object.__setattr__``, as does ``__setstate__`` for copy and
-    pickle; later assignment raises."""
+    """Immutable record, hashed by ``_values()``.  ``Record.__init__`` sets
+    each slot once through ``object.__setattr__``, as does ``__setstate__``
+    for copy and pickle; later assignment raises."""
 
     __slots__ = ()
 
@@ -63,7 +75,7 @@ class Frozen(Record):
     def __setstate__(self, state):
         # copy and pickle restore the slots here, not through __setattr__
         for name, value in state[1].items():
-            object.__setattr__(self, name, value)
+            _set_slot(self, name, value)
 
 
 def _named_matrix(family: str, n: int) -> IntMatrix:
@@ -132,12 +144,6 @@ class Realization(Frozen):
 
     __slots__ = ("dim", "fw_vectors", "coroot_vectors")
 
-    def __init__(self, dim: int, fw_vectors: Tuple[Vector, ...],
-                 coroot_vectors: Tuple[Vector, ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "fw_vectors", fw_vectors)
-        object.__setattr__(self, "coroot_vectors", coroot_vectors)
-
     def to_ambient(self, fw: Sequence) -> Vector:
         out = zero(self.dim)
         for c, w in zip(fw, self.fw_vectors):
@@ -179,11 +185,6 @@ class Weight(Frozen):
     scaled by ``det``; equality and hashing read ``fw`` only."""
 
     __slots__ = ("fw", "scaled", "det")
-
-    def __init__(self, fw: Tuple[int, ...], scaled: Tuple[int, ...], det: int):
-        object.__setattr__(self, "fw", fw)
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "det", det)
 
     @property
     def root(self) -> Tuple[Rational, ...]:
@@ -232,13 +233,6 @@ class WeylElement(Frozen):
 
     __slots__ = ("rho_image", "word", "sign", "cartan")
 
-    def __init__(self, rho_image: Tuple[int, ...], word: Tuple[int, ...], sign: int,
-                 cartan: IntMatrix):
-        object.__setattr__(self, "rho_image", rho_image)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "cartan", cartan)
-
     def _values(self) -> tuple:
         return (self.rho_image,)
 
@@ -259,9 +253,6 @@ class WeylElement(Frozen):
 
 class WeylGroup(Frozen):
     __slots__ = ("elements",)
-
-    def __init__(self, elements: Tuple[WeylElement, ...]):
-        object.__setattr__(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)
@@ -285,15 +276,6 @@ class CartanDatum(Frozen):
     """
 
     __slots__ = ("matrix", "rank", "det", "coadj", "realization", "label")
-
-    def __init__(self, matrix: IntMatrix, rank: int, det: int, coadj: IntMatrix,
-                 realization: Realization, label: str = "custom"):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "coadj", coadj)
-        object.__setattr__(self, "realization", realization)
-        object.__setattr__(self, "label", label)
 
     # --- coordinate plumbing -------------------------------------------------
 
@@ -407,8 +389,8 @@ def parse_type_label(label: str) -> Tuple[str, int]:
 def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     """Construct the datum from a type label ("C2") or an explicit matrix.
 
-    Rejects anything that is not an indecomposable finite-type Cartan matrix,
-    naming the first non-positive leading principal minor.
+    Rejects anything that is not an indecomposable finite-type Cartan matrix
+    of rank at least 1, naming the first non-positive leading principal minor.
     """
     label = "custom"
     realization = None
@@ -420,6 +402,10 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
         matrix = _named_matrix(family, n)
         realization = _epsilon_realization(family, n)
         label = f"{family}{n}"
+    if not (isinstance(matrix, (list, tuple)) and matrix
+            and all(isinstance(row, (list, tuple)) for row in matrix)):
+        raise FormatError("a type is a label of rank >= 1, like \"C2\", or a non-empty "
+                          f"list of matrix rows; got {spec!r}")
     matrix = _check_cartan_conditions(matrix)
     n = len(matrix)
     for k in range(1, n + 1):
@@ -438,14 +424,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     if realization is None:
         basis = tuple(vec(int(i == j) for i in range(n)) for j in range(n))
         realization = Realization(n, basis, basis)
-    datum = CartanDatum(
-        matrix=matrix,
-        rank=n,
-        det=det,
-        coadj=coadj,
-        realization=realization,
-        label=label,
-    )
+    datum = CartanDatum(matrix, n, det, coadj, realization, label)
     _verify_datum(datum)
     return datum
 

@@ -51,9 +51,7 @@ class TauPoint(Frozen):
             for u, v in zip(roots, values):
                 if u is not None and (u <= 0 or u**d != v):
                     raise DomainError(f"root {u} is not an exact {d}-th root of {v}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "roots", roots)
+        super().__init__(values, d, roots)
 
     @property
     def rank(self) -> int:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .cartan import Weight, build_cartan_datum
-from .charalg import CharacterAlgebra, TauPoint, tau_point
+from .charalg import CharacterAlgebra, TauPoint, tau_point, tau_point_from_roots
 from .crystal import ModuleSpec, TensorNode, tensor_apply_e
 from .errors import (
     ClosureError,
@@ -81,8 +81,6 @@ class RunContext:
 
     def _tau(self, cfg) -> Optional[TauPoint]:
         if "tau_roots" in cfg and "tau" not in cfg:
-            from .charalg import tau_point_from_roots
-
             return tau_point_from_roots(self.datum, self.rationals("tau_roots"))
         if "tau" not in cfg:
             return None
@@ -286,8 +284,7 @@ def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
     dist = ctx.distribution()
     states = ctx.states()
     sub = M.restricted_table(dist, states, strict=False)
-    psi_vals = {s: ctx.algebra.psi(s, dist.tau) for s in states}
-    table = M.doob_transform(sub, psi_vals)
+    table = M.doob_transform(sub, M.psi_harmonic_witness(dist, sub))
     out.write("conditioned.csv", table.to_csv())
     out.write("conditioned.json", table.to_json())
     hc = M.hchain_matrix(dist, states, strict=False)
@@ -435,9 +432,8 @@ def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
     # matrix identity
     states = ctx.states(limit=3)
     sub = M.restricted_table(dist, states, strict=False)
-    psi_vals = {s: algebra.psi(s, tau) for s in states}
     try:
-        doob = M.doob_transform(sub, psi_vals)
+        doob = M.doob_transform(sub, M.psi_harmonic_witness(dist, sub))
         hc = M.hchain_matrix(dist, states, strict=False)
         record("doob(psi) == hchain", doob.rows == hc.rows)
     except HarmonicityError as ex:

@@ -232,7 +232,7 @@ class ModuleSpec(Frozen):
             if kappa.fw in seen:
                 raise FormatError("summand weights must be distinct")
             seen.add(kappa.fw)
-        object.__setattr__(self, "summands", summands)
+        super().__init__(summands)
 
     @property
     def reference(self) -> Weight:
@@ -258,7 +258,7 @@ class TensorNode(Frozen):
     def __init__(self, factors: Tuple[Tuple[CrystalGraph, int], ...]):
         if not factors:
             raise FormatError("tensor node needs at least one factor")
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
 
     @property
     def datum(self) -> CartanDatum:
@@ -267,16 +267,12 @@ class TensorNode(Frozen):
     def path(self) -> P.PiecewisePath:
         return P.concat_all([crys.nodes[idx] for crys, idx in self.factors])
 
-    def weight_fw(self) -> Tuple[int, ...]:
-        n = self.datum.rank
-        out = [0] * n
+    def weight(self) -> Weight:
+        out = [0] * self.datum.rank
         for crys, idx in self.factors:
             for k, c in enumerate(crys.weights[idx].fw):
                 out[k] += c
-        return tuple(out)
-
-    def weight(self) -> Weight:
-        return self.datum.weight(self.weight_fw())
+        return self.datum.weight(out)
 
     def prefix(self, k: int) -> "TensorNode":
         return TensorNode(self.factors[:k])

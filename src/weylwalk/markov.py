@@ -30,11 +30,6 @@ CLOSURE_CAP = 4096
 class DistEntry(Frozen):
     __slots__ = ("crystal", "node", "probability")
 
-    def __init__(self, crystal: CrystalGraph, node: int, probability: Fraction):
-        object.__setattr__(self, "crystal", crystal)
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "probability", probability)
-
 
 class CrystalDistribution:
     """Step distribution on the paths of a direct sum of crystals.
@@ -234,10 +229,7 @@ class TransitionTable(Frozen):
                 raise WeylwalkError(f"complete row sums to {total}, expected 1")
             if total > 1:
                 raise WeylwalkError(f"row sums to {total} > 1")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "row_complete", row_complete)
+        super().__init__(states, rows, kind, row_complete)
 
     def to_csv(self) -> str:
         head = ["state", "complete"] + ["/".join(map(str, s.fw)) for s in self.states]
@@ -320,17 +312,6 @@ def restricted_table(dist: CrystalDistribution, states: Sequence[Weight],
     return _table(dist, states, strict, dist.restricted_transition, "substochastic")
 
 
-class HarmonicWitness(Frozen):
-    __slots__ = ("values", "table")
-
-    def __init__(self, values: Dict[Weight, Fraction], table: TransitionTable):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "table", table)
-
-    def value(self, s: Weight) -> Fraction:
-        return self.values[s]
-
-
 def check_harmonic(table: TransitionTable, h: Dict[Weight, Fraction]) -> None:
     """Exact balance check of h against every complete row.
 
@@ -365,10 +346,11 @@ def doob_transform(table: TransitionTable, h: Dict[Weight, Fraction]) -> Transit
     return TransitionTable(table.states, tuple(rows), "stochastic", table.row_complete)
 
 
-def psi_harmonic_witness(dist: CrystalDistribution, table: TransitionTable) -> HarmonicWitness:
-    algebra = dist.algebra
-    values = {s: algebra.psi(s, dist.tau) for s in table.states}
-    return HarmonicWitness(values, table)
+def psi_harmonic_witness(dist: CrystalDistribution, table: TransitionTable
+                         ) -> Dict[Weight, Fraction]:
+    """psi on the states of the table: the h that ``check_harmonic`` and
+    ``doob_transform`` take."""
+    return {s: dist.algebra.psi(s, dist.tau) for s in table.states}
 
 
 def hchain_entry(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:

@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .cartan import Record, Weight
-from .crystal import CrystalGraph, TensorNode
+from .crystal import CrystalGraph, TensorNode, count_f_multiplicity
 from .errors import DomainError, WeylwalkError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
 
@@ -48,14 +48,8 @@ class EstimatorReport(Record):
     def __init__(self, name: str, estimate: float, n: int, stderr: float,
                  target: Optional[Fraction] = None, z: Optional[float] = None,
                  slack: float = 0.0, notes: Optional[Dict[str, object]] = None):
-        self.name = name
-        self.estimate = estimate
-        self.n = n
-        self.stderr = stderr
-        self.target = target
-        self.z = z
-        self.slack = slack
-        self.notes = {} if notes is None else notes
+        super().__init__(name, estimate, n, stderr, target, z, slack,
+                         {} if notes is None else notes)
 
     def within(self, sigmas: float) -> bool:
         if self.target is None:
@@ -143,15 +137,10 @@ class StepSampler:
 
 
 class WalkSample(Record):
-    __slots__ = ("seed", "start", "steps", "positions", "stay_flags")
+    """One trajectory: ``positions[k]`` is the position after step k, and
+    ``stay_flags[k]`` whether the path stays in the cone during step k."""
 
-    def __init__(self, seed: int, start: Tuple[int, ...], steps: List[int],
-                 positions: List[Tuple[int, ...]], stay_flags: List[bool]):
-        self.seed = seed
-        self.start = start
-        self.steps = steps
-        self.positions = positions  # positions after each step
-        self.stay_flags = stay_flags  # continuous stay during step k
+    __slots__ = ("seed", "start", "steps", "positions", "stay_flags")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -191,13 +180,9 @@ class ExitSummary(Record):
 
     def __init__(self, horizon: int, n: int, continuous_exit: List[Optional[int]],
                  discrete_exit: List[Optional[int]], lemma_violations: int):
-        self.horizon = horizon
-        self.n = n
-        self.continuous_exit = continuous_exit
-        self.discrete_exit = discrete_exit
-        self.lemma_violations = lemma_violations
-        self._continuous_by = _exited_by(continuous_exit, horizon)
-        self._discrete_by = _exited_by(discrete_exit, horizon)
+        super().__init__(horizon, n, continuous_exit, discrete_exit, lemma_violations,
+                         _exited_by(continuous_exit, horizon),
+                         _exited_by(discrete_exit, horizon))
 
     def stay_count_continuous(self, ell: int) -> int:
         return self._stay_count(self._continuous_by, ell)
@@ -336,21 +321,6 @@ class SandwichReport(Record):
     __slots__ = ("mu", "kappa0", "discrete", "continuous", "lower", "upper", "upper_finite",
                  "exact_horizon", "lemma_violations", "bounds_hold")
 
-    def __init__(self, mu: Tuple[int, ...], kappa0: Tuple[int, ...],
-                 discrete: EstimatorReport, continuous: EstimatorReport, lower: Fraction,
-                 upper: Fraction, upper_finite: Fraction, exact_horizon: int,
-                 lemma_violations: int, bounds_hold: bool):
-        self.mu = mu
-        self.kappa0 = kappa0
-        self.discrete = discrete
-        self.continuous = continuous
-        self.lower = lower
-        self.upper = upper
-        self.upper_finite = upper_finite
-        self.exact_horizon = exact_horizon
-        self.lemma_violations = lemma_violations
-        self.bounds_hold = bounds_hold
-
 
 def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                    seed: int) -> SandwichReport:
@@ -395,12 +365,6 @@ def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
 class RatioReport(Record):
     __slots__ = ("ell", "lam", "ratio", "target")
 
-    def __init__(self, ell: int, lam: Tuple[int, ...], ratio: Fraction, target: Fraction):
-        self.ell = ell
-        self.lam = lam
-        self.ratio = ratio
-        self.target = target
-
     @property
     def deviation(self) -> Fraction:
         return abs(self.ratio - self.target)
@@ -431,8 +395,6 @@ def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
     tau^{-mu} S_mu(tau).  Only the deviation sequence is reported; the
     statement behind it is a limit, so no monotonicity is asserted here.
     """
-    from .crystal import count_f_multiplicity
-
     algebra = dist.algebra
     datum = dist.datum
     if any(c.denominator != 1 for c in mu.root):

@@ -22,23 +22,26 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum, Frozen, Weight, reflect
 from .errors import FormatError, IntegralityError
-from .exact import Vector, add, is_zero, sub, vec, zero
+from .exact import Vector, add, is_zero, parse_rational, sub, vec, zero
 
 MaybePath = Optional["PiecewisePath"]
 
 
 class PiecewisePath(Frozen):
-    """Canonical-form path; build through :func:`canonical_path` or helpers."""
+    """Canonical-form path, stored as its K + 1 breakpoint values; build
+    through :func:`canonical_path` or helpers."""
 
-    __slots__ = ("times", "points")
-
-    def __init__(self, times: Tuple[Fraction, ...], points: Tuple[Vector, ...]):
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
+    __slots__ = ("points",)
 
     def _values(self) -> tuple:
         # spelled out: crystal generation hashes every path it reaches
-        return (self.times, self.points)
+        return self.points
+
+    @property
+    def times(self) -> Tuple[Fraction, ...]:
+        """The breakpoints k/K of the canonical form."""
+        k = self.num_segments
+        return tuple(Fraction(j, k) for j in range(k + 1))
 
     @property
     def dim(self) -> int:
@@ -59,13 +62,11 @@ class PiecewisePath(Frozen):
         t = Fraction(t)
         if t < 0 or t > 1:
             raise FormatError("time outside [0,1]")
-        for k in range(self.num_segments):
-            t0, t1 = self.times[k], self.times[k + 1]
-            if t <= t1:
-                lam = (t - t0) / (t1 - t0)
-                p0, p1 = self.points[k], self.points[k + 1]
-                return tuple(a + lam * (b - a) for a, b in zip(p0, p1))
-        return self.points[-1]
+        s = t * self.num_segments
+        k = min(math.floor(s), self.num_segments - 1)
+        lam = s - k
+        p0, p1 = self.points[k], self.points[k + 1]
+        return tuple(a + lam * (b - a) for a, b in zip(p0, p1))
 
     def heights(self, i: int) -> List[Fraction]:
         """Pairing with coroot h_i at the breakpoints (h is linear between)."""
@@ -102,13 +103,11 @@ def from_displacements(displacements: Sequence[Vector], dim: int) -> PiecewisePa
         else:
             merged.append(d)
     if not merged:
-        return PiecewisePath((Fraction(0), Fraction(1)), (zero(dim), zero(dim)))
-    k = len(merged)
-    times = tuple(Fraction(j, k) for j in range(k + 1))
+        return PiecewisePath((zero(dim), zero(dim)))
     points = [zero(dim)]
     for d in merged:
         points.append(add(points[-1], d))
-    return PiecewisePath(times, tuple(points))
+    return PiecewisePath(tuple(points))
 
 
 def canonical_path(times: Sequence, points: Sequence[Sequence]) -> PiecewisePath:
@@ -189,7 +188,7 @@ def dual(path: PiecewisePath) -> PiecewisePath:
     dual of a canonical path is canonical.
     """
     end = path.points[-1]
-    return PiecewisePath(path.times, tuple(sub(p, end) for p in reversed(path.points)))
+    return PiecewisePath(tuple(sub(p, end) for p in reversed(path.points)))
 
 
 def apply_e(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
@@ -261,8 +260,6 @@ def path_from_literal(datum: CartanDatum, literal, basis: str = "ambient") -> Pi
     are read: "ambient" (default; epsilon coordinates for the named classical
     types), "fw" or "root".
     """
-    from .exact import parse_rational
-
     times = [parse_rational(entry[0]) for entry in literal]
     raw = [tuple(parse_rational(c) for c in entry[1]) for entry in literal]
     if basis != "ambient" and any(len(p) != datum.rank for p in raw):

@@ -341,6 +341,13 @@ def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     (["crystal"], {"type": "C2", "module": [[1, 0]]}),
     (["crystal"], ["C2"]),
     (["pitman"], {"type": "C2", "basis": "fw", "path": [["0", ["0"]], ["1", ["1"]]]}),
+    (["crystal"], {"type": 5}),
+    (["crystal"], {"type": None}),
+    (["crystal"], {"type": True}),
+    (["crystal"], {"type": {"matrix": 7}}),
+    (["crystal"], {"type": {"matrix": [2, 2]}}),
+    (["crystal"], {"type": {"matrix": []}}),
+    (["crystal"], {"type": "A0"}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
     if payload is not None:

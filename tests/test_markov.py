@@ -464,9 +464,9 @@ def test_psi_harmonic_witness(c2, c2_algebra, dist10, tau_half):
     states = M.state_closure(dist10, [c2.zero_weight()], inside=M.coordinate_box(3))
     table = M.restricted_table(dist10, states, strict=False)
     witness = M.psi_harmonic_witness(dist10, table)
-    assert witness.value(c2.zero_weight()) == F(21, 128)
-    M.check_harmonic(table, witness.values)  # must not raise
-    assert M.doob_transform(table, witness.values).kind == "stochastic"
+    assert witness[c2.zero_weight()] == F(21, 128)
+    M.check_harmonic(table, witness)  # must not raise
+    assert M.doob_transform(table, witness).kind == "stochastic"
 
 
 @pytest.fixture()

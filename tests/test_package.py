@@ -71,12 +71,12 @@ def frozen_values(c2, c2_algebra, tau_half, b_pi1):
     return [
         c2.realization, c2.zero_weight(), c2_algebra.group.identity, c2_algebra.group, c2,
         tau_half, ModuleSpec(((c2.weight((1, 0)), 2),)), TensorNode(((b_pi1, 0),)),
-        dist.entries[0], table, M.psi_harmonic_witness(dist, table), b_pi1.nodes[0],
+        dist.entries[0], table, b_pi1.nodes[0],
     ]
 
 
 def test_frozen_classes_refuse_assignment(frozen_values):
-    assert len({type(v) for v in frozen_values}) == 12
+    assert len({type(v) for v in frozen_values}) == 11
     for value in frozen_values:
         slot = type(value).__slots__[0]
         before = getattr(value, slot)
@@ -116,6 +116,10 @@ def test_paths_and_tensor_nodes_compare_by_value(c2, b_pi1):
     b = P.canonical_path([F(0), F(1, 2), F(1)], [(F(0),) * 2, (F(1, 2), F(0)), (F(1), F(0))])
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != P.straight_path((F(0), F(1)))
+    # a path is its points: equal points give an equal path and an equal hash
+    for path in b_pi1.nodes:
+        twin = P.PiecewisePath(tuple(path.points))
+        assert twin is not path and twin == path and hash(twin) == hash(path)
     node = TensorNode(((b_pi1, 0), (b_pi1, 1)))
     twin = TensorNode(tuple([(b_pi1, 0), (b_pi1, 1)]))
     assert node == twin and hash(node) == hash(twin)
@@ -150,3 +154,47 @@ def test_report_classes_are_mutable_records():
     assert summary == MC.ExitSummary(3, 2, [1, None], [None, 2], 0)
     assert summary != MC.ExitSummary(3, 2, [1, None], [None, 2], 1)
     assert summary.stay_count_continuous(1) == 1 and summary.stay_count_discrete(3) == 1
+
+
+# the classes whose slots Record.__init__ fills from positional values alone
+PLAIN_RECORDS = [cartan.Realization, cartan.Weight, cartan.WeylElement, cartan.WeylGroup,
+                 cartan.CartanDatum, M.DistEntry, P.PiecewisePath, MC.WalkSample,
+                 MC.SandwichReport, MC.RatioReport]
+
+
+@pytest.mark.parametrize("cls", PLAIN_RECORDS, ids=lambda cls: cls.__name__)
+def test_record_constructor_takes_one_value_per_slot(cls):
+    n = len(cls.__slots__)
+    value = cls(*range(n))
+    assert [getattr(value, name) for name in cls.__slots__] == list(range(n))
+    with pytest.raises(TypeError):
+        cls(*range(n - 1))
+    with pytest.raises(TypeError):
+        cls(*range(n + 1))
+
+
+def _records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_only_validating_or_deriving_classes_write_init():
+    assert set(PLAIN_RECORDS) <= set(_records(cartan.Record))
+    own_init = {c.__name__ for c in _records(cartan.Record)
+                if c.__module__.startswith("weylwalk.") and "__init__" in vars(c)}
+    assert own_init == {"TauPoint", "ModuleSpec", "TensorNode", "TransitionTable",
+                        "EstimatorReport", "ExitSummary"}
+
+
+def test_canonical_path_is_stored_as_its_points():
+    assert P.PiecewisePath.__slots__ == ("points",)
+    path = P.canonical_path([0, F(1, 5), F(1, 2), 1],
+                            [(0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 2)])
+    assert path.points == ((0, 0), (F(1, 2), 0), (F(1, 2), 1), (0, 2))
+    assert path.times == (0, F(1, 3), F(2, 3), 1)
+    assert P.constant_path(2).times == (0, 1)
+    # value_at interpolates on the uniform breakpoints, whatever the input times
+    expected = {0: (0, 0), F(1, 6): (F(1, 4), 0), F(1, 3): (F(1, 2), 0),
+                F(1, 2): (F(1, 2), F(1, 2)), F(5, 6): (F(1, 4), F(3, 2)), 1: (0, 2)}
+    assert {t: path.value_at(t) for t in expected} == expected

@@ -1,9 +1,11 @@
-"""No module in src/, tests/ or tools/ imports a name it never uses.
+"""No module in src/, tests/ or tools/ imports a name it never uses, and no
+function in src/ imports from a module that its file imports at module level.
 
 A name counts as used when the module references it anywhere or lists it in
 ``__all__``.  Package ``__init__.py`` files re-export by importing, and
 imports under ``if TYPE_CHECKING:`` serve annotations only, so both are left
-out; so is ``from __future__ import ...``.
+out; so is ``from __future__ import ...``.  A ``TYPE_CHECKING`` import is not
+a module-level import either, so a function may import numpy at run time.
 """
 
 import ast
@@ -14,8 +16,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _modules():
-    for top in ("src", "tests", "tools"):
+def _modules(tops=("src", "tests", "tools")):
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
                 if name.endswith(".py") and name != "__init__.py":
@@ -27,13 +29,19 @@ def _is_type_checking(test):
         isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
 
 
-def unused_imports(source):
-    """(line, name) of every imported name the module never references."""
-    tree = ast.parse(source)
+def _type_checking_ids(tree):
+    """ids of the nodes under an ``if TYPE_CHECKING:``."""
     skipped = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.If) and _is_type_checking(node.test):
             skipped.update(id(n) for stmt in node.body for n in ast.walk(stmt))
+    return skipped
+
+
+def unused_imports(source):
+    """(line, name) of every imported name the module never references."""
+    tree = ast.parse(source)
+    skipped = _type_checking_ids(tree)
     imported = []
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -52,10 +60,40 @@ def unused_imports(source):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def _sources(node):
+    """The modules an import reads from; ``from . import m`` reads from ``.m``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    dots = "." * node.level
+    if node.module is None:
+        return [dots + alias.name for alias in node.names]
+    return [dots + node.module]
+
+
+def redundant_local_imports(source):
+    """(line, module) of every import below module level from a module that
+    the file already imports at module level."""
+    tree = ast.parse(source)
+    skipped = _type_checking_ids(tree)
+    top = {id(stmt) for stmt in tree.body}
+    at_module_level = {m for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                       for m in _sources(stmt)}
+    return sorted((node.lineno, m) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top and id(node) not in skipped
+                  for m in _sources(node) if m in at_module_level)
+
+
 @pytest.mark.parametrize("relpath", list(_modules()))
 def test_no_unused_imports(relpath):
     with open(os.path.join(ROOT, relpath)) as f:
         assert unused_imports(f.read()) == []
+
+
+@pytest.mark.parametrize("relpath", list(_modules(("src",))))
+def test_no_local_import_repeats_a_module_level_one(relpath):
+    with open(os.path.join(ROOT, relpath)) as f:
+        assert redundant_local_imports(f.read()) == []
 
 
 def test_detector_sees_unused_and_skips_the_exempt():
@@ -70,3 +108,21 @@ def test_detector_sees_unused_and_skips_the_exempt():
         "print(os.sep)\n"
     )
     assert unused_imports(source) == [(4, "d")]
+
+
+def test_local_import_detector_keys_on_the_source_module():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from . import paths as P\n"
+        "from .exact import add\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from . import markov as M\n"
+        "    from .exact import sub\n"
+        "    from .paths import dual\n"
+        "    from itertools import product\n"
+        "    return np, M, sub, dual, product, add, P\n"
+    )
+    assert redundant_local_imports(source) == [(9, ".exact"), (10, ".paths")]
