@@ -389,8 +389,9 @@ def parse_type_label(label: str) -> Tuple[str, int]:
 def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     """Construct the datum from a type label ("C2") or an explicit matrix.
 
-    Rejects anything that is not an indecomposable finite-type Cartan matrix
-    of rank at least 1, naming the first non-positive leading principal minor.
+    Rejects a rank above ``max_rank``, a label's or a matrix's, and anything
+    that is not an indecomposable finite-type Cartan matrix of rank at least
+    1, naming the first non-positive leading principal minor.
     """
     label = "custom"
     realization = None
@@ -406,6 +407,8 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
             and all(isinstance(row, (list, tuple)) for row in matrix)):
         raise FormatError("a type is a label of rank >= 1, like \"C2\", or a non-empty "
                           f"list of matrix rows; got {spec!r}")
+    if len(matrix) > max_rank:
+        raise FormatError(f"rank {len(matrix)} exceeds the configured limit {max_rank}")
     matrix = _check_cartan_conditions(matrix)
     n = len(matrix)
     for k in range(1, n + 1):

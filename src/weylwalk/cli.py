@@ -49,16 +49,30 @@ KEY_RANGES = {"samples": (1, math.inf), "horizon": (1, math.inf), "seed": (0, 2*
               "ell": (0, math.inf), "ells": (0, math.inf), "exact_horizon": (0, math.inf),
               "state_limit": (0, math.inf), "mu_limit": (0, math.inf)}
 
+# the top-level config keys; a "module" item takes "kappa" and "mult", and a
+# "type" object takes "matrix"
+CONFIG_KEYS = frozenset(("type", "max_rank", "module", "kappa", "mu", "tau", "tau_roots",
+                         "output_dir", "path", "basis", "samples", "horizon", "seed", "ell",
+                         "ells", "exact_horizon", "state_limit", "mu_limit"))
+
+
+def _known_keys(table: Dict, keys, where: str) -> None:
+    unknown = sorted(set(table) - keys)
+    if unknown:
+        raise FormatError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
 
 class RunContext:
     """Resolved configuration plus the derived algebra objects."""
 
     def __init__(self, cfg: Dict):
         self.cfg = cfg
+        _known_keys(cfg, CONFIG_KEYS, "config")
         type_spec = cfg.get("type", "C2")
         if isinstance(type_spec, dict):
             if "matrix" not in type_spec:
                 raise FormatError("a \"type\" object needs a \"matrix\"")
+            _known_keys(type_spec, {"matrix"}, "\"type\" object")
             type_spec = type_spec["matrix"]
         self.datum = build_cartan_datum(type_spec, max_rank=self.read("max_rank", 8))
         self.algebra = CharacterAlgebra(self.datum)
@@ -73,6 +87,7 @@ class RunContext:
             if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
                 raise FormatError("\"module\" must be a list of objects")
             for item in items:
+                _known_keys(item, {"kappa", "mult"}, "\"module\" item")
                 kappa = self.datum.weight(self.read("kappa", vector=True, table=item))
                 summands.append((kappa, self.read("mult", 1, table=item)))
             return ModuleSpec(tuple(summands))

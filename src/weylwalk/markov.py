@@ -36,7 +36,8 @@ class CrystalDistribution:
 
     Node b of a summand B(kappa) has probability a_kappa tau^{r - wt(b)} / N_r,
     with r the reference weight of the source (see ``ModuleSpec.reference``)
-    and N_r the normalizer of ``CharacterAlgebra.normalizer``.
+    and N_r the normalizer of ``CharacterAlgebra.normalizer``.  Only kappa and
+    wt(b) enter, so ``law`` holds it keyed by (kappa, wt(b)).
     """
 
     def __init__(self, algebra: CharacterAlgebra, source: Source, tau: TauPoint):
@@ -48,27 +49,16 @@ class CrystalDistribution:
         self.tau = tau
         self.crystals = algebra.module_crystals(self.source)
         self.normalizer = algebra.normalizer(self.source, tau)
-        entries: List[DistEntry] = []
-        for crystal, mult in self.crystals:
-            for idx, wt in enumerate(crystal.weights):
-                p = mult * tau.power((self.reference - wt).root) / self.normalizer
-                entries.append(DistEntry(crystal, idx, p))
-        self.entries: Tuple[DistEntry, ...] = tuple(entries)
-        total = sum((e.probability for e in entries), Fraction(0))
-        if total != 1:
-            raise WeylwalkError(f"probabilities sum to {total}, not 1")
-        self._weight_mass: Dict[Tuple[int, ...], Fraction] = {}
-        for e in entries:
-            fw = e.crystal.weights[e.node].fw
-            self._weight_mass[fw] = self._weight_mass.get(fw, Fraction(0)) + e.probability
-        self._node_probability = {(id(e.crystal), e.node): e.probability for e in entries}
+        weights, total = _step_weights(self, None)
+        if total != self.normalizer:
+            raise WeylwalkError(f"probabilities sum to {total / self.normalizer}, not 1")
+        self.law = {key: p / self.normalizer for key, p in weights.items()}
+        self.entries = tuple(DistEntry(c, idx, self.law[(c.kappa, wt)])
+                             for c, _ in self.crystals for idx, wt in enumerate(c.weights))
         self._rows: Dict[Tuple[int, ...], Dict[Weight, int]] = {}
 
     def probability_of(self, crystal: CrystalGraph, node: int) -> Fraction:
-        return self._node_probability[(id(crystal), node)]
-
-    def weight_mass(self, delta: Weight) -> Fraction:
-        return self._weight_mass.get(delta.fw, Fraction(0))
+        return self.law[(crystal.kappa, crystal.weights[node])]
 
     def multiplicity_row(self, mu: Weight) -> Dict[Weight, int]:
         """Branching row of mu, computed once per mu; callers must not mutate it."""
@@ -82,7 +72,9 @@ class CrystalDistribution:
 
     def walk_transition(self, eta: Weight, beta: Weight) -> Fraction:
         """Unrestricted one-step kernel; depends on beta - eta only."""
-        return self.weight_mass(beta - eta)
+        delta = beta - eta
+        return sum((crystal.weights.count(delta) * self.law.get((crystal.kappa, delta), 0)
+                    for crystal, _ in self.crystals), Fraction(0))
 
     def restricted_transition(self, mu: Weight, lam: Weight) -> Fraction:
         """Step mu -> lam with the interpolated path held in the cone."""
@@ -122,32 +114,31 @@ def build_distribution(algebra: CharacterAlgebra, source: Source, tau: TauPoint)
 # -- twisting -------------------------------------------------------------------
 
 
-def _monomial(coords: Sequence[Optional[Fraction]], exponent: Sequence[int]
-              ) -> Optional[Fraction]:
-    """prod coords_j^{e_j} over the nonzero e_j; None if one of those coords is."""
-    out = Fraction(1)
-    for x, e in zip(coords, exponent):
-        if e:
-            if x is None:
-                return None
-            out *= x ** e
-    return out
+def _step_weights(dist: CrystalDistribution, w: Optional[WeylElement]
+                  ) -> Tuple[Dict[Tuple[Weight, Weight], Fraction], Fraction]:
+    """a_kappa tau^{w(r - wt)} keyed by (kappa, wt), and its total over every
+    node of every summand with its multiplicity; ``w`` None is the identity.
+
+    The law at tau^w, as (tau^w)^e = tau^{w(e)}, with w(e) = sum_i e_i w(alpha_i):
+    w(e) - e is in the root lattice, so w(e) needs the D-th roots e needs."""
+    # cols[j][i] is the j-th root coordinate of w(alpha_i)
+    cols = None if w is None else list(zip(*[act(dist.datum, w, dist.datum.simple_root(i)).root
+                                              for i in range(dist.datum.rank)]))
+    weights: Dict[Tuple[Weight, Weight], Fraction] = {}
+    total = Fraction(0)
+    for summand, m in dist.crystals:
+        for wt, count in summand.weight_counts().items():
+            e = (dist.reference - wt).root
+            e = e if cols is None else [sum([c * x for c, x in zip(e, col)]) for col in cols]
+            weights[(summand.kappa, wt)] = p = m * dist.tau.power(e)
+            total += count * p
+    return weights, total
 
 
 def twisted_tau(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> Tuple[Fraction, ...]:
     """Coordinates tau^w with tau_i^w = tau^{w(alpha_i)} (integer exponents)."""
-    return _twisted_point(datum, w, tau).values
-
-
-def _twisted_point(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> TauPoint:
-    """tau^w as a point, with the D-th roots u^{w(alpha_i)} wherever tau has
-    the roots those need, so fractional exponents evaluate at tau^w too."""
-    values, roots = [], []
-    for i in range(datum.rank):
-        exponent = act(datum, w, datum.simple_root(i)).root  # a root: integral
-        values.append(_monomial(tau.values, exponent))
-        roots.append(None if tau.roots is None else _monomial(tau.roots, exponent))
-    return TauPoint(tuple(values), datum.det, None if tau.roots is None else tuple(roots))
+    return tuple(tau.power(act(datum, w, datum.simple_root(i)).root)
+                 for i in range(datum.rank))
 
 
 def in_unit_cube(values: Sequence[Fraction]) -> bool:
@@ -158,19 +149,9 @@ def twisted_law(dist: CrystalDistribution, w: WeylElement
                 ) -> Dict[Tuple[Weight, Weight], Fraction]:
     """p^w keyed by (kappa, node weight): the step law a_kappa tau^{r - wt} / N_r
     of the source at tau^w, normalized over every node of every summand with
-    its multiplicity.
-
-    One tau^w power per (summand, weight) and one normalizer for the whole
-    law, so reading p^w off every node at one w costs at most |nodes| powers."""
-    tw = _twisted_point(dist.datum, w, dist.tau)
-    r = dist.reference
-    law: Dict[Tuple[Weight, Weight], Fraction] = {}
-    denom = Fraction(0)
-    for summand, m in dist.crystals:
-        for wt, count in summand.weight_counts().items():
-            law[(summand.kappa, wt)] = p = m * tw.power((r - wt).root)
-            denom += count * p
-    return {key: p / denom for key, p in law.items()}
+    its multiplicity: one power per (summand, weight) and one normalizer."""
+    weights, total = _step_weights(dist, w)
+    return {key: p / total for key, p in weights.items()}
 
 
 def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
@@ -194,13 +175,9 @@ def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
 
 def twisted_walk_transition(dist: CrystalDistribution, w: WeylElement,
                             eta: Weight, beta: Weight) -> Fraction:
-    """One step of the twisted walk: K_{M,beta-eta} tau^{r+w(eta)-w(beta)} / N_r."""
-    delta = beta - eta
-    count = sum(mult * crystal.weights.count(delta) for crystal, mult in dist.crystals)
-    if count == 0:
-        return Fraction(0)
-    exponent = (dist.reference + act(dist.datum, w, eta) - act(dist.datum, w, beta)).root
-    return count * dist.tau.power(exponent) / dist.normalizer
+    """One step of the twisted walk, K_{M,beta-eta} tau^{r+w(eta)-w(beta)} / N_r: the
+    kernel from w(eta) to w(beta), as B(kappa) has as many nodes of weight w(delta) as delta."""
+    return dist.walk_transition(act(dist.datum, w, eta), act(dist.datum, w, beta))
 
 
 # -- transition tables ------------------------------------------------------------

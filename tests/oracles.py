@@ -6,9 +6,10 @@ operator at a time for the one-pass Pitman transform, the node list with the
 path-level cone test for the restricted kernel, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
-rationals for the inverse Cartan matrix, one normalizer per node for the
-twisted step law, and the window-and-ladder construction for the lowering
-operator.
+rationals for the inverse Cartan matrix, one normalizer per node at tau^w
+built as a point of its own (``_twisted_point``, with the D-th roots
+u^{w(alpha_i)}) for the twisted step law, and the window-and-ladder
+construction for the lowering operator.
 """
 
 from bisect import bisect_right
@@ -17,9 +18,10 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
-from weylwalk.cartan import CartanDatum, Weight, WeylElement, reflect
+from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, reflect
+from weylwalk.charalg import TauPoint
 from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
-from weylwalk.markov import CrystalDistribution, _twisted_point, pitman
+from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
 
@@ -89,6 +91,29 @@ def repeated_raising_pitman(datum: CartanDatum, node: TensorNode) -> TensorNode:
         if live is None:
             return cur
         cur = tensor_apply_e(cur, live)
+
+
+def _monomial(coords: Sequence[Optional[Fraction]], exponent: Sequence[int]
+              ) -> Optional[Fraction]:
+    """prod coords_j^{e_j} over the nonzero e_j; None if one of those coords is."""
+    out = Fraction(1)
+    for x, e in zip(coords, exponent):
+        if e:
+            if x is None:
+                return None
+            out *= x ** e
+    return out
+
+
+def _twisted_point(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> TauPoint:
+    """tau^w as a point, with the D-th roots u^{w(alpha_i)} wherever tau has
+    the roots those need, so fractional exponents evaluate at tau^w too."""
+    values, roots = [], []
+    for i in range(datum.rank):
+        exponent = act(datum, w, datum.simple_root(i)).root  # a root: integral
+        values.append(_monomial(tau.values, exponent))
+        roots.append(None if tau.roots is None else _monomial(tau.roots, exponent))
+    return TauPoint(tuple(values), datum.det, None if tau.roots is None else tuple(roots))
 
 
 def per_node_twisted_probability(dist: CrystalDistribution, w: WeylElement,

@@ -61,9 +61,11 @@ def test_malformed_matrices_rejected():
 
 
 def test_rank_limit_enforced():
-    with pytest.raises(FormatError, match="exceeds"):
-        build_cartan_datum("A9")
-    build_cartan_datum("A9", max_rank=9)
+    a9 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(9)] for i in range(9)]
+    for spec in ("A9", a9):
+        with pytest.raises(FormatError, match="exceeds"):
+            build_cartan_datum(spec)
+        build_cartan_datum(spec, max_rank=9)
 
 
 def test_positive_roots_c2_golden(c2):

@@ -348,6 +348,11 @@ def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     (["crystal"], {"type": {"matrix": [2, 2]}}),
     (["crystal"], {"type": {"matrix": []}}),
     (["crystal"], {"type": "A0"}),
+    (["crystal"], {"type": {"matrix": [[2 if i == j else -1 if abs(i - j) == 1 else 0
+                                        for j in range(9)] for i in range(9)]}}),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "horizn": 5}),
+    (["crystal"], {"type": "C2", "module": [{"kappa": [1, 0], "mul": 2}]}),
+    (["crystal"], {"type": {"matrix": [[2, -1], [-1, 2]], "label": "A2"}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
     if payload is not None:

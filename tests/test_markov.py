@@ -269,6 +269,24 @@ def test_twisted_law_matches_per_node_formula(label, summands, tau, roots):
             assert M.twisted_node_probability(dist, w, e.crystal, e.node) == oracle
 
 
+@pytest.mark.parametrize("label,kappas,tau,roots", [
+    ("C2", [(1, 0), (0, 1)], [F(1, 4), F(1, 4)], [None, F(1, 2)]),
+    ("B3", [(1, 0, 0), (0, 0, 1)], [F(1, 4), F(1, 3), F(1, 4)], [F(1, 2), None, F(1, 2)]),
+])
+def test_twisted_law_with_partial_roots(label, kappas, tau, roots):
+    """A source whose law needs only some D-th roots twists at every w: w(e)
+    needs the roots that e needs.  A tau^w point would lack some of them."""
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    spec = ModuleSpec(tuple((datum.weight(fw), 1) for fw in kappas))
+    dist = M.build_distribution(algebra, spec, tau_point(datum, tau, roots))
+    for w in algebra.group:
+        law = M.twisted_law(dist, w)
+        assert sum(law[(c.kappa, wt)] for c, _ in dist.crystals for wt in c.weights) == 1
+        for crystal, idx, p in M.twisted_distribution_probabilities(dist, w):
+            assert law[(crystal.kappa, crystal.weights[idx])] == p
+
+
 def test_twisted_walk_transition_formula(c2, c2_algebra, dist10, tau_half):
     """Kernel formula against the definition via the permuted step law."""
     from weylwalk import weyl_group

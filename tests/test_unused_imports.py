@@ -1,5 +1,6 @@
-"""No module in src/, tests/ or tools/ imports a name it never uses, and no
-function in src/ imports from a module that its file imports at module level.
+"""No module in src/, tests/ or tools/ imports a name it never uses, no
+function in src/ imports from a module that its file imports at module level,
+and no private helper in src/ is left without a reference.
 
 A name counts as used when the module references it anywhere or lists it in
 ``__all__``.  Package ``__init__.py`` files re-export by importing, and
@@ -16,11 +17,11 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _modules(tops=("src", "tests", "tools")):
+def _modules(tops=("src", "tests", "tools"), init=False):
     for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in sorted(files):
-                if name.endswith(".py") and name != "__init__.py":
+                if name.endswith(".py") and (init or name != "__init__.py"):
                     yield os.path.relpath(os.path.join(folder, name), ROOT)
 
 
@@ -126,3 +127,55 @@ def test_local_import_detector_keys_on_the_source_module():
         "    return np, M, sub, dual, product, add, P\n"
     )
     assert redundant_local_imports(source) == [(9, ".exact"), (10, ".paths")]
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unreferenced_private(sources):
+    """(path, name) of every private module-level function, class or assigned
+    name, and every private method of a module-level class, that no ``Name``
+    or ``Attribute`` loads anywhere in ``sources`` (a {path: source} dict)."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    defs = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defs.extend((path, f.name) for f in stmt.body if isinstance(f, ast.FunctionDef))
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defs.extend((path, t.id) for target in targets for t in ast.walk(target)
+                            if isinstance(t, ast.Name))
+    return sorted((path, name) for path, name in defs if _is_private(name) and name not in used)
+
+
+def test_no_unreferenced_private_helper_in_src():
+    sources = {}
+    for relpath in _modules(("src",), init=True):
+        with open(os.path.join(ROOT, relpath)) as f:
+            sources[relpath] = f.read()
+    assert unreferenced_private(sources) == []
+
+
+def test_private_helper_detector_sees_a_leftover():
+    sources = {
+        "a.py": ("_TABLE = {}\n"
+                 "def _monomial(x):\n    return x\n"
+                 "def _used(x):\n    return _TABLE.get(x)\n"
+                 "class C:\n"
+                 "    def __init__(self):\n        self._cache = _used(1)\n"
+                 "    def _stale(self):\n        return self._cache\n"
+                 "    def _called(self):\n        return 0\n"),
+        "b.py": "from a import C\nC()._called()\n",
+    }
+    assert unreferenced_private(sources) == [("a.py", "_monomial"), ("a.py", "_stale")]
