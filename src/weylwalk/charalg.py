@@ -381,12 +381,46 @@ class CharacterAlgebra:
 
     def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
                       tau: TauPoint, w) -> Fraction:
-        """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell."""
-        w_mu = act(self.datum, w, mu)
-        out = Fraction(0)
-        for lam, f in counts.items():
-            out += f * tau.power((ell_r + w_mu - act(self.datum, w, lam)).root)
-        return out / norm
+        """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell.
+
+        The exponents are integers in units of 1/D, read through the coadj
+        rows on w's images of the fundamental weights.  Coordinate i sums in
+        tau_i where all its exponents are integral, else in the D-th root u_i.
+        With base p/q and integer exponents n in lo..hi, p^n/q^n is
+        p^(n-lo) q^(hi-n) times p^lo/q^hi, so the sum is one integer sum.
+        """
+        if not counts:
+            return Fraction(0)
+        datum, d = self.datum, self.datum.det
+        images = [w.apply_fw(tuple(int(j == k) for j in range(datum.rank)))
+                  for k in range(datum.rank)]
+        exponents = []  # per coordinate: D times the exponent of each lambda
+        for a, row in zip(ell_r.scaled, datum.coadj):
+            # D times the coordinate of w(x) is lin . x
+            lin = [sum(x * y for x, y in zip(row, img)) for img in images]
+            a += sum(x * y for x, y in zip(lin, mu.fw))
+            exponents.append([a - sum(x * y for x, y in zip(lin, lam.fw)) for lam in counts])
+        bases = []
+        for es, v, u in zip(exponents, tau.values, tau.roots or (None,) * datum.rank):
+            if all(e % d == 0 for e in es):
+                bases.append((v, [e // d for e in es]))
+            elif u is not None and all(e * tau.d % d == 0 for e in es):
+                bases.append((u, [e * tau.d // d for e in es]))
+            else:
+                # TauPoint.power raises at the first exponent it cannot evaluate
+                for column in zip(*exponents):
+                    tau.power([Fraction(e, d) for e in column])
+        factors, scale = [], Fraction(1)
+        for b, ns in bases:
+            lo, hi = min(ns), max(ns)
+            p_pow = [b.numerator ** j for j in range(hi - lo + 1)]
+            q_pow = [b.denominator ** j for j in range(hi - lo + 1)]
+            factors.append([p_pow[n - lo] * q_pow[hi - n] for n in ns])
+            scale *= Fraction(b.numerator) ** lo / Fraction(b.denominator) ** hi
+        total = 0
+        for f, *parts in zip(counts.values(), *factors):
+            total += f * prod(parts)
+        return total * scale / norm
 
     def _rho_shift(self, mu: Weight, tau: TauPoint, w) -> Fraction:
         shifted = mu + self.datum.rho

@@ -366,17 +366,47 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
 
     Iterates the one-step branching row, so the result counts highest-weight
     tensor nodes weighted by the summand multiplicities.
+
+    A dominant weight is one int, its fw coordinates in mixed radix with a
+    base over every coordinate reachable in ell steps, so a step is an int
+    add.  The row of nu depends only on its clip class min(nu_i, max_b
+    eps_i(b)), since a node passes the cone test at nu exactly when it does
+    there; it is computed once per class, as (step key, multiplicity) pairs.
     """
-    state: Dict[Weight, int] = {mu: 1}
-    row_cache: Dict[Tuple[int, ...], Dict[Weight, int]] = {}
+    if ell <= 0:
+        return {mu: 1}
+    if not mu.is_dominant():
+        # no node's step from outside the cone stays in it
+        return {}
+    rank = datum.rank
+    tops = [max(eps[i] for crystal, _ in crystals for eps in crystal.eps) for i in range(rank)]
+    base = max(mu.fw) + ell * max(max(w.fw) for crystal, _ in crystals
+                                  for w in crystal.weights) + 1
+    place = [base ** i for i in range(rank)]
+
+    def key(fw) -> int:
+        return sum(c * p for c, p in zip(fw, place))
+
+    def coords(k: int) -> Tuple[int, ...]:
+        return tuple(k // p % base for p in place)
+
+    class_rows: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    state: Dict[int, int] = {key(mu.fw): 1}
     for _ in range(ell):
-        nxt: Dict[Weight, int] = {}
-        for nu, c in state.items():
-            row = row_cache.get(nu.fw)
+        nxt: Dict[int, int] = {}
+        for k, c in state.items():
+            row = rows.get(k)
             if row is None:
-                row = module_multiplicity(datum, nu, crystals)
-                row_cache[nu.fw] = row
-            for lam, m in row.items():
-                nxt[lam] = nxt.get(lam, 0) + c * m
+                clip = tuple(min(x, t) for x, t in zip(coords(k), tops))
+                row = class_rows.get(clip)
+                if row is None:
+                    nu = datum.weight(clip)
+                    row = class_rows[clip] = [
+                        (key((lam - nu).fw), m)
+                        for lam, m in module_multiplicity(datum, nu, crystals).items()]
+                rows[k] = row
+            for d, m in row:
+                nxt[k + d] = nxt.get(k + d, 0) + c * m
         state = nxt
-    return state
+    return {datum.weight(coords(k)): c for k, c in state.items()}

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Frozen, Weight, WeylElement, act, act_vector, longest_word
+from .cartan import CartanDatum, Frozen, Weight, WeylElement, act, longest_word
 from .charalg import CharacterAlgebra, TauPoint
 from .crystal import (
     CrystalGraph,
@@ -70,12 +70,6 @@ class CrystalDistribution:
 
     # -- step kernels ----------------------------------------------------------
 
-    def walk_transition(self, eta: Weight, beta: Weight) -> Fraction:
-        """Unrestricted one-step kernel; depends on beta - eta only."""
-        delta = beta - eta
-        return sum((crystal.weights.count(delta) * self.law.get((crystal.kappa, delta), 0)
-                    for crystal, _ in self.crystals), Fraction(0))
-
     def restricted_transition(self, mu: Weight, lam: Weight) -> Fraction:
         """Step mu -> lam with the interpolated path held in the cone."""
         row = self.multiplicity_row(mu)
@@ -91,20 +85,6 @@ class CrystalDistribution:
         for e in self.entries:
             out = add(out, smul(e.probability, vec(e.crystal.weights[e.node].fw)))
         return out
-
-    def drift_profile(self) -> List[Tuple[Fraction, Vector]]:
-        """Expected path at the union of all node breakpoints."""
-        mesh = sorted({t for e in self.entries for t in e.crystal.nodes[e.node].times})
-        profile = []
-        for t in mesh:
-            val = zero(self.datum.rank)
-            for e in self.entries:
-                val = add(val, smul(e.probability, e.crystal.nodes[e.node].value_at(t)))
-            profile.append((t, val))
-        return profile
-
-    def twisted_drift_endpoint(self, w_inverse: WeylElement) -> Vector:
-        return act_vector(w_inverse, self.drift_endpoint())
 
 
 def build_distribution(algebra: CharacterAlgebra, source: Source, tau: TauPoint) -> CrystalDistribution:
@@ -171,13 +151,6 @@ def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
         img = e.crystal.weyl_action_on_node(w, e.node)
         out.append((e.crystal, e.node, dist.probability_of(e.crystal, img)))
     return out
-
-
-def twisted_walk_transition(dist: CrystalDistribution, w: WeylElement,
-                            eta: Weight, beta: Weight) -> Fraction:
-    """One step of the twisted walk, K_{M,beta-eta} tau^{r+w(eta)-w(beta)} / N_r: the
-    kernel from w(eta) to w(beta), as B(kappa) has as many nodes of weight w(delta) as delta."""
-    return dist.walk_transition(act(dist.datum, w, eta), act(dist.datum, w, beta))
 
 
 # -- transition tables ------------------------------------------------------------

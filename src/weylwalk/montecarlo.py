@@ -7,8 +7,12 @@ stay-in-cone events are decided in exact integer arithmetic: the step by node
 b from position x stays in the cone exactly when x_i >= eps_i(b) for every
 color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
 enter through the uniform variates themselves, and each draw is resolved
-against the exact rational cumulative weights.  The exit kernel advances a
-chunk of samples together, one numpy pass per time step.
+against the exact rational cumulative weights: a table of equal buckets on
+[0, 1) settles every draw whose bucket holds no float boundary, and the rest
+go through a float search and an exact settle.  The exit kernel packs each
+sample's position into int64 words, one biased field per coordinate, so a
+sub-block of rows takes all its steps in one cumulative sum and every cone
+test is one mask of the fields' top bits.
 
 Only the sampling kernels need numpy, and each imports it where it runs, so
 importing this module, or using its exact helpers (``asymptotic_ratio``,
@@ -33,6 +37,12 @@ if TYPE_CHECKING:
 
 # samples per block of uniforms drawn at once
 CHUNK = 8192
+# rows of a block whose steps are picked, packed and tested together
+SUB_BLOCK = 512
+# equal buckets on [0, 1); a draw in a bucket free of boundaries is one lookup
+BUCKETS = 4096
+# bits of an int64 word that packed fields may fill, so every word stays positive
+WORD_BITS = 62
 
 
 class EstimatorReport(Record):
@@ -107,6 +117,12 @@ class StepSampler:
         # the float boundaries below and above each searchsorted index
         self._lower = np.concatenate(([-1.0], self.cum_floats))
         self._upper = np.concatenate((self.cum_floats, [2.0]))
+        # the pick of every draw in a bucket with no float boundary within the
+        # settle margin of it, -1 for the other buckets
+        edges = np.arange(BUCKETS + 1) / BUCKETS
+        first = np.searchsorted(self.cum_floats, edges[:-1] - 1e-9, side="left")
+        past = np.searchsorted(self.cum_floats, edges[1:] + 1e-9, side="right")
+        self._buckets = np.where(first == past, first, -1)
         self.weights = np.array([c.weights[i].fw for c, i in self.nodes], dtype=np.int64)
         self.eps = np.array([c.eps[i] for c, i in self.nodes], dtype=np.int64)
 
@@ -119,14 +135,17 @@ class StepSampler:
         rational boundaries."""
         import numpy as np
 
-        idx = np.searchsorted(self.cum_floats, u, side="right")
-        # the float search can be off only within rounding distance of a
-        # boundary; settle those draws against the exact boundaries
-        near = (u - self._lower[idx] <= 1e-9) | (self._upper[idx] - u <= 1e-9)
-        if near.any():
-            flat_u, flat_idx = u.reshape(-1), idx.reshape(-1)
+        idx = self._buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
+        rest = idx < 0
+        if rest.any():
+            ur = u[rest]
+            ir = np.searchsorted(self.cum_floats, ur, side="right")
+            # the float search can be off only within rounding distance of a
+            # boundary; settle those draws against the exact boundaries
+            near = (ur - self._lower[ir] <= 1e-9) | (self._upper[ir] - ur <= 1e-9)
             for j in np.flatnonzero(near):
-                flat_idx[j] = bisect_right(self.cum_fracs, Fraction(float(flat_u[j])))
+                ir[j] = bisect_right(self.cum_fracs, Fraction(float(ur[j])))
+            idx[rest] = ir
         return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
 
     def pick(self, u: float) -> int:
@@ -195,6 +214,46 @@ class ExitSummary(Record):
         return len(self.continuous_exit) - exited_by[min(max(ell, 0), self.horizon)]
 
 
+def _packed_words(sampler: StepSampler, start: Sequence[int],
+                  shift: Optional[Sequence[int]], horizon: int) -> Tuple[int, list]:
+    """Field width and int64 words of the packed exit kernel.
+
+    A field of width w holds one coordinate plus the bias 2^(w-1), so its top
+    bit is set exactly when the coordinate is >= 0.  w = bit_length(bound) + 2,
+    where bound covers every |pos_i - eps_i| up to the horizon, the start and
+    the shift included.  The coordinates fill words of WORD_BITS // w fields;
+    a word is (its top bits, the biased start, the packed shift, and the
+    packed weight and eps of every node).
+    """
+    import numpy as np
+
+    rank = len(start)
+    shift = (0,) * rank if shift is None else shift
+    bound = max(abs(start[i]) + abs(shift[i]) + int(sampler.eps[:, i].max())
+                + horizon * int(np.abs(sampler.weights[:, i]).max()) for i in range(rank))
+    width = bound.bit_length() + 2
+    per_word = WORD_BITS // width
+    if per_word == 0:
+        raise DomainError(f"positions up to {bound} do not fit an int64 field")
+    words = []
+    for lo in range(0, rank, per_word):
+        cols = slice(lo, lo + per_word)
+        place = [1 << (width * j) for j in range(len(start[cols]))]
+        scale = np.array(place, dtype=np.int64)
+        words.append((sum(place) << (width - 1),
+                      sum((x + (1 << (width - 1))) * p for x, p in zip(start[cols], place)),
+                      sum(x * p for x, p in zip(shift[cols], place)),
+                      sampler.weights[:, cols] @ scale, sampler.eps[:, cols] @ scale))
+    return width, words
+
+
+def _first_true(bad: np.ndarray):
+    """1 + the first True column of each row, 0 for a row with none."""
+    if not bad.shape[1]:
+        return 0
+    return (bad.argmax(axis=1) + 1) * bad.any(axis=1)
+
+
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                    seed: int, kappa0: Optional[Weight] = None,
                    sampler: Optional[StepSampler] = None,
@@ -208,9 +267,12 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     kappa0-shifted continuous trajectory checked (exactly) and violations of
     that implication are counted.
 
-    The samples of a chunk advance together, one vectorized step at a time;
-    apart from the (chunk, horizon) block of uniforms, the buffers hold one
-    row per sample.
+    A chunk draws its (chunk, horizon) block of uniforms at once and is
+    worked in sub-blocks of ``SUB_BLOCK`` rows, all steps together: the
+    positions of a row are one cumulative sum of packed node weights (see
+    ``_packed_words``), the step from x by node b stays in the cone when
+    every field of x - eps(b) has its top bit set, and the path ends a step
+    in the discrete cone when every field of the new position does.
     """
     import numpy as np
 
@@ -220,25 +282,29 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     cont = np.zeros(max(n, 0), dtype=np.int64)
     disc = np.zeros(max(n, 0), dtype=np.int64)
     lemma_bad = 0
-    start = np.array(mu.fw, dtype=np.int64)
+    _, words = _packed_words(sampler, mu.fw, None if kappa0 is None else kappa0.fw, horizon)
     for lo in range(0, n, chunk):
         block = min(chunk, n - lo)
         us = rng.random(size=(block, horizon))
-        c_exit, d_exit = cont[lo:lo + block], disc[lo:lo + block]
-        pos = np.tile(start, (block, 1))
-        spos = None if kappa0 is None else pos + np.array(kappa0.fw, dtype=np.int64)
-        shifted_ok = np.ones(block, dtype=bool)
-        for step in range(horizon):
-            k = sampler.pick_many(us[:, step])
-            eps, wt = sampler.eps[k], sampler.weights[k]
-            c_exit[(c_exit == 0) & ~(pos >= eps).all(axis=1)] = step + 1
-            if spos is not None:
-                shifted_ok &= (spos >= eps).all(axis=1)
-                spos += wt
-            pos += wt
-            d_exit[(d_exit == 0) & (pos < 0).any(axis=1)] = step + 1
-        if kappa0 is not None:
-            lemma_bad += int(np.count_nonzero((d_exit == 0) & ~shifted_ok))
+        for r0 in range(0, block, SUB_BLOCK):
+            k = sampler.pick_many(us[r0:r0 + SUB_BLOCK])
+            c_bad = d_bad = s_bad = False
+            for high, begin, shift, wt, eps in words:
+                steps = wt[k]
+                after = np.cumsum(steps, axis=1)
+                after += begin
+                low = after - steps
+                low -= eps[k]
+                c_bad = c_bad | ((low & high) != high)
+                d_bad = d_bad | ((after & high) != high)
+                if kappa0 is not None:
+                    low += shift
+                    s_bad = s_bad | ((low & high) != high)
+            rows = slice(lo + r0, lo + r0 + len(k))
+            cont[rows] = _first_true(c_bad)
+            disc[rows] = _first_true(d_bad)
+            if kappa0 is not None:
+                lemma_bad += int(np.count_nonzero(~d_bad.any(axis=1) & s_bad.any(axis=1)))
     return ExitSummary(horizon, n, [e or None for e in cont.tolist()],
                        [e or None for e in disc.tolist()], lemma_bad)
 

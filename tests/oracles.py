@@ -8,8 +8,13 @@ at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
 rationals for the inverse Cartan matrix, one normalizer per node at tau^w
 built as a point of its own (``_twisted_point``, with the D-th roots
-u^{w(alpha_i)}) for the twisted step law, and the window-and-ladder
+u^{w(alpha_i)}) for the twisted step law, one ``TauPoint.power`` per
+endpoint for the finite-horizon stay sum, and the window-and-ladder
 construction for the lowering operator.
+
+The unrestricted walk kernel, its twisted form and the drift profile live
+here too: they are definitions the tests check the library against, and the
+library itself has no use for them.
 """
 
 from bisect import bisect_right
@@ -18,9 +23,10 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
-from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, reflect
-from weylwalk.charalg import TauPoint
+from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, act_vector, reflect
+from weylwalk.charalg import CharacterAlgebra, TauPoint
 from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
+from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
@@ -126,6 +132,47 @@ def per_node_twisted_probability(dist: CrystalDistribution, w: WeylElement,
                  for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
     mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
     return mult * tw.power((r - crystal.weights[node]).root) / denom
+
+
+def walk_transition(dist: CrystalDistribution, eta: Weight, beta: Weight) -> Fraction:
+    """Unrestricted one-step kernel; depends on beta - eta only."""
+    delta = beta - eta
+    return sum((crystal.weights.count(delta) * dist.law.get((crystal.kappa, delta), 0)
+                for crystal, _ in dist.crystals), Fraction(0))
+
+
+def twisted_walk_transition(dist: CrystalDistribution, w: WeylElement,
+                            eta: Weight, beta: Weight) -> Fraction:
+    """One step of the twisted walk, K_{M,beta-eta} tau^{r+w(eta)-w(beta)} / N_r: the
+    kernel from w(eta) to w(beta), as B(kappa) has as many nodes of weight w(delta) as delta."""
+    return walk_transition(dist, act(dist.datum, w, eta), act(dist.datum, w, beta))
+
+
+def drift_profile(dist: CrystalDistribution) -> List[Tuple[Fraction, Vector]]:
+    """Expected path at the union of all node breakpoints."""
+    mesh = sorted({t for e in dist.entries for t in e.crystal.nodes[e.node].times})
+    profile = []
+    for t in mesh:
+        val = zero(dist.datum.rank)
+        for e in dist.entries:
+            val = add(val, smul(e.probability, e.crystal.nodes[e.node].value_at(t)))
+        profile.append((t, val))
+    return profile
+
+
+def twisted_drift_endpoint(dist: CrystalDistribution, w_inverse: WeylElement) -> Vector:
+    return act_vector(w_inverse, dist.drift_endpoint())
+
+
+def power_twisted_stay(algebra: CharacterAlgebra, mu: Weight, counts: Dict[Weight, int],
+                       ell_r: Weight, norm: Fraction, tau: TauPoint, w: WeylElement) -> Fraction:
+    """Oracle for ``CharacterAlgebra._twisted_stay``: one ``act`` and one
+    ``TauPoint.power`` per endpoint, summed in Fractions."""
+    w_mu = act(algebra.datum, w, mu)
+    out = Fraction(0)
+    for lam, f in counts.items():
+        out += f * tau.power((ell_r + w_mu - act(algebra.datum, w, lam)).root)
+    return out / norm
 
 
 def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:

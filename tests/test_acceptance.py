@@ -24,7 +24,7 @@ from weylwalk.crystal import (
 )
 
 from conftest import partition_weight
-from oracles import enumerate_f_multiplicity, exhaustive_h_trajectories
+from oracles import enumerate_f_multiplicity, exhaustive_h_trajectories, twisted_drift_endpoint
 
 F = Fraction
 
@@ -296,7 +296,7 @@ def test_criterion_10_drift(c2, c2_algebra):
                 if w.is_identity():
                     continue
                 w_inv = inverse_element(w)
-                twisted = dist.twisted_drift_endpoint(w_inv)
+                twisted = twisted_drift_endpoint(dist, w_inv)
                 assert any(c < 0 for c in twisted)  # strictly outside
 
 

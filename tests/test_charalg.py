@@ -3,13 +3,15 @@ from itertools import product as iproduct
 
 import pytest
 
+from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk.cartan import act
-from weylwalk.charalg import ExponentPolynomial, tau_point, tau_point_from_roots
+from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, tau_point, tau_point_from_roots
 from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import DomainError, ExactEvaluationError
 
 from conftest import partition_weight
+from oracles import power_twisted_stay
 
 F = Fraction
 
@@ -341,3 +343,54 @@ def test_psi_product_equals_numerator_higher_types(label):
     for fw in [(0,) * datum.rank, (1,) + (0,) * (datum.rank - 1)]:
         mu = datum.weight(fw)
         assert algebra.psi_poly(mu) == algebra.denominator_poly() * algebra.character_poly(mu)
+
+
+# --- the finite-horizon stay sum against one TauPoint.power per endpoint -------------
+
+
+def _stay_source(name):
+    """Datum, source, tau and start of a stay-sum case."""
+    if name == "C2 module":
+        datum = build_cartan_datum("C2")
+        source = ModuleSpec(((datum.weight((1, 0)), 1), (datum.weight((0, 1)), 2)))
+        return datum, source, tau_point(datum, [F(1, 4), F(1, 9)], roots=[F(1, 2), F(1, 3)])
+    if name == "B3 module":
+        # omega_1 + omega_3: the two summands lie in different cosets of the
+        # root lattice, so exponents are half-integral and need the roots
+        datum = build_cartan_datum("B3")
+        source = ModuleSpec(((datum.weight((1, 0, 0)), 1), (datum.weight((0, 0, 1)), 1)))
+        return datum, source, tau_point_from_roots(datum, [F(1, 2), F(2, 3), F(1, 2)])
+    label, fw = {"B3 spin": ("B3", (0, 0, 1)), "G2 (1,0)": ("G2", (1, 0))}[name]
+    datum = build_cartan_datum(label)
+    return datum, datum.weight(fw), tau_point(datum, [F(1, 2)] + [F(2, 5)] * (datum.rank - 1))
+
+
+@pytest.mark.parametrize("name", ["C2 module", "B3 spin", "B3 module", "G2 (1,0)"])
+def test_twisted_stay_equals_power_oracle(name):
+    datum, source, tau = _stay_source(name)
+    algebra = CharacterAlgebra(datum)
+    spec = source if isinstance(source, ModuleSpec) else ModuleSpec(((source, 1),))
+    for mu in (datum.zero_weight(), datum.fundamental_weight(0)):
+        for ell in (1, 2, 3, 4):
+            counts, ell_r = algebra._branching(mu, spec, ell)
+            norm = algebra.normalizer(spec, tau) ** ell
+            for w in algebra.group:
+                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, w)
+                        == power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w))
+
+
+def test_twisted_stay_raises_without_roots():
+    """A fractional exponent on a coordinate without a root raises, with the
+    message TauPoint.power gives at the first such exponent."""
+    datum, source, _ = _stay_source("C2 module")
+    algebra = CharacterAlgebra(datum)
+    mu = datum.zero_weight()
+    counts, ell_r = algebra._branching(mu, source, 2)
+    for tau in (tau_point(datum, [F(1, 4), F(1, 9)]),
+                tau_point(datum, [F(1, 4), F(1, 9)], roots=[F(1, 2), None])):
+        for w in algebra.group:
+            with pytest.raises(ExactEvaluationError) as oracle:
+                power_twisted_stay(algebra, mu, counts, ell_r, F(1), tau, w)
+            with pytest.raises(ExactEvaluationError) as fast:
+                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, w)
+            assert str(fast.value) == str(oracle.value)

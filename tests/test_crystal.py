@@ -247,6 +247,23 @@ def test_f_dp_equals_enumeration(c2, c2_algebra, b_pi1, b_gamma12):
     assert dp == oracle
 
 
+def test_f_dp_equals_enumeration_module_ell3(c2, c2_algebra, b_pi1, b_gamma12):
+    """Integer keys and clip-class rows against the full tensor cube of a
+    two-summand module with a multiplicity."""
+    module_crystals = [(b_pi1, 1), (b_gamma12, 2)]
+    dp = count_f_multiplicity(c2, c2.zero_weight(), module_crystals, 3)
+    assert dp == enumerate_f_multiplicity(c2, None, module_crystals, 3)
+    assert sum(dp.values()) > len(dp) > 3
+
+
+def test_f_dp_horizon_zero_and_start_outside_cone(c2, b_pi1):
+    inside, outside = c2.weight((3, 1)), c2.weight((2, -1))
+    for mu in (inside, outside):
+        assert count_f_multiplicity(c2, mu, [(b_pi1, 1)], 0) == {mu: 1}
+    # no step from outside the cone stays in it
+    assert count_f_multiplicity(c2, outside, [(b_pi1, 1)], 2) == {}
+
+
 def test_f_squared_golden(c2, b_pi1):
     # frozen from the enumeration oracle: V(w1)^{x2} = V(2w1) + V(w2) + V(0)
     dp = count_f_multiplicity(c2, c2.zero_weight(), [(b_pi1, 1)], 2)

@@ -13,7 +13,14 @@ from weylwalk.crystal import ModuleSpec, TensorNode, generate_crystal, tensor_ap
 from weylwalk.errors import DomainError, HarmonicityError, WeylwalkError
 
 from conftest import partition_weight
-from oracles import brute_force_restricted, per_node_twisted_probability
+from oracles import (
+    brute_force_restricted,
+    drift_profile,
+    per_node_twisted_probability,
+    twisted_drift_endpoint,
+    twisted_walk_transition,
+    walk_transition,
+)
 
 F = Fraction
 
@@ -81,15 +88,15 @@ def test_walk_transition(c2, dist10, dist_mod):
     zero = c2.zero_weight()
     kappa = c2.weight((1, 0))
     # step by the highest weight has a single contributing node
-    assert dist10.walk_transition(zero, kappa) == F(8, 15)
+    assert walk_transition(dist10, zero, kappa) == F(8, 15)
     # unreachable increment
-    assert dist10.walk_transition(zero, c2.weight((3, 3))) == 0
+    assert walk_transition(dist10, zero, c2.weight((3, 3))) == 0
     # module: the only weight-zero step is the loop node, mass a2/Sigma
-    assert dist_mod.walk_transition(kappa, kappa) == 1 / dist_mod.normalizer
+    assert walk_transition(dist_mod, kappa, kappa) == 1 / dist_mod.normalizer
     # rows sum to one over the reachable increments
     eta = c2.weight((2, 1))
     increments = {e.crystal.weights[e.node] for e in dist_mod.entries}
-    total = sum(dist_mod.walk_transition(eta, eta + d) for d in increments)
+    total = sum(walk_transition(dist_mod, eta, eta + d) for d in increments)
     assert total == 1
 
 
@@ -300,7 +307,7 @@ def test_twisted_walk_transition_formula(c2, c2_algebra, dist10, tau_half):
         for eta in etas:
             for inc in {crystal.weights[i] for i in range(len(crystal))}:
                 beta = eta + inc
-                assert M.twisted_walk_transition(dist10, w, eta, beta) == probs[inc.fw]
+                assert twisted_walk_transition(dist10, w, eta, beta) == probs[inc.fw]
 
 
 # --- Pitman transform ----------------------------------------------------------------
@@ -392,7 +399,7 @@ def test_twisted_drift_outside_cone(c2, c2_algebra, dist10):
     m1 = dist10.drift_endpoint()
     for w in group:
         w_inv = inverse_element(w)
-        twisted = dist10.twisted_drift_endpoint(w_inv)
+        twisted = twisted_drift_endpoint(dist10, w_inv)
         # matches the permuted-law expectation
         perm = M.twisted_distribution_probabilities(dist10, w)
         crystal = dist10.crystals[0][0]
@@ -415,7 +422,7 @@ def test_a1_drift_formula(a1, a1_algebra):
 
 
 def test_drift_profile_endpoint(c2, dist10):
-    profile = dist10.drift_profile()
+    profile = drift_profile(dist10)
     assert profile[0][1] == (F(0), F(0))
     assert profile[-1][1] == dist10.drift_endpoint()
 
@@ -511,7 +518,7 @@ def test_adjoint_zero_weight_step_mass(c2, dist_adjoint):
     assert len(zero_nodes) == 2
     eta = c2.weight((3, 1))
     expect = sum(dist_adjoint.probability_of(crystal, i) for i in zero_nodes)
-    assert dist_adjoint.walk_transition(eta, eta) == expect
+    assert walk_transition(dist_adjoint, eta, eta) == expect
 
 
 def test_adjoint_harmonicity_and_law_equality(c2, c2_algebra, dist_adjoint):

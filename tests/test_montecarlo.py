@@ -268,12 +268,16 @@ KERNEL_CASES = {
     "G2 (1,0)": ("G2", (1, 0)),
     "B3 (0,0,1)": ("B3", (0, 0, 1)),
     "C2 module": ("C2", "module"),
+    # a start far out along one coordinate: A8 needs two packed words, C2 wide fields
+    "A8 adjoint far": ("A8", (1,) + (0,) * 6 + (1,), (512,) + (1,) * 7),
+    "C2 (2,0) far": ("C2", (2, 0), (1000, 1)),
 }
 
 
 def _kernel_case(name):
-    """Distribution, start and kappa0 of a kernel case; the start is omega_1."""
-    label, kappa = KERNEL_CASES[name]
+    """Distribution, start and kappa0 of a kernel case; the start is omega_1
+    unless the case names one."""
+    label, kappa, *start = KERNEL_CASES[name]
     datum = build_cartan_datum(label)
     algebra = CharacterAlgebra(datum)
     if kappa == "module":
@@ -285,7 +289,7 @@ def _kernel_case(name):
         tau = tau_point(datum, [F(1, 2)] + [F(2, 5)] * (datum.rank - 1))
         dist = M.build_distribution(algebra, datum.weight(kappa), tau)
         kappa0 = dist.crystals[0][0].kappa0()
-    return dist, datum.fundamental_weight(0), kappa0
+    return dist, datum.weight(start[0]) if start else datum.fundamental_weight(0), kappa0
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["plain", "kappa0"])
@@ -297,6 +301,23 @@ def test_exit_kernel_equals_scalar_oracle(name, shift):
     assert summary == scalar_simulate_exits(dist, mu, 12, 400, seed=29, kappa0=kappa0)
     assert any(e is None for e in summary.continuous_exit)
     assert any(e is not None for e in summary.continuous_exit)
+
+
+def test_packed_kernel_splits_into_words():
+    """Eight A8 fields wide enough for a start coordinate of 512 overflow one
+    word and take two; the two C2 fields for 1000 fit in one."""
+    for name, words in (("A8 adjoint far", 2), ("C2 (2,0) far", 1)):
+        dist, mu, kappa0 = _kernel_case(name)
+        sampler = MC.StepSampler.from_distribution(dist)
+        for shift in (None, kappa0.fw):
+            width, packed = MC._packed_words(sampler, mu.fw, shift, 12)
+            assert width >= 12 and len(packed) == words
+            assert (len(mu.fw) * width > MC.WORD_BITS) == (words > 1)
+    from weylwalk.errors import DomainError
+
+    # a start too far out for one int64 field is refused, not wrapped
+    with pytest.raises(DomainError):
+        MC._packed_words(sampler, (2 ** 61, 1), None, 12)
 
 
 @pytest.mark.parametrize("name", ["C2 (0,1)", "C2 module"])
@@ -330,18 +351,30 @@ def _boundary_sampler():
     return MC.StepSampler.from_distribution(dist)
 
 
+def _bucket_edge_sampler():
+    """A1 (1) at tau 1/3: the boundary 3/4 is the bucket edge 3072/4096."""
+    a1 = build_cartan_datum("A1")
+    dist = M.build_distribution(CharacterAlgebra(a1), a1.weight((1,)), tau_point(a1, [F(1, 3)]))
+    sampler = MC.StepSampler.from_distribution(dist)
+    assert sampler.cum_fracs[0] == F(3072, MC.BUCKETS)
+    return sampler
+
+
 def test_pick_many_is_exact_at_edges():
-    sampler = _boundary_sampler()
-    below_one = [np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
-    edges = [0.0] + below_one
-    for c in sampler.cum_floats[:-1]:
-        edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
-    u = np.array(edges)
-    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
-    assert sampler.pick_many(u).tolist() == exact
-    assert [sampler.pick(x) for x in edges] == exact
-    # any shape, one index per uniform
-    assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
+    for sampler in (_boundary_sampler(), _bucket_edge_sampler()):
+        below_one = [np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
+        edges = [0.0] + below_one
+        for c in sampler.cum_floats[:-1]:
+            edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+        # both sides of every bucket edge
+        for k in range(1, MC.BUCKETS):
+            edges += [k / MC.BUCKETS - 1e-12, k / MC.BUCKETS, k / MC.BUCKETS + 1e-12]
+        u = np.array(edges)
+        exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
+        assert sampler.pick_many(u).tolist() == exact
+        assert [sampler.pick(x) for x in edges] == exact
+        # any shape, one index per uniform
+        assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
 
 
 def test_pick_many_is_exact_on_a_stream():
