@@ -2,8 +2,9 @@
 
 Exponent vectors are rational coordinates on the simple roots, closed over
 (1/D)Z with D = det of the Cartan matrix; integral coordinates are plain
-ints.  Evaluation of fractional exponents is exact when the tau point
-carries rational D-th roots.
+ints.  Every sum of powers of tau is evaluated in integers by
+``TauPoint.sum_powers``; fractional exponents need the tau point's rational
+D-th roots.
 """
 
 from __future__ import annotations
@@ -68,23 +69,56 @@ class TauPoint(Frozen):
     def power(self, exponent: Sequence) -> Fraction:
         """Exact tau^e for an exponent vector in root coordinates, each an
         int or a Fraction whose denominator divides D."""
-        out = Fraction(1)
-        for taui, ui, e in zip(self.values, self.roots or (None,) * self.rank, exponent,
-                               strict=True):
-            num, den = e.numerator, e.denominator
-            if den == 1:
-                out *= taui ** num
+        return self.sum_powers((1,), (_in_units(exponent, self.d),))
+
+    def sum_powers(self, coeffs: Sequence[Rational],
+                   exponents: Sequence[Sequence[int]]) -> Fraction:
+        """Exact sum of c * tau^(n/D) over the coefficients c and the integer
+        exponent vectors n, in units of 1/D, taken in pairs.
+
+        Coordinate i sums in tau_i where all its exponents are multiples of D,
+        else in the D-th root u_i.  With base p/q and exponents n in lo..hi,
+        p^n/q^n is p^(n-lo) q^(hi-n) times p^lo/q^hi, so the sum is one
+        integer sum over one common denominator.  A coordinate whose exponents
+        are all equal only scales it and builds no power table.
+        """
+        if not exponents:
+            return Fraction(0)
+        d, roots = self.d, self.roots or (None,) * self.rank
+        num = den = 1
+        factors = []
+        for column, v, u in zip(zip(*exponents), self.values, roots, strict=True):
+            lo, hi = min(column), max(column)
+            if lo % d == 0 and (lo == hi or all(n % d == 0 for n in column)):
+                b, lo, hi = v, lo // d, hi // d
+                column = [n // d for n in column]
+            elif u is not None:
+                b = u
             else:
-                if self.d % den:
-                    raise ExactEvaluationError(
-                        f"exponent {e} is not a multiple of 1/{self.d}"
-                    )
-                if ui is None:
-                    raise ExactEvaluationError(
-                        f"fractional exponent {e} needs {self.d}-th roots of tau"
-                    )
-                out *= ui ** (num * (self.d // den))
-        return out
+                # the first exponent, term by term, that needs a missing root
+                n = next(n for row in exponents for n, r in zip(row, roots) if n % d and r is None)
+                raise ExactEvaluationError(
+                    f"fractional exponent {Fraction(n, d)} needs {d}-th roots of tau")
+            p, q = b.numerator, b.denominator
+            if lo != hi:
+                p_pow = [p ** j for j in range(hi - lo + 1)]
+                q_pow = [q ** j for j in range(hi - lo + 1)]
+                factors.append([p_pow[n - lo] * q_pow[hi - n] for n in column])
+            # the common factor p^lo / q^hi
+            num, den = (num * p ** lo, den) if lo >= 0 else (num, den * p ** -lo)
+            num, den = (num, den * q ** hi) if hi >= 0 else (num * q ** -hi, den)
+        total = sum(c * prod(parts) for c, *parts in zip(coeffs, *factors))
+        return Fraction(total * num, den)
+
+
+def _in_units(exponent: Sequence, d: int) -> List[int]:
+    """An exponent vector of ints and Fractions in units of 1/D."""
+    out = []
+    for x in exponent:
+        if d % x.denominator:
+            raise ExactEvaluationError(f"exponent {x} is not a multiple of 1/{d}")
+        out.append(x.numerator * d // x.denominator)
+    return out
 
 
 def _one_per_rank(datum: CartanDatum, name: str, coords: Sequence) -> Sequence:
@@ -145,11 +179,7 @@ class ExponentPolynomial:
     def __add__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = out.get(e, 0) + c
         return ExponentPolynomial(out)
 
     def __neg__(self) -> "ExponentPolynomial":
@@ -160,8 +190,6 @@ class ExponentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return ExponentPolynomial()
             return ExponentPolynomial({e: c * other for e, c in self.terms.items()})
         out: Dict[Tuple, Rational] = {}
         for e1, c1 in self.terms.items():
@@ -190,7 +218,7 @@ class ExponentPolynomial:
         return out
 
     def evaluate(self, tau: TauPoint) -> Fraction:
-        return sum((c * tau.power(e) for e, c in self.terms.items()), Fraction(0))
+        return tau.sum_powers(self.terms.values(), [_in_units(e, tau.d) for e in self.terms])
 
     def sorted_terms(self) -> List[Tuple[Tuple, Rational]]:
         return sorted(self.terms.items())
@@ -384,43 +412,18 @@ class CharacterAlgebra:
         """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell.
 
         The exponents are integers in units of 1/D, read through the coadj
-        rows on w's images of the fundamental weights.  Coordinate i sums in
-        tau_i where all its exponents are integral, else in the D-th root u_i.
-        With base p/q and integer exponents n in lo..hi, p^n/q^n is
-        p^(n-lo) q^(hi-n) times p^lo/q^hi, so the sum is one integer sum.
+        rows on w's images of the fundamental weights, and sum in one
+        ``TauPoint.sum_powers`` call.
         """
-        if not counts:
-            return Fraction(0)
-        datum, d = self.datum, self.datum.det
+        datum = self.datum
         images = [w.apply_fw(tuple(int(j == k) for j in range(datum.rank)))
                   for k in range(datum.rank)]
-        exponents = []  # per coordinate: D times the exponent of each lambda
-        for a, row in zip(ell_r.scaled, datum.coadj):
-            # D times the coordinate of w(x) is lin . x
-            lin = [sum(x * y for x, y in zip(row, img)) for img in images]
-            a += sum(x * y for x, y in zip(lin, mu.fw))
-            exponents.append([a - sum(x * y for x, y in zip(lin, lam.fw)) for lam in counts])
-        bases = []
-        for es, v, u in zip(exponents, tau.values, tau.roots or (None,) * datum.rank):
-            if all(e % d == 0 for e in es):
-                bases.append((v, [e // d for e in es]))
-            elif u is not None and all(e * tau.d % d == 0 for e in es):
-                bases.append((u, [e * tau.d // d for e in es]))
-            else:
-                # TauPoint.power raises at the first exponent it cannot evaluate
-                for column in zip(*exponents):
-                    tau.power([Fraction(e, d) for e in column])
-        factors, scale = [], Fraction(1)
-        for b, ns in bases:
-            lo, hi = min(ns), max(ns)
-            p_pow = [b.numerator ** j for j in range(hi - lo + 1)]
-            q_pow = [b.denominator ** j for j in range(hi - lo + 1)]
-            factors.append([p_pow[n - lo] * q_pow[hi - n] for n in ns])
-            scale *= Fraction(b.numerator) ** lo / Fraction(b.denominator) ** hi
-        total = 0
-        for f, *parts in zip(counts.values(), *factors):
-            total += f * prod(parts)
-        return total * scale / norm
+        # D times the coordinate of w(x) is lin . x
+        lins = [[sum(x * y for x, y in zip(row, img)) for img in images] for row in datum.coadj]
+        base = [a + sum(x * y for x, y in zip(lin, mu.fw)) for a, lin in zip(ell_r.scaled, lins)]
+        exponents = [[a - sum(x * y for x, y in zip(lin, lam.fw)) for a, lin in zip(base, lins)]
+                     for lam in counts]
+        return tau.sum_powers(counts.values(), exponents) / norm
 
     def _rho_shift(self, mu: Weight, tau: TauPoint, w) -> Fraction:
         shifted = mu + self.datum.rho

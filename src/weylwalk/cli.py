@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import product as iproduct
 from typing import Dict, List, Optional
 
 from .cartan import Weight, build_cartan_datum
@@ -263,8 +264,6 @@ def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
     limit = ctx.read("mu_limit", 3)
     rows = []
     n = ctx.datum.rank
-    from itertools import product as iproduct
-
     for coords in iproduct(range(limit + 1), repeat=n):
         mu = ctx.datum.weight(coords)
         val = ctx.algebra.psi(mu, tau)

@@ -334,7 +334,7 @@ def tensor_is_highest(node: TensorNode) -> bool:
     return all(tensor_eps_phi(node, i)[0] == 0 for i in range(n))
 
 
-def count_multiplicity(datum: CartanDatum, mu: Weight, crystal: CrystalGraph) -> Dict[Weight, int]:
+def count_multiplicity(mu: Weight, crystal: CrystalGraph) -> Dict[Weight, int]:
     """Branching counts by path translation: nodes whose mu-shifted path stays
     in the dominant cone, grouped by final weight.
 
@@ -349,12 +349,12 @@ def count_multiplicity(datum: CartanDatum, mu: Weight, crystal: CrystalGraph) ->
     return out
 
 
-def module_multiplicity(datum: CartanDatum, mu: Weight,
+def module_multiplicity(mu: Weight,
                         crystals: Sequence[Tuple[CrystalGraph, int]]) -> Dict[Weight, int]:
     """Multiplicity row for a direct sum: sum of a_kappa-weighted counts."""
     out: Dict[Weight, int] = {}
     for crystal, mult in crystals:
-        for lam, m in count_multiplicity(datum, mu, crystal).items():
+        for lam, m in count_multiplicity(mu, crystal).items():
             out[lam] = out.get(lam, 0) + mult * m
     return out
 
@@ -404,7 +404,7 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
                     nu = datum.weight(clip)
                     row = class_rows[clip] = [
                         (key((lam - nu).fw), m)
-                        for lam, m in module_multiplicity(datum, nu, crystals).items()]
+                        for lam, m in module_multiplicity(nu, crystals).items()]
                 rows[k] = row
             for d, m in row:
                 nxt[k + d] = nxt.get(k + d, 0) + c * m

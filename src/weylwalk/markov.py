@@ -64,7 +64,7 @@ class CrystalDistribution:
         """Branching row of mu, computed once per mu; callers must not mutate it."""
         row = self._rows.get(mu.fw)
         if row is None:
-            row = module_multiplicity(self.datum, mu, self.crystals)
+            row = module_multiplicity(mu, self.crystals)
             self._rows[mu.fw] = row
         return row
 

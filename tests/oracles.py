@@ -8,9 +8,11 @@ at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
 rationals for the inverse Cartan matrix, one normalizer per node at tau^w
 built as a point of its own (``_twisted_point``, with the D-th roots
-u^{w(alpha_i)}) for the twisted step law, one ``TauPoint.power`` per
-endpoint for the finite-horizon stay sum, and the window-and-ladder
-construction for the lowering operator.
+u^{w(alpha_i)}) for the twisted step law, one power per endpoint for the
+finite-horizon stay sum, and the window-and-ladder construction for the
+lowering operator.  Powers of tau come from ``reference_power``, one
+``Fraction`` power per coordinate, never from the library's integer
+evaluator ``TauPoint.sum_powers``.
 
 The unrestricted walk kernel, its twisted form and the drift profile live
 here too: they are definitions the tests check the library against, and the
@@ -26,6 +28,7 @@ from weylwalk import paths as P
 from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, act_vector, reflect
 from weylwalk.charalg import CharacterAlgebra, TauPoint
 from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
+from weylwalk.errors import ExactEvaluationError
 from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
@@ -99,6 +102,31 @@ def repeated_raising_pitman(datum: CartanDatum, node: TensorNode) -> TensorNode:
         cur = tensor_apply_e(cur, live)
 
 
+def reference_power(tau: TauPoint, exponent: Sequence) -> Fraction:
+    """Oracle for ``TauPoint.power``: tau^e coordinate by coordinate in
+    ``Fraction``s, raising at the first coordinate it cannot evaluate."""
+    out = Fraction(1)
+    for taui, ui, e in zip(tau.values, tau.roots or (None,) * tau.rank, exponent, strict=True):
+        num, den = e.numerator, e.denominator
+        if den == 1:
+            out *= taui ** num
+        else:
+            if tau.d % den:
+                raise ExactEvaluationError(f"exponent {e} is not a multiple of 1/{tau.d}")
+            if ui is None:
+                raise ExactEvaluationError(
+                    f"fractional exponent {e} needs {tau.d}-th roots of tau")
+            out *= ui ** (num * (tau.d // den))
+    return out
+
+
+def reference_sum_powers(tau: TauPoint, coeffs: Sequence, exponents: Sequence) -> Fraction:
+    """Oracle for ``TauPoint.sum_powers``: one ``reference_power`` per term,
+    its exponent vector taken in units of 1/D."""
+    return sum((c * reference_power(tau, [Fraction(n, tau.d) for n in e])
+                for c, e in zip(coeffs, exponents, strict=True)), Fraction(0))
+
+
 def _monomial(coords: Sequence[Optional[Fraction]], exponent: Sequence[int]
               ) -> Optional[Fraction]:
     """prod coords_j^{e_j} over the nonzero e_j; None if one of those coords is."""
@@ -128,10 +156,10 @@ def per_node_twisted_probability(dist: CrystalDistribution, w: WeylElement,
     rebuilding tau^w and the whole normalizer at tau^w for that node."""
     tw = _twisted_point(dist.datum, w, dist.tau)
     r = dist.reference
-    denom = sum((mult * tw.power((r - wt).root)
+    denom = sum((mult * reference_power(tw, (r - wt).root)
                  for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
     mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
-    return mult * tw.power((r - crystal.weights[node]).root) / denom
+    return mult * reference_power(tw, (r - crystal.weights[node]).root) / denom
 
 
 def walk_transition(dist: CrystalDistribution, eta: Weight, beta: Weight) -> Fraction:
@@ -167,11 +195,11 @@ def twisted_drift_endpoint(dist: CrystalDistribution, w_inverse: WeylElement) ->
 def power_twisted_stay(algebra: CharacterAlgebra, mu: Weight, counts: Dict[Weight, int],
                        ell_r: Weight, norm: Fraction, tau: TauPoint, w: WeylElement) -> Fraction:
     """Oracle for ``CharacterAlgebra._twisted_stay``: one ``act`` and one
-    ``TauPoint.power`` per endpoint, summed in Fractions."""
+    ``reference_power`` per endpoint, summed in Fractions."""
     w_mu = act(algebra.datum, w, mu)
     out = Fraction(0)
     for lam, f in counts.items():
-        out += f * tau.power((ell_r + w_mu - act(algebra.datum, w, lam)).root)
+        out += f * reference_power(tau, (ell_r + w_mu - act(algebra.datum, w, lam)).root)
     return out / norm
 
 

@@ -135,7 +135,7 @@ def test_memoized_multiplicity_row_equals_fresh(algebras):
         mu = datum.weight(fw)
         first = dist.multiplicity_row(mu)
         assert dist.multiplicity_row(mu) is first
-        assert first == module_multiplicity(datum, mu, dist.crystals)
+        assert first == module_multiplicity(mu, dist.crystals)
 
 
 def test_probability_of_matches_entries(algebras):

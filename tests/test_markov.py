@@ -205,8 +205,8 @@ def test_module_closing_display(c2, c2_algebra, dist_mod, tau_mod, b_pi1, b_gamm
         for p_lam in parts:
             mu = partition_weight(c2, *p_mu)
             lam = partition_weight(c2, *p_lam)
-            m1 = count_multiplicity(c2, mu, b_pi1).get(lam, 0)
-            m2 = count_multiplicity(c2, mu, b_gamma12).get(lam, 0)
+            m1 = count_multiplicity(mu, b_pi1).get(lam, 0)
+            m2 = count_multiplicity(mu, b_gamma12).get(lam, 0)
             psi_mu = c2_algebra.psi(mu, tau_mod)
             psi_lam = c2_algebra.psi(lam, tau_mod)
             display = (

@@ -52,7 +52,7 @@ def _check_cone_test(datum, crystals):
                 if stays:
                     lam = mu + crystal.weights[idx]
                     oracle[lam] = oracle.get(lam, 0) + 1
-            assert count_multiplicity(datum, mu, crystal) == oracle
+            assert count_multiplicity(mu, crystal) == oracle
 
 
 # --- a weight is the one-summand module --------------------------------------------

@@ -1,6 +1,7 @@
 """No module in src/, tests/ or tools/ imports a name it never uses, no
-function in src/ imports from a module that its file imports at module level,
-and no private helper in src/ is left without a reference.
+function in src/ imports from a module that its file imports at module level
+or that README "Cold start" does not let it load lazily, and no private
+helper in src/ is left without a reference.
 
 A name counts as used when the module references it anywhere or lists it in
 ``__all__``.  Package ``__init__.py`` files re-export by importing, and
@@ -85,6 +86,28 @@ def redundant_local_imports(source):
                   for m in _sources(node) if m in at_module_level)
 
 
+# README "Cold start": what a function may load on first use
+LAZY_MODULES = {"numpy", ".markov", ".montecarlo"}
+
+
+def unlisted_local_imports(source):
+    """(line, module) of every import below module level from a module that
+    a function may not load lazily: anything but ``LAZY_MODULES``, and
+    ``importlib`` outside the module ``__getattr__`` that resolves the
+    package's names."""
+    tree = ast.parse(source)
+    allowed = {id(node): {"importlib"} for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name == "__getattr__"
+               for node in ast.walk(stmt)}
+    skipped = _type_checking_ids(tree)
+    top = {id(stmt) for stmt in tree.body}
+    return sorted((node.lineno, m) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top and id(node) not in skipped
+                  for m in _sources(node)
+                  if m not in LAZY_MODULES | allowed.get(id(node), set()))
+
+
 @pytest.mark.parametrize("relpath", list(_modules()))
 def test_no_unused_imports(relpath):
     with open(os.path.join(ROOT, relpath)) as f:
@@ -95,6 +118,33 @@ def test_no_unused_imports(relpath):
 def test_no_local_import_repeats_a_module_level_one(relpath):
     with open(os.path.join(ROOT, relpath)) as f:
         assert redundant_local_imports(f.read()) == []
+
+
+@pytest.mark.parametrize("relpath", list(_modules(("src",), init=True)))
+def test_functions_import_only_what_may_load_lazily(relpath):
+    with open(os.path.join(ROOT, relpath)) as f:
+        assert unlisted_local_imports(f.read()) == []
+
+
+def test_lazy_import_detector_allows_only_the_listed_modules():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "    import decimal\n"
+        "def __getattr__(name):\n"
+        "    from importlib import import_module\n"
+        "    return import_module(name)\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from . import markov as M, montecarlo as MC\n"
+        "    from .paths import dual\n"
+        "    from itertools import product\n"
+        "    import importlib\n"
+        "    return np, M, MC, dual, product, importlib\n"
+    )
+    assert unlisted_local_imports(source) == [(11, ".paths"), (12, "itertools"),
+                                              (13, "importlib")]
 
 
 def test_detector_sees_unused_and_skips_the_exempt():
