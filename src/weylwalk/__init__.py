@@ -13,8 +13,8 @@ _EXPORTS = {
                 "count_f_multiplicity", "count_multiplicity", "generate_crystal",
                 "tensor_apply_e", "tensor_apply_f", "tensor_eps_phi"),
     "markov": ("CrystalDistribution", "TransitionTable", "build_distribution",
-               "conditioned_transition", "doob_transform", "hchain_matrix", "pitman",
-               "restricted_table", "state_closure", "twisted_tau"),
+               "doob_transform", "hchain_matrix", "pitman", "restricted_table",
+               "state_closure", "twisted_tau"),
     "paths": ("PiecewisePath", "apply_e", "apply_f", "canonical_path", "concat", "dual",
               "eps_phi", "height_function_extrema", "path_weight", "straight_path"),
 }

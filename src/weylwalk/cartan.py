@@ -236,10 +236,6 @@ class WeylElement(Frozen):
     def _values(self) -> tuple:
         return (self.rho_image,)
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
     def is_identity(self) -> bool:
         return not self.word
 
@@ -259,13 +255,6 @@ class WeylGroup(Frozen):
 
     def __iter__(self):
         return iter(self.elements)
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
-    def longest(self) -> WeylElement:
-        return max(self.elements, key=lambda w: w.length)
 
 
 class CartanDatum(Frozen):
@@ -295,20 +284,11 @@ class CartanDatum(Frozen):
         return tuple(sum(self.matrix[j][i] * c for j, c in enumerate(root))
                      for i in range(self.rank))
 
-    def weight_from_ambient(self, coords: Sequence) -> Weight:
-        fw = self.realization.from_ambient(coords)
-        if any(c.denominator != 1 for c in fw):
-            raise FormatError("ambient coordinates do not lie in the weight lattice")
-        return self.weight(tuple(int(c) for c in fw))
-
     def ambient(self, w: Weight) -> Vector:
         return self.realization.to_ambient(w.fw)
 
     def simple_root(self, i: int) -> Weight:
         return self.weight(self.matrix[i])
-
-    def fundamental_weight(self, i: int) -> Weight:
-        return self.weight(tuple(1 if j == i else 0 for j in range(self.rank)))
 
     @property
     def rho(self) -> Weight:
@@ -574,15 +554,6 @@ def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:
 def act_vector(w: WeylElement, x: Vector) -> Vector:
     """Same action on an arbitrary rational vector in fw coordinates."""
     return w.apply_fw(x)
-
-
-def inverse_element(w: WeylElement) -> WeylElement:
-    """w^{-1}, spelled by the reversed word; w^{-1}(rho) applies the word
-    left to right."""
-    rho = (1,) * len(w.cartan)
-    for i in w.word:
-        rho = reflect(w.cartan, i, rho)
-    return WeylElement(rho, w.word[::-1], w.sign, w.cartan)
 
 
 def chamber_position(beta: Weight) -> str:

@@ -143,7 +143,8 @@ def tau_point_from_roots(datum: CartanDatum, roots: Sequence) -> TauPoint:
 
 
 class ExponentPolynomial:
-    """Sparse Laurent polynomial with rational exponents and coefficients.
+    """Sparse Laurent polynomial with rational exponents and coefficients, a
+    read-only table of terms that evaluates at a tau point and prints.
 
     Exponent coordinates and coefficients are ints where integral and
     Fractions elsewhere; the two compare, hash and print alike."""
@@ -158,64 +159,8 @@ class ExponentPolynomial:
                 if c != 0:
                     self.terms[tuple(exact_unit(x) for x in e)] = c
 
-    @staticmethod
-    def zero() -> "ExponentPolynomial":
-        return ExponentPolynomial()
-
-    @staticmethod
-    def one(rank: int) -> "ExponentPolynomial":
-        return ExponentPolynomial({(0,) * rank: 1})
-
-    @staticmethod
-    def monomial(exponent: Sequence, coeff=1) -> "ExponentPolynomial":
-        return ExponentPolynomial({tuple(exponent): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, ExponentPolynomial) and self.terms == other.terms
-
-    def __add__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return ExponentPolynomial(out)
-
-    def __neg__(self) -> "ExponentPolynomial":
-        return ExponentPolynomial({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "ExponentPolynomial") -> "ExponentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExponentPolynomial({e: c * other for e, c in self.terms.items()})
-        out: Dict[Tuple, Rational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return ExponentPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ExponentPolynomial":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        rank = len(next(iter(self.terms))) if self.terms else 0
-        out = ExponentPolynomial.one(rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def evaluate(self, tau: TauPoint) -> Fraction:
         return tau.sum_powers(self.terms.values(), [_in_units(e, tau.d) for e in self.terms])
@@ -348,14 +293,6 @@ class CharacterAlgebra:
             poly = self._numerators[mu.fw] = ExponentPolynomial(dict(terms))
         return poly
 
-    def denominator_poly(self) -> ExponentPolynomial:
-        """prod over positive roots of (1 - tau^alpha); finite type, all m_alpha = 1."""
-        rank = self.datum.rank
-        out = ExponentPolynomial.one(rank)
-        for alpha in self.posroots:
-            out = out * (ExponentPolynomial.one(rank) - ExponentPolynomial.monomial(alpha.root))
-        return out
-
     # -- psi ---------------------------------------------------------------------
 
     def psi_poly(self, mu: Weight) -> ExponentPolynomial:
@@ -368,15 +305,6 @@ class CharacterAlgebra:
         """Probability of never leaving the cone: prod(1 - tau^alpha) * S_mu(tau)."""
         tau.require_in_region()
         return self.character_value(mu, tau) * self.denominator_value(tau)
-
-    def sigma_m(self, modspec: ModuleSpec, tau: TauPoint) -> Fraction:
-        """Sigma_M(tau) = sum of a_kappa tau^{-kappa} S_kappa(tau) = tau^{-r} N_r(tau)."""
-        tau.require_in_region()
-        return tau.power((-modspec.reference).root) * self.normalizer(modspec, tau)
-
-    def sigma_m_poly(self, modspec: ModuleSpec) -> ExponentPolynomial:
-        shift = ExponentPolynomial.monomial((-modspec.reference).root)
-        return shift * self._normalizer_poly(modspec)
 
     # -- step sources ----------------------------------------------------------------
 
@@ -391,14 +319,6 @@ class CharacterAlgebra:
         r = spec.reference
         return sum((mult * tau.power((r - kappa).root) * self.character_value(kappa, tau)
                     for kappa, mult in spec.summands), Fraction(0))
-
-    def _normalizer_poly(self, spec: ModuleSpec) -> ExponentPolynomial:
-        r = spec.reference
-        out = ExponentPolynomial.zero()
-        for kappa, mult in spec.summands:
-            term = ExponentPolynomial.monomial((r - kappa).root, mult)
-            out = out + term * self.character_poly(kappa)
-        return out
 
     # -- finite-horizon quantities -------------------------------------------------
 
@@ -447,10 +367,6 @@ class CharacterAlgebra:
         norm = self.normalizer(spec, tau) ** ell
         return self._twisted_stay(mu, counts, ell_r, norm, tau, w)
 
-    def pi_ell_w(self, mu: Weight, source, tau: TauPoint, ell: int, w) -> Fraction:
-        """One twisted term of the finite-horizon expansion of psi's product form."""
-        return self._rho_shift(mu, tau, w) * self.psi_ell_twisted(mu, source, tau, ell, w)
-
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
 
@@ -467,19 +383,3 @@ class CharacterAlgebra:
             stay = self._twisted_stay(mu, counts, ell_r, norm, tau, w)
             right += w.sign * self._rho_shift(mu, tau, w) * stay
         return left, right
-
-    def character_product_identity(self, mu: Weight, source, ell: int) -> bool:
-        """S_mu * N_r^ell = sum_lam f^ell_lam tau^{ell*r + mu - lam} S_lam, checked
-        on S-polynomials.
-
-        Rebasing by tau^{ell*r + mu - lam} matches the S-normalization of each
-        character on both sides.
-        """
-        spec = as_module(source)
-        counts, ell_r = self._branching(mu, spec, ell)
-        left = self.character_poly(mu) * self._normalizer_poly(spec) ** ell
-        right = ExponentPolynomial.zero()
-        for lam, f in counts.items():
-            shift = ExponentPolynomial.monomial((ell_r + mu - lam).root)
-            right = right + f * shift * self.character_poly(lam)
-        return left == right

@@ -262,11 +262,11 @@ def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
     tau = ctx.require_tau()
     tau.require_in_region()
     limit = ctx.read("mu_limit", 3)
+    mu = ctx.mu()  # a config error, so read before any output is written
     rows = []
     n = ctx.datum.rank
     for coords in iproduct(range(limit + 1), repeat=n):
-        mu = ctx.datum.weight(coords)
-        val = ctx.algebra.psi(mu, tau)
+        val = ctx.algebra.psi(ctx.datum.weight(coords), tau)
         rows.append((coords, val))
         if len(rows) <= 12:
             print(f"  psi{coords} = {val} = {float(val):.6g}")
@@ -274,7 +274,7 @@ def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
         f"\"{c}\",{v},{float(v)}" for c, v in rows
     ]
     out.write("psi_table.csv", "\n".join(csv_lines))
-    poly = ctx.algebra.psi_poly(ctx.mu())
+    poly = ctx.algebra.psi_poly(mu)
     out.write("psi_poly.txt", repr(poly))
     return EXIT_OK
 
@@ -337,15 +337,16 @@ def cmd_simulate(ctx: RunContext, out: OutputWriter) -> int:
     n = ctx.read("samples", 20000)
     seed = ctx.read("seed", 2024)
     small = min(horizon, ctx.read("ell") if "ell" in ctx.cfg else ctx.read("exact_horizon", 5))
+    # first, so that a block over the budget exits before the exact targets run
+    summary = MC.simulate_exits(dist, mu, horizon, n, seed)
     exact_small = ctx.algebra.psi_ell(mu, ctx.source, dist.tau, small)
     psi_inf = ctx.algebra.psi(mu, dist.tau)
-    summary = MC.simulate_exits(dist, mu, horizon, n, seed)
     truncation = exact_small - psi_inf
     reports = [
-        MC._bernoulli_report(f"stay<=L={small}", summary.stay_count_continuous(small),
-                             n, exact_small),
-        MC._bernoulli_report(f"stay<=L={horizon}", summary.stay_count_continuous(horizon),
-                             n, psi_inf, slack=float(truncation)),
+        MC.bernoulli_report(f"stay<=L={small}", summary.stay_count_continuous(small),
+                            n, exact_small),
+        MC.bernoulli_report(f"stay<=L={horizon}", summary.stay_count_continuous(horizon),
+                            n, psi_inf, slack=float(truncation)),
     ]
     reports[-1].notes["truncation_bound"] = truncation
     ok = _print_reports(reports)

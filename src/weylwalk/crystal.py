@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Frozen, Weight, WeylElement, weyl_orbit
+from .cartan import CartanDatum, Frozen, Weight, WeylElement
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
 from . import paths as P
 
@@ -125,15 +125,6 @@ class CrystalGraph:
             coords.append(max(longest, 1) - 1)
         return self.datum.weight(tuple(coords))
 
-    def is_minuscule(self) -> bool:
-        """Whether the node weights form a single Weyl orbit (no repeats).
-
-        W(kappa) lies among the weights, so repeat-free weights form one
-        orbit exactly when there are as many nodes as orbit points."""
-        counts = self.weight_counts()
-        return (all(c == 1 for c in counts.values())
-                and len(weyl_orbit(self.datum, self.kappa.fw)) == len(counts))
-
     # -- exports -----------------------------------------------------------------
 
     def to_dot(self, name: str = "crystal") -> str:
@@ -166,27 +157,6 @@ class CrystalGraph:
             ],
         }
         return json.dumps(payload, indent=2)
-
-    def canonical_signature(self):
-        """Isomorphism invariant: deterministic BFS relabeling from the top.
-
-        Crystal graphs have at most one arrow per color out of and into each
-        node, so this signature is complete for colored-digraph isomorphism.
-        """
-        order = {self.highest: 0}
-        queue = [self.highest]
-        sig = []
-        while queue:
-            cur = queue.pop(0)
-            for i in range(self.datum.rank):
-                dst = self.f_edge.get((cur, i))
-                if dst is None:
-                    continue
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-                sig.append((order[cur], i, order[dst]))
-        return tuple(sorted(sig))
 
 
 def generate_crystal(datum: CartanDatum, highest_path: P.PiecewisePath,
@@ -274,9 +244,6 @@ class TensorNode(Frozen):
                 out[k] += c
         return self.datum.weight(out)
 
-    def prefix(self, k: int) -> "TensorNode":
-        return TensorNode(self.factors[:k])
-
     def _values(self) -> tuple:
         # factors are equal when they are the same crystal at the same node
         return tuple((id(c), i) for c, i in self.factors)
@@ -327,11 +294,6 @@ def tensor_apply_f(node: TensorNode, i: int) -> Optional[TensorNode]:
     lows, _ = _factor_lows(node, i)
     m = min(lows)
     return _move_factor(node, max(k for k, low in enumerate(lows) if low == m), i, up=False)
-
-
-def tensor_is_highest(node: TensorNode) -> bool:
-    n = node.datum.rank
-    return all(tensor_eps_phi(node, i)[0] == 0 for i in range(n))
 
 
 def count_multiplicity(mu: Weight, crystal: CrystalGraph) -> Dict[Weight, int]:

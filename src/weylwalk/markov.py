@@ -320,19 +320,6 @@ def hchain_matrix(dist: CrystalDistribution, states: Sequence[Weight],
                   "stochastic")
 
 
-def conditioned_transition(dist: CrystalDistribution, mu: Weight, lam: Weight) -> Fraction:
-    """Kernel of the walk conditioned on never exiting the cone.
-
-    Restricted kernel times the ratio of exit-free probabilities, which is
-    exactly the psi-Doob transform entry.
-    """
-    algebra = dist.algebra
-    base = dist.restricted_transition(mu, lam)
-    if base == 0:
-        return Fraction(0)
-    return base * algebra.psi(lam, dist.tau) / algebra.psi(mu, dist.tau)
-
-
 # -- path transform ----------------------------------------------------------------
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .cartan import Record, Weight
 from .crystal import CrystalGraph, TensorNode, count_f_multiplicity
-from .errors import DomainError, WeylwalkError
+from .errors import DomainError, ResourceBudgetError, WeylwalkError
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
 
 if TYPE_CHECKING:
@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 
 # samples per block of uniforms drawn at once
 CHUNK = 8192
+# most uniforms one block may hold: with the sub-block's int64 and bool arrays
+# a block takes at most about 50 bytes per uniform (when it is a single
+# sub-block; 11 bytes for a full CHUNK), so a run at the limit stays under 1 GiB
+MAX_BLOCK_UNIFORMS = 2**24
 # rows of a block whose steps are picked, packed and tested together
 SUB_BLOCK = 512
 # equal buckets on [0, 1); a draw in a bucket free of boundaries is one lookup
@@ -82,8 +86,8 @@ class EstimatorReport(Record):
         return out
 
 
-def _bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = None,
-                      slack: float = 0.0) -> EstimatorReport:
+def bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = None,
+                     slack: float = 0.0) -> EstimatorReport:
     p_hat = hits / n
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n)
     z = None
@@ -147,12 +151,6 @@ class StepSampler:
                 ir[j] = bisect_right(self.cum_fracs, Fraction(float(ur[j])))
             idx[rest] = ir
         return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
-
-    def pick(self, u: float) -> int:
-        """Index of the node sampled by one uniform."""
-        import numpy as np
-
-        return int(self.pick_many(np.array([u]))[0])
 
 
 class WalkSample(Record):
@@ -273,7 +271,13 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     ``_packed_words``), the step from x by node b stays in the cone when
     every field of x - eps(b) has its top bit set, and the path ends a step
     in the discrete cone when every field of the new position does.
+
+    A block of more than ``MAX_BLOCK_UNIFORMS`` uniforms raises
+    ``ResourceBudgetError`` before anything is drawn or allocated.
     """
+    if min(chunk, n) * horizon > MAX_BLOCK_UNIFORMS:
+        raise ResourceBudgetError(f"a block of {min(chunk, n)} x {horizon} uniforms is over "
+                                  f"the budget {MAX_BLOCK_UNIFORMS}")
     import numpy as np
 
     sampler = sampler or StepSampler.from_distribution(dist)
@@ -307,26 +311,6 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                 lemma_bad += int(np.count_nonzero(~d_bad.any(axis=1) & s_bad.any(axis=1)))
     return ExitSummary(horizon, n, [e or None for e in cont.tolist()],
                        [e or None for e in disc.tolist()], lemma_bad)
-
-
-def estimate_stay_probability(dist: CrystalDistribution, mu: Weight, horizon: int,
-                              n: int, seed: int,
-                              target: Optional[Fraction] = None) -> EstimatorReport:
-    """Estimate of the continuous stay probability up to the horizon."""
-    summary = simulate_exits(dist, mu, horizon, n, seed)
-    hits = summary.stay_count_continuous(horizon)
-    return _bernoulli_report(f"stay<=L={horizon}", hits, n, target)
-
-
-def stay_probability_curve(dist: CrystalDistribution, mu: Weight, horizons: Sequence[int],
-                           n: int, seed: int) -> List[EstimatorReport]:
-    """Nested estimates over several horizons computed from the same samples."""
-    top = max(horizons)
-    summary = simulate_exits(dist, mu, top, n, seed)
-    return [
-        _bernoulli_report(f"stay<=L={ell}", summary.stay_count_continuous(ell), n)
-        for ell in horizons
-    ]
 
 
 def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
@@ -365,7 +349,7 @@ def h_law_reports(dist: CrystalDistribution, ellmax: int, n: int, seed: int
         lam = datum.weight(b)
         exact = hchain_entry(dist, mu, lam)
         reports.append(
-            _bernoulli_report(f"H {a}->{b}", c, by_source[a], exact)
+            bernoulli_report(f"H {a}->{b}", c, by_source[a], exact)
         )
     return reports
 
@@ -409,10 +393,10 @@ def sandwich_check(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     lower = algebra.psi(mu, dist.tau)
     upper = algebra.psi(mu + kappa0, dist.tau)
     upper_finite = algebra.psi_ell(mu + kappa0, dist.source, dist.tau, l0)
-    disc = _bernoulli_report(
+    disc = bernoulli_report(
         f"discrete-stay L={horizon}", summary.stay_count_discrete(horizon), n
     )
-    cont = _bernoulli_report(
+    cont = bernoulli_report(
         f"continuous-stay L={horizon}", summary.stay_count_continuous(horizon), n,
         target=algebra.psi_ell(mu, dist.source, dist.tau, horizon),
     )

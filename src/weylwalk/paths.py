@@ -57,17 +57,6 @@ class PiecewisePath(Frozen):
     def displacements(self) -> List[Vector]:
         return [sub(self.points[k + 1], self.points[k]) for k in range(self.num_segments)]
 
-    def value_at(self, t: Fraction) -> Vector:
-        """Exact value of the canonical representative at rational time t."""
-        t = Fraction(t)
-        if t < 0 or t > 1:
-            raise FormatError("time outside [0,1]")
-        s = t * self.num_segments
-        k = min(math.floor(s), self.num_segments - 1)
-        lam = s - k
-        p0, p1 = self.points[k], self.points[k + 1]
-        return tuple(a + lam * (b - a) for a, b in zip(p0, p1))
-
     def heights(self, i: int) -> List[Fraction]:
         """Pairing with coroot h_i at the breakpoints (h is linear between)."""
         return [p[i] for p in self.points]
@@ -133,10 +122,6 @@ def canonical_path(times: Sequence, points: Sequence[Sequence]) -> PiecewisePath
 def straight_path(target: Vector) -> PiecewisePath:
     """The straight line from 0 to ``target`` (constant path if target = 0)."""
     return from_displacements([vec(target)], dim=len(target))
-
-
-def constant_path(dim: int) -> PiecewisePath:
-    return from_displacements([], dim=dim)
 
 
 def concat(p1: PiecewisePath, p2: PiecewisePath) -> PiecewisePath:
@@ -244,10 +229,6 @@ def eps_phi(path: PiecewisePath, i: int) -> Tuple[int, int]:
 def is_dominant_path(path: PiecewisePath) -> bool:
     """Image contained in the closed dominant cone (breakpoint test)."""
     return path.stays_in_cone(zero(path.dim))
-
-
-def all_raising_null(datum: CartanDatum, path: PiecewisePath) -> bool:
-    return all(apply_e(datum, path, i) is None for i in range(datum.rank))
 
 
 # --- serialization -----------------------------------------------------------

@@ -80,4 +80,6 @@ def tau_half(c2):
 
 def partition_weight(datum, p1, p2):
     """C-type weight from partition coordinates (p1 >= p2 >= 0)."""
-    return datum.weight_from_ambient((p1, p2))
+    fw = datum.realization.from_ambient((p1, p2))
+    assert all(c.denominator == 1 for c in fw), "not in the weight lattice"
+    return datum.weight(fw)

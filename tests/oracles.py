@@ -16,19 +16,29 @@ evaluator ``TauPoint.sum_powers``.
 
 The unrestricted walk kernel, its twisted form and the drift profile live
 here too: they are definitions the tests check the library against, and the
-library itself has no use for them.
+library itself has no use for them.  So do the sum and product of
+``ExponentPolynomial`` term tables, and the polynomial identities built on
+them: the Weyl character formula's product ``denominator * S_mu``, the
+normalizer polynomial N_r (Sigma_M for several summands) and the character
+product identity.  Last come small definitions that only the tests read: a
+path's value at a time, whether every raising operator kills a path or a
+tensor node, the minuscule test, a crystal's isomorphism signature and the
+inverse of a Weyl element.
 """
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from weylwalk import paths as P
-from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, act_vector, reflect
-from weylwalk.charalg import CharacterAlgebra, TauPoint
-from weylwalk.crystal import CrystalGraph, TensorNode, tensor_apply_e, tensor_eps_phi
-from weylwalk.errors import ExactEvaluationError
+from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector, reflect,
+                             weyl_orbit)
+from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
+from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multiplicity,
+                              tensor_apply_e, tensor_eps_phi)
+from weylwalk.errors import ExactEvaluationError, FormatError
 from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
@@ -62,7 +72,7 @@ def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGra
             path = P.concat_all(pieces) if pieces else None
             if path is None:
                 continue
-            if P.all_raising_null(datum, path):
+            if all_raising_null(datum, path):
                 lam = P.path_weight(datum, path)
                 out[lam] = out.get(lam, 0) + weight_mult
     return out
@@ -183,7 +193,7 @@ def drift_profile(dist: CrystalDistribution) -> List[Tuple[Fraction, Vector]]:
     for t in mesh:
         val = zero(dist.datum.rank)
         for e in dist.entries:
-            val = add(val, smul(e.probability, e.crystal.nodes[e.node].value_at(t)))
+            val = add(val, smul(e.probability, value_at(e.crystal.nodes[e.node], t)))
         profile.append((t, val))
     return profile
 
@@ -381,3 +391,144 @@ def ladder_apply_f(datum: CartanDatum, path: Optional[P.PiecewisePath], i: int
             out_rev.append(reflect(datum.matrix, i, d))
         running_min = ha
     return P.from_displacements(prefix + list(reversed(out_rev)) + suffix, dim=path.dim)
+
+
+# -- the ring of ExponentPolynomial, over term tables ---------------------------
+
+
+def monomial(exponent: Sequence, coeff=1) -> ExponentPolynomial:
+    return ExponentPolynomial({tuple(exponent): coeff})
+
+
+def poly_sum(*polys: ExponentPolynomial) -> ExponentPolynomial:
+    """Sum of the term tables; the empty sum is 0."""
+    out: Dict[Tuple, Fraction] = {}
+    for poly in polys:
+        for e, c in poly.terms.items():
+            out[e] = out.get(e, 0) + c
+    return ExponentPolynomial(out)
+
+
+def poly_product(first: ExponentPolynomial, *rest: ExponentPolynomial) -> ExponentPolynomial:
+    """Product of the term tables, every term of one times every term of the next."""
+    out = dict(first.terms)
+    for poly in rest:
+        nxt: Dict[Tuple, Fraction] = {}
+        for e1, c1 in out.items():
+            for e2, c2 in poly.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                nxt[e] = nxt.get(e, 0) + c1 * c2
+        out = nxt
+    return ExponentPolynomial(out)
+
+
+def denominator_poly(algebra: CharacterAlgebra) -> ExponentPolynomial:
+    """prod over the positive roots of (1 - tau^alpha); finite type, all m_alpha = 1."""
+    one = (0,) * algebra.datum.rank
+    return poly_product(*(ExponentPolynomial({one: 1, alpha.root: -1})
+                          for alpha in algebra.posroots))
+
+
+def weyl_character_product(algebra: CharacterAlgebra, mu: Weight) -> ExponentPolynomial:
+    """denominator * S_mu, with S_mu from the crystal: by the Weyl character
+    formula it equals ``psi_poly(mu)``, the alternating orbit sum."""
+    return poly_product(denominator_poly(algebra), algebra.character_poly(mu))
+
+
+def normalizer_poly(algebra: CharacterAlgebra, source) -> ExponentPolynomial:
+    """N_r = sum of a_kappa tau^{r - kappa} S_kappa as a polynomial, r the
+    source's reference weight; for several summands r = 0, and N_r is Sigma_M."""
+    spec = as_module(source)
+    return poly_sum(*(poly_product(monomial((spec.reference - kappa).root, mult),
+                                   algebra.character_poly(kappa))
+                      for kappa, mult in spec.summands))
+
+
+def character_product_identity(algebra: CharacterAlgebra, mu: Weight, source, ell: int) -> bool:
+    """S_mu * N_r^ell = sum_lam f^ell_lam tau^{ell*r + mu - lam} S_lam, checked
+    on polynomials.
+
+    Rebasing by tau^{ell*r + mu - lam} matches the S-normalization of each
+    character on both sides.
+    """
+    spec = as_module(source)
+    counts = count_f_multiplicity(algebra.datum, mu, algebra.module_crystals(spec), ell)
+    ell_r = algebra.datum.weight(tuple(ell * c for c in spec.reference.fw))
+    left = poly_product(algebra.character_poly(mu), *[normalizer_poly(algebra, spec)] * ell)
+    right = poly_sum(*(poly_product(monomial((ell_r + mu - lam).root, f),
+                                    algebra.character_poly(lam))
+                       for lam, f in counts.items()))
+    return left == right
+
+
+def pi_ell_w(algebra: CharacterAlgebra, mu: Weight, source, tau: TauPoint, ell: int,
+             w: WeylElement) -> Fraction:
+    """One term of the alternating sum: tau^{(mu + rho) - w(mu + rho)} times
+    the finite-horizon stay probability of the w-twisted walk."""
+    shifted = mu + algebra.datum.rho
+    shift = reference_power(tau, (shifted - act(algebra.datum, w, shifted)).root)
+    return shift * algebra.psi_ell_twisted(mu, source, tau, ell, w)
+
+
+# -- definitions only the tests read --------------------------------------------
+
+
+def value_at(path: P.PiecewisePath, t) -> Vector:
+    """Exact value of the canonical representative at rational time t."""
+    t = Fraction(t)
+    if t < 0 or t > 1:
+        raise FormatError("time outside [0,1]")
+    s = t * path.num_segments
+    k = min(math.floor(s), path.num_segments - 1)
+    lam = s - k
+    p0, p1 = path.points[k], path.points[k + 1]
+    return tuple(a + lam * (b - a) for a, b in zip(p0, p1))
+
+
+def all_raising_null(datum: CartanDatum, path: P.PiecewisePath) -> bool:
+    return all(P.apply_e(datum, path, i) is None for i in range(datum.rank))
+
+
+def tensor_is_highest(node: TensorNode) -> bool:
+    return all(tensor_eps_phi(node, i)[0] == 0 for i in range(node.datum.rank))
+
+
+def is_minuscule(crystal: CrystalGraph) -> bool:
+    """Whether the node weights form a single Weyl orbit (no repeats).
+
+    W(kappa) lies among the weights, so repeat-free weights form one orbit
+    exactly when there are as many nodes as orbit points."""
+    counts = crystal.weight_counts()
+    return (all(c == 1 for c in counts.values())
+            and len(weyl_orbit(crystal.datum, crystal.kappa.fw)) == len(counts))
+
+
+def canonical_signature(crystal: CrystalGraph):
+    """Isomorphism invariant: deterministic BFS relabeling from the top.
+
+    Crystal graphs have at most one arrow per color out of and into each
+    node, so this signature is complete for colored-digraph isomorphism.
+    """
+    order = {crystal.highest: 0}
+    queue = [crystal.highest]
+    sig = []
+    while queue:
+        cur = queue.pop(0)
+        for i in range(crystal.datum.rank):
+            dst = crystal.f_edge.get((cur, i))
+            if dst is None:
+                continue
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+            sig.append((order[cur], i, order[dst]))
+    return tuple(sorted(sig))
+
+
+def inverse_element(w: WeylElement) -> WeylElement:
+    """w^{-1}, spelled by the reversed word; w^{-1}(rho) applies the word
+    left to right."""
+    rho = (1,) * len(w.cartan)
+    for i in w.word:
+        rho = reflect(w.cartan, i, rho)
+    return WeylElement(rho, w.word[::-1], w.sign, w.cartan)

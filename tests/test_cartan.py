@@ -11,15 +11,18 @@ from weylwalk import (
     positive_roots,
     weyl_group,
 )
-from weylwalk.cartan import act_vector, inverse_element, weyl_order
+from weylwalk.cartan import act_vector, weyl_order
 from weylwalk.errors import FormatError, NotFiniteTypeError, ResourceBudgetError
+
+from conftest import partition_weight
+from oracles import inverse_element
 
 
 def test_c2_datum_matches_standard_realization(c2):
     assert c2.matrix == ((2, -1), (-2, 2))
     assert c2.det == 2
-    assert c2.ambient(c2.fundamental_weight(0)) == (Fraction(1), Fraction(0))
-    assert c2.ambient(c2.fundamental_weight(1)) == (Fraction(1), Fraction(1))
+    assert c2.ambient(c2.weight((1, 0))) == (Fraction(1), Fraction(0))
+    assert c2.ambient(c2.weight((0, 1))) == (Fraction(1), Fraction(1))
     assert c2.ambient(c2.rho) == (Fraction(2), Fraction(1))
     assert c2.ambient(c2.simple_root(0)) == (Fraction(1), Fraction(-1))
     assert c2.ambient(c2.simple_root(1)) == (Fraction(0), Fraction(2))
@@ -36,7 +39,7 @@ def test_inverse_cartan_exact(c2, a2):
 
 def test_a1_fundamental_weight_is_half_alpha(a1):
     assert a1.matrix == ((2,),)
-    omega = a1.fundamental_weight(0)
+    omega = a1.weight((1,))
     alpha = a1.simple_root(0)
     assert omega.root == (Fraction(1, 2),)
     assert alpha.root == (Fraction(1),)
@@ -112,10 +115,10 @@ def test_classical_counts(label, count, order):
 def test_weyl_group_c2(c2):
     group = weyl_group(c2)
     assert len(group) == 8
-    assert group.identity.sign == 1 and group.identity.word == ()
+    assert group.elements[0].sign == 1 and group.elements[0].word == ()
     assert sum(1 for w in group if w.sign == -1) == 4
-    longest = group.longest()
-    assert longest.length == 4
+    longest = max(group, key=lambda w: len(w.word))
+    assert len(longest.word) == 4
     # the longest element sends the dominant cone to its negative
     for fw in [(1, 0), (0, 1), (3, 2)]:
         img = longest.apply_fw(fw)
@@ -131,7 +134,7 @@ def test_weyl_group_a2_signs(a2):
 def test_simple_reflection_action(c2):
     group = weyl_group(c2)
     s1 = next(w for w in group if w.word == (0,))
-    omega1 = c2.fundamental_weight(0)
+    omega1 = c2.weight((1, 0))
     image = act(c2, s1, omega1)
     assert image == omega1 - c2.simple_root(0)
     assert c2.ambient(image) == (Fraction(0), Fraction(1))  # epsilon_2
@@ -150,7 +153,7 @@ def test_action_fixes_origin_and_negates_own_root(c2):
 def test_chamber_position(c2):
     assert chamber_position(c2.rho) == "interior"
     assert chamber_position(c2.zero_weight()) == "boundary"
-    eps2 = c2.weight_from_ambient((0, 1))
+    eps2 = partition_weight(c2, 0, 1)
     assert eps2.fw == (-1, 1)
     assert chamber_position(eps2) == "outside"
 
@@ -178,7 +181,7 @@ def test_sign_is_a_homomorphism_and_involutions(c2):
             assert prod.sign == u.sign * v.sign
     for i in range(c2.rank):
         s = next(w for w in group if w.word == (i,))
-        assert s.apply_fw(s.rho_image) == group.identity.rho_image
+        assert s.apply_fw(s.rho_image) == group.elements[0].rho_image
 
 
 @given(fw=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))

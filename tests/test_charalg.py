@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
@@ -11,7 +13,15 @@ from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import DomainError, ExactEvaluationError
 
 from conftest import partition_weight
-from oracles import power_twisted_stay
+from oracles import (
+    character_product_identity,
+    normalizer_poly,
+    pi_ell_w,
+    poly_product,
+    poly_sum,
+    power_twisted_stay,
+    weyl_character_product,
+)
 
 F = Fraction
 
@@ -26,7 +36,7 @@ def test_character_goldens(c2, c2_algebra):
     S11 = c2_algebra.character_poly(c2.weight((0, 1)))
     assert S11 == poly({(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1, (2, 2): 1})
     S0 = c2_algebra.character_poly(c2.zero_weight())
-    assert S0 == ExponentPolynomial.one(2)
+    assert S0 == ExponentPolynomial({(0, 0): 1})
 
 
 def test_character_constant_term_and_positivity(c2, c2_algebra, tau_half):
@@ -102,7 +112,7 @@ def test_psi_product_equals_numerator(c2, a2, c2_algebra, a2_algebra):
     for datum, algebra in ((c2, c2_algebra), (a2, a2_algebra)):
         for fw in [(0, 0), (1, 0), (1, 1)]:
             mu = datum.weight(fw)
-            assert algebra.psi_poly(mu) == algebra.denominator_poly() * algebra.character_poly(mu)
+            assert algebra.psi_poly(mu) == weyl_character_product(algebra, mu)
 
 
 def test_psi_poly_refuses_non_dominant_weights(c2, c2_algebra):
@@ -189,24 +199,30 @@ def test_psi_ell_monotone_and_bounded_below_by_psi(c2, c2_algebra, tau_half):
 
 
 def test_sigma_m_value_golden(c2, c2_algebra):
+    """Sigma_M = tau^{-r} N_r, here for V(omega_1), whose r is omega_1."""
     spec = ModuleSpec(((c2.weight((1, 0)), 1),))
     tau = tau_point(c2, [F(1, 2), F(1, 4)], roots=[None, F(1, 2)])
-    assert c2_algebra.sigma_m(spec, tau) == F(27, 4)
+    shift = tau.power((-spec.reference).root)
+    assert shift * c2_algebra.normalizer(spec, tau) == F(27, 4)
 
 
 def test_sigma_m_single_summand_reduces(c2, c2_algebra):
+    """One summand: N_r is S_kappa, so Sigma_M is tau^{-kappa} S_kappa."""
     spec = ModuleSpec(((c2.weight((0, 1)), 1),))
     tau = tau_point(c2, [F(1, 4), F(1, 9)], roots=[F(1, 2), F(1, 3)])
     kappa = c2.weight((0, 1))
-    direct = tau.power(tuple(-c for c in kappa.root)) * c2_algebra.character_value(kappa, tau)
-    assert c2_algebra.sigma_m(spec, tau) == direct
+    assert spec.reference == kappa
+    assert c2_algebra.normalizer(spec, tau) == c2_algebra.character_value(kappa, tau)
 
 
 def test_sigma_m_missing_roots(c2, c2_algebra):
-    spec = ModuleSpec(((c2.weight((1, 0)), 1),))
+    """Several summands: r = 0, so N_r is Sigma_M, and tau^{-omega_1} needs
+    the root of tau_2."""
+    spec = ModuleSpec(((c2.weight((1, 0)), 1), (c2.weight((0, 1)), 1)))
+    assert spec.reference == c2.zero_weight()
     tau = tau_point(c2, [F(1, 2), F(1, 2)])
     with pytest.raises(ExactEvaluationError):
-        c2_algebra.sigma_m(spec, tau)
+        c2_algebra.normalizer(spec, tau)
 
 
 def _sigma_display_poly(a1_mult, a2_mult):
@@ -226,7 +242,8 @@ def _sigma_display_poly(a1_mult, a2_mult):
 @pytest.mark.parametrize("a1_mult,a2_mult", [(1, 1), (2, 3)])
 def test_sigma_m_symbolic_display(c2, c2_algebra, a1_mult, a2_mult):
     spec = ModuleSpec(((c2.weight((1, 0)), a1_mult), (c2.weight((0, 1)), a2_mult)))
-    assert c2_algebra.sigma_m_poly(spec) == _sigma_display_poly(a1_mult, a2_mult)
+    # several summands: r = 0, and N_r is Sigma_M
+    assert normalizer_poly(c2_algebra, spec) == _sigma_display_poly(a1_mult, a2_mult)
 
 
 # --- twisted relations ----------------------------------------------------------------
@@ -289,19 +306,15 @@ def test_twisted_term_factorization(c2, c2_algebra, tau_half):
                     )
                     direct += f * tau_half.power(expo)
                 direct /= S**ell
-                assert direct == algebra.pi_ell_w(mu, kappa, tau_half, ell, w)
+                assert direct == pi_ell_w(algebra, mu, kappa, tau_half, ell, w)
 
 
 def test_character_product_identity_powers(c2, c2_algebra, a2, a2_algebra):
     for ell in (2, 3):
-        assert c2_algebra.character_product_identity(
-            c2.weight((1, 0)), c2.weight((1, 0)), ell
-        )
-        assert a2_algebra.character_product_identity(
-            a2.weight((0, 0)), a2.weight((1, 0)), ell
-        )
+        assert character_product_identity(c2_algebra, c2.weight((1, 0)), c2.weight((1, 0)), ell)
+        assert character_product_identity(a2_algebra, a2.weight((0, 0)), a2.weight((1, 0)), ell)
     spec = ModuleSpec(((c2.weight((1, 0)), 1), (c2.weight((0, 1)), 1)))
-    assert c2_algebra.character_product_identity(c2.weight((1, 0)), spec, 2)
+    assert character_product_identity(c2_algebra, c2.weight((1, 0)), spec, 2)
 
 
 def test_tau_point_root_validation(c2):
@@ -311,15 +324,34 @@ def test_tau_point_root_validation(c2):
     assert tp.values == (F(1, 4), F(1, 9))
 
 
-def test_polynomial_arithmetic_basics():
-    one = ExponentPolynomial.one(2)
-    t1 = ExponentPolynomial.monomial((1, 0))
-    t2 = ExponentPolynomial.monomial((0, 1))
-    p = (one - t1) * (one + t1)
-    assert p == one - t1 * t1
-    assert (t1 + t2) ** 2 == t1 * t1 + 2 * (t1 * t2) + t2 * t2
-    assert (t1 - t1) == ExponentPolynomial.zero()
-    assert not (t1 - t1)
+# exponent pools of the oracle ring check: C2 on a grid, and the terms of the
+# normalizer of README's C2 module V(omega_1) + V(omega_2); without tau_roots
+# only integral exponents can be evaluated
+_C2 = build_cartan_datum("C2")
+_README_MODULE = ModuleSpec(((_C2.weight((1, 0)), 1), (_C2.weight((0, 1)), 1)))
+_GRID = [(F(a, 2), F(b, 2)) for a in range(-4, 5) for b in range(-4, 5)]
+RING_POOLS = {
+    "C2": _GRID,
+    "README module": list(normalizer_poly(CharacterAlgebra(_C2), _README_MODULE).terms),
+}
+UNIT = st.fractions(min_value=F(1, 9), max_value=F(8, 9), max_denominator=9)
+COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@pytest.mark.parametrize("roots", [True, False], ids=["tau_roots", "no roots"])
+@pytest.mark.parametrize("pool", sorted(RING_POOLS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_oracle_ring_evaluates_to_the_ring_of_values(pool, roots, data):
+    """The oracles' sum and product of two term tables evaluate to the sum and
+    product of the tables' values."""
+    exponents = [e for e in RING_POOLS[pool] if roots or all(x.denominator == 1 for x in e)]
+    a, b = [ExponentPolynomial({e: data.draw(COEFF) for e in data.draw(
+        st.lists(st.sampled_from(exponents), max_size=5, unique=True))}) for _ in range(2)]
+    coords = [data.draw(UNIT) for _ in range(_C2.rank)]
+    tau = tau_point_from_roots(_C2, coords) if roots else tau_point(_C2, coords)
+    assert poly_sum(a, b).evaluate(tau) == a.evaluate(tau) + b.evaluate(tau)
+    assert poly_product(a, b).evaluate(tau) == a.evaluate(tau) * b.evaluate(tau)
 
 
 def test_master_identity_module_variant(c2, c2_algebra):
@@ -342,7 +374,7 @@ def test_psi_product_equals_numerator_higher_types(label):
     algebra = CharacterAlgebra(datum)
     for fw in [(0,) * datum.rank, (1,) + (0,) * (datum.rank - 1)]:
         mu = datum.weight(fw)
-        assert algebra.psi_poly(mu) == algebra.denominator_poly() * algebra.character_poly(mu)
+        assert algebra.psi_poly(mu) == weyl_character_product(algebra, mu)
 
 
 # --- the finite-horizon stay sum against one TauPoint.power per endpoint -------------
@@ -370,7 +402,7 @@ def test_twisted_stay_equals_power_oracle(name):
     datum, source, tau = _stay_source(name)
     algebra = CharacterAlgebra(datum)
     spec = source if isinstance(source, ModuleSpec) else ModuleSpec(((source, 1),))
-    for mu in (datum.zero_weight(), datum.fundamental_weight(0)):
+    for mu in (datum.zero_weight(), datum.weight((1,) + (0,) * (datum.rank - 1))):
         for ell in (1, 2, 3, 4):
             counts, ell_r = algebra._branching(mu, spec, ell)
             norm = algebra.normalizer(spec, tau) ** ell

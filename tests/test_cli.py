@@ -426,6 +426,17 @@ def test_bad_output_dir_exits_2(tmp_path, capsys, value, flag):
     assert "config error" in err and "'output_dir'" in err
 
 
+def test_psi_refuses_a_non_dominant_mu_before_writing(tmp_path, capsys):
+    """mu is read before the psi table is built, so a config error writes no
+    output, only the manifest."""
+    code, outdir = run(tmp_path, "psi", "--type", "C2", "--tau", "1/2,1/2", "--mu=-1,0")
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (outdir / "psi_table.csv").exists()
+    manifest = json.loads((outdir / "psi_manifest.json").read_text())
+    assert manifest["exit_code"] == 2 and manifest["outputs"] == []
+
+
 def test_psi_e7_exits_budget(tmp_path):
     """psi_poly is the |W|-term numerator, which E7 is refused at once; the
     run leaves a manifest.  The timeout guards against a hang."""
@@ -493,6 +504,11 @@ def _doubled_hchain_entry(monkeypatch):
     (["psi"], {**README_MODULE, "tau": ["1/4", "1/9"]}, None, 0, None),
     (["hchain", "--type", "C2", "--tau", "1/2,1/3"], None, _doubled_hchain_entry, 3,
      "verification failure"),
+    # a block of 10 x 10^12 uniforms is refused before it is drawn
+    (["simulate", "--type", "C2", "--tau", "1/2,1/3", "--samples", "10",
+      "--horizon", str(10**12)], None, None, 4, "resource budget exceeded"),
+    (["sandwich", "--type", "C2", "--tau", "1/2,1/3", "--samples", "10",
+      "--horizon", str(10**12)], None, None, 4, "resource budget exceeded"),
 ])
 def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
     if payload is not None:

@@ -16,12 +16,17 @@ from weylwalk.crystal import (
     tensor_apply_e,
     tensor_apply_f,
     tensor_eps_phi,
-    tensor_is_highest,
 )
 from weylwalk.errors import ResourceBudgetError, WeylwalkError
 
 from conftest import lit, partition_weight
-from oracles import enumerate_f_multiplicity
+from oracles import (
+    canonical_signature,
+    character_product_identity,
+    enumerate_f_multiplicity,
+    is_minuscule,
+    tensor_is_highest,
+)
 
 
 def test_b_pi1_golden(c2, c2_paths, b_pi1):
@@ -161,7 +166,7 @@ def test_reflection_fixed_points(c2, b_gamma12):
 
 def test_longest_element_on_crystal(c2, b_pi1):
     group = weyl_group(c2)
-    longest = group.longest()
+    longest = max(group, key=lambda w: len(w.word))
     image = b_pi1.weyl_action_on_node(longest, 0)
     assert b_pi1.weights[image].fw == (-1, 0)  # epsilon_1 -> -epsilon_1
 
@@ -226,8 +231,8 @@ def test_multiplicities_against_character_products(c2, c2_algebra):
     # s_mu * s_kappa = sum_lam m s_lam as exact polynomials
     for kappa_fw in [(1, 0), (0, 1)]:
         for mu_fw in [(0, 0), (1, 0), (0, 1), (2, 1), (1, 1)]:
-            assert c2_algebra.character_product_identity(
-                c2.weight(mu_fw), c2.weight(kappa_fw), 1
+            assert character_product_identity(
+                c2_algebra, c2.weight(mu_fw), c2.weight(kappa_fw), 1
             )
 
 
@@ -304,24 +309,24 @@ def test_kappa0(c2, b_pi1, b_gamma12):
 
 
 def test_minuscule_detection(c2, a2, b_pi1, b_gamma12):
-    assert b_pi1.is_minuscule()
-    assert not b_gamma12.is_minuscule()
+    assert is_minuscule(b_pi1)
+    assert not is_minuscule(b_gamma12)
     a2_crystal = generate_crystal(a2, P.straight_path((Fraction(1), Fraction(0))))
-    assert a2_crystal.is_minuscule()
+    assert is_minuscule(a2_crystal)
     assert a2_crystal.kappa0().fw == (0, 0)
 
 
 def test_kappa0_zero_iff_minuscule_small_sweep(c2, c2_algebra):
     for fw in [(1, 0), (0, 1), (1, 1), (2, 0)]:
         crystal = c2_algebra.cache.get(c2.weight(fw))
-        assert (crystal.kappa0().fw == (0, 0)) == crystal.is_minuscule()
+        assert (crystal.kappa0().fw == (0, 0)) == is_minuscule(crystal)
 
 
 def test_isomorphism_invariance_of_generation(c2, c2_paths, b_gamma12):
     # second dominant path to omega_2: the straight line
     straight = generate_crystal(c2, P.straight_path(tuple(Fraction(c) for c in (0, 1))))
     assert len(straight) == len(b_gamma12) == 5
-    assert straight.canonical_signature() == b_gamma12.canonical_signature()
+    assert canonical_signature(straight) == canonical_signature(b_gamma12)
     assert straight.weight_counts() == b_gamma12.weight_counts()
 
 
@@ -420,7 +425,7 @@ def test_adjoint_generation_is_realization_independent(c2, c2_algebra):
     straight = c2_algebra.cache.get(c2.weight((2, 0)))
     bent = generate_crystal(c2, lit(c2, (0, 0), (1, 1), (2, 0)))
     assert len(bent) == len(straight) == 10
-    assert bent.canonical_signature() == straight.canonical_signature()
+    assert canonical_signature(bent) == canonical_signature(straight)
     assert bent.weight_counts() == straight.weight_counts()
     assert bent.kappa0() == straight.kappa0()
 

@@ -11,7 +11,7 @@ from weylwalk import markov as M
 from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode
 
-from oracles import exhaustive_h_trajectories, scalar_simulate_exits
+from oracles import exhaustive_h_trajectories, is_minuscule, scalar_simulate_exits
 
 F = Fraction
 
@@ -49,8 +49,8 @@ def test_empirical_step_law(c2, dist10):
     rng = MC._rng(123)
     n = 100_000
     counts = [0] * len(sampler.nodes)
-    for u in rng.random(size=n):
-        counts[sampler.pick(float(u))] += 1
+    for k in sampler.pick_many(rng.random(size=n)).tolist():
+        counts[k] += 1
     for k, e in enumerate(dist10.entries):
         p = float(e.probability)
         se = math.sqrt(p * (1 - p) / n)
@@ -62,9 +62,8 @@ def test_pick_exact_at_boundaries(a1, a1_algebra):
     dist = M.build_distribution(a1_algebra, a1.weight((1,)), tau)
     sampler = MC.StepSampler.from_distribution(dist)
     assert sampler.cum_fracs == [F(3, 4), F(1)]
-    assert sampler.pick(0.75) == 1  # boundary belongs to the upper cell
-    assert sampler.pick(0.7499999999) == 0
-    assert sampler.pick(0.0) == 0
+    # the boundary 3/4 belongs to the upper cell
+    assert sampler.pick_many(np.array([0.75, 0.7499999999, 0.0])).tolist() == [1, 0, 0]
 
 
 def test_exit_summary_nesting_and_inclusion(c2, dist10):
@@ -82,14 +81,16 @@ def test_exit_summary_nesting_and_inclusion(c2, dist10):
 def test_stay_estimate_matches_exact_small_horizon(c2, c2_algebra, dist10, tau_half):
     zero = c2.zero_weight()
     exact = c2_algebra.psi_ell(zero, c2.weight((1, 0)), tau_half, 4)
-    report = MC.estimate_stay_probability(dist10, zero, 4, 40_000, seed=31, target=exact)
+    summary = MC.simulate_exits(dist10, zero, 4, 40_000, seed=31)
+    report = MC.bernoulli_report("stay<=L=4", summary.stay_count_continuous(4), 40_000, exact)
     assert report.within(4.0)
 
 
 def test_stay_curve_reports(c2, dist10):
-    reports = MC.stay_probability_curve(dist10, c2.zero_weight(), [2, 5, 9], 2000, seed=3)
-    assert [r.n for r in reports] == [2000] * 3
-    assert reports[0].estimate >= reports[1].estimate >= reports[2].estimate
+    summary = MC.simulate_exits(dist10, c2.zero_weight(), 9, 2000, seed=3)
+    assert summary.n == len(summary.continuous_exit) == 2000
+    stays = [summary.stay_count_continuous(ell) for ell in (2, 5, 9)]
+    assert stays[0] >= stays[1] >= stays[2]
 
 
 def test_twisted_finite_horizon_decreases(c2, c2_algebra, tau_half):
@@ -205,8 +206,8 @@ def test_ratio_requires_root_lattice(c2, dist10):
 
 
 def test_reports_serialize(c2, dist10):
-    report = MC.estimate_stay_probability(dist10, c2.zero_weight(), 3, 500, seed=2,
-                                          target=F(1, 2))
+    summary = MC.simulate_exits(dist10, c2.zero_weight(), 3, 500, seed=2)
+    report = MC.bernoulli_report("stay<=L=3", summary.stay_count_continuous(3), 500, F(1, 2))
     payload = report.as_dict()
     assert set(payload) >= {"name", "estimate", "n", "stderr", "target", "z"}
 
@@ -248,7 +249,7 @@ def test_b3_spin_minuscule_sandwich():
     spin = b3.weight((0, 0, 1))
     crystal = algebra.cache.get(spin)
     assert len(crystal) == 8
-    assert crystal.is_minuscule() and crystal.kappa0().fw == (0, 0, 0)
+    assert is_minuscule(crystal) and crystal.kappa0().fw == (0, 0, 0)
     tau = tau_point(b3, [F(1, 2), F(1, 3), F(1, 2)])
     dist = M.build_distribution(algebra, spin, tau)
     report = MC.sandwich_check(dist, b3.zero_weight(), 20, 5000, seed=88)
@@ -289,7 +290,8 @@ def _kernel_case(name):
         tau = tau_point(datum, [F(1, 2)] + [F(2, 5)] * (datum.rank - 1))
         dist = M.build_distribution(algebra, datum.weight(kappa), tau)
         kappa0 = dist.crystals[0][0].kappa0()
-    return dist, datum.weight(start[0]) if start else datum.fundamental_weight(0), kappa0
+    omega1 = (1,) + (0,) * (datum.rank - 1)
+    return dist, datum.weight(start[0] if start else omega1), kappa0
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["plain", "kappa0"])
@@ -372,7 +374,7 @@ def test_pick_many_is_exact_at_edges():
         u = np.array(edges)
         exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
         assert sampler.pick_many(u).tolist() == exact
-        assert [sampler.pick(x) for x in edges] == exact
+        assert [int(sampler.pick_many(np.array([x]))[0]) for x in edges] == exact
         # any shape, one index per uniform
         assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
 

@@ -20,7 +20,7 @@ from weylwalk.charalg import tau_point
 from weylwalk.crystal import CrystalCache, ModuleSpec, count_multiplicity
 from weylwalk.errors import DomainError, FormatError
 
-from oracles import twisted_walk_transition
+from oracles import pi_ell_w, twisted_walk_transition
 
 F = Fraction
 
@@ -28,7 +28,8 @@ F = Fraction
 def _fundamental_crystals(label):
     datum = build_cartan_datum(label)
     cache = CrystalCache(datum)
-    return datum, [cache.get(datum.fundamental_weight(i)) for i in range(datum.rank)]
+    return datum, [cache.get(datum.weight(tuple(int(j == i) for j in range(datum.rank))))
+                   for i in range(datum.rank)]
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "D4"])
@@ -210,6 +211,6 @@ def test_master_identity_counts_once(monkeypatch, c2, a2, c2_algebra, a2_algebra
                 left, right = algebra.master_identity_sides(mu, kappa, tau, ell)
                 assert len(calls) == 1
                 assert left == right == algebra.psi(mu, tau)
-                terms = [w.sign * algebra.pi_ell_w(mu, kappa, tau, ell, w)
+                terms = [w.sign * pi_ell_w(algebra, mu, kappa, tau, ell, w)
                          for w in algebra.group]
                 assert right == sum(terms, F(0))

@@ -6,7 +6,7 @@ integral and fractional columns, one term and none) on A2, C2, G2 and B3 and
 README's C2 module, with ``tau_roots`` full, partial and absent.  Its callers
 ``power``, ``ExponentPolynomial.evaluate``, ``_twisted_stay`` and
 ``build_distribution`` raise the same errors as before on the module without
-``tau_roots``.
+``tau_roots``; so does the evaluation of the oracle ``normalizer_poly``.
 """
 
 from fractions import Fraction as F
@@ -21,7 +21,7 @@ from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import ExactEvaluationError
 from weylwalk.markov import build_distribution
 
-from oracles import reference_power, reference_sum_powers
+from oracles import normalizer_poly, reference_power, reference_sum_powers
 
 DATA = {label: build_cartan_datum(label) for label in ("A2", "C2", "G2", "B3")}
 POSITIVE = st.fractions(min_value=F(1, 9), max_value=F(3, 2), max_denominator=9)
@@ -106,7 +106,7 @@ def test_power_and_evaluate_equal_reference(data):
 def test_empty_sums_are_zero():
     tau = tau_point(DATA["C2"], [F(1, 4), F(1, 9)])
     assert tau.sum_powers([], []) == 0 and type(tau.sum_powers([], [])) is F
-    assert ExponentPolynomial.zero().evaluate(tau) == 0
+    assert ExponentPolynomial().evaluate(tau) == 0
 
 
 # --- README's C2 module: V(omega_1) + V(omega_2), half-integral exponents -------------
@@ -148,7 +148,7 @@ def test_module_without_roots_raises_the_same_messages():
     cases = [
         (lambda: tau.power((F(1, 2), 1)), "1/2"),
         (lambda: tau.power((0, F(-3, 2))), "-3/2"),
-        (lambda: algebra.sigma_m_poly(README_MODULE).evaluate(tau), "-1/2"),
+        (lambda: normalizer_poly(algebra, README_MODULE).evaluate(tau), "-1/2"),
         (lambda: build_distribution(algebra, README_MODULE, tau), "-1/2"),
     ]
     mu = C2.zero_weight()

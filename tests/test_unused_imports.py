@@ -1,7 +1,8 @@
 """No module in src/, tests/ or tools/ imports a name it never uses, no
 function in src/ imports from a module that its file imports at module level
-or that README "Cold start" does not let it load lazily, and no private
-helper in src/ is left without a reference.
+or that README "Cold start" does not let it load lazily, no private helper
+in src/ is left without a reference, no definition in src/ is left without a
+caller outside the tests, and no module in src/ reads another's private name.
 
 A name counts as used when the module references it anywhere or lists it in
 ``__all__``.  Package ``__init__.py`` files re-export by importing, and
@@ -12,6 +13,7 @@ a module-level import either, so a function may import numpy at run time.
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -229,3 +231,139 @@ def test_private_helper_detector_sees_a_leftover():
         "b.py": "from a import C\nC()._called()\n",
     }
     assert unreferenced_private(sources) == [("a.py", "_monomial"), ("a.py", "_stale")]
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of module-level
+    classes, dunders aside, as (name, node) pairs."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            out.append((stmt.name, stmt))
+        if isinstance(stmt, ast.ClassDef):
+            out.extend((f.name, f) for f in stmt.body if isinstance(f, ast.FunctionDef))
+    return [(name, node) for name, node in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _loads(tree):
+    """(name, node id) of every ``Name`` and ``Attribute`` the tree loads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, id(node)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, id(node)
+
+
+def target_names(spans_source):
+    """The names in the attribute strings of ``TARGETS``, such as
+    ``CharacterAlgebra`` and ``psi`` from "CharacterAlgebra.psi"."""
+    names = set()
+    for node in ast.walk(ast.parse(spans_source)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            for entry in node.value.elts:
+                names.update(entry.elts[1].value.split("."))
+    return names
+
+
+def backticked_names(markdown):
+    """Every identifier inside a backtick span of the markdown text."""
+    return {name for span in re.findall(r"`([^`\n]+)`", markdown)
+            for name in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def uncalled_definitions(sources, outside=(), named=frozenset()):
+    """(path, name) of every definition in ``sources`` (a {path: source} dict)
+    that nothing loads: not ``sources`` outside the definition's own body, not
+    the ``outside`` sources, and that is not in ``named``."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    loads = [pair for tree in trees.values() for pair in _loads(tree)]
+    used = named | {name for source in outside for name, _ in _loads(ast.parse(source))}
+    out = []
+    for path, tree in trees.items():
+        for name, node in _definitions(tree):
+            if name in used:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(load == name and nid not in own for load, nid in loads):
+                out.append((path, name))
+    return sorted(out)
+
+
+def _read(relpath):
+    with open(os.path.join(ROOT, relpath)) as f:
+        return f.read()
+
+
+def test_every_definition_in_src_has_a_caller():
+    """A function, class or method of src/ that only the tests call belongs in
+    tests/oracles.py.  A definition counts as called when src/ loads it outside
+    its own body, perfbench/ or tools/ loads it or wraps it in ``TARGETS``, the
+    package exports it, or README names it in backticks."""
+    import weylwalk
+
+    sources = {relpath: _read(relpath) for relpath in _modules(("src",), init=True)}
+    outside = [_read(relpath) for relpath in _modules(("perfbench", "tools"))]
+    named = (target_names(_read(os.path.join("perfbench", "spans.py")))
+             | set(weylwalk.__all__) | backticked_names(_read("README.md")))
+    assert uncalled_definitions(sources, outside, frozenset(named)) == []
+
+
+def test_uncalled_definition_detector_sees_a_leftover():
+    sources = {
+        "a.py": ("def helper(x):\n    return x\n"
+                 "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+                 "def exported():\n    return 1\n"
+                 "class C:\n"
+                 "    def __len__(self):\n        return 0\n"
+                 "    def used(self):\n        return helper(1)\n"
+                 "    def oracle_only(self):\n        return self.used()\n"
+                 "    def wrapped(self):\n        return 0\n"),
+        "b.py": "from a import C\n",
+    }
+    outside = ["import a\na.C().used\n"]
+    named = target_names("TARGETS = (('a', 'C.wrapped', 'a.wrapped', None, None),)\n")
+    named |= backticked_names("Call `exported()` once.\n") | {"C"}
+    assert uncalled_definitions(sources, outside, frozenset(named)) == [
+        ("a.py", "oracle_only"), ("a.py", "recursive")]
+
+
+def private_reads_across_modules(source):
+    """(line, name) of every private name the module reads from another
+    module: imported by name, or read as an attribute of an imported module."""
+    tree = ast.parse(source)
+    modules = set()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.extend((node.lineno, alias.name) for alias in node.names
+                       if _is_private(alias.name))
+            if node.module is None:  # from . import module
+                modules.update(alias.asname or alias.name for alias in node.names)
+    out.extend((node.lineno, node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and _is_private(node.attr))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("relpath", list(_modules(("src",), init=True)))
+def test_no_module_in_src_reads_another_modules_private_name(relpath):
+    assert private_reads_across_modules(_read(relpath)) == []
+
+
+def test_private_read_detector_sees_a_leftover():
+    source = (
+        "import os\n"
+        "from . import montecarlo as MC\n"
+        "from .cartan import _set_slot, Weight\n"
+        "class C:\n"
+        "    def _own(self):\n        return self._cache\n"
+        "def f():\n"
+        "    from . import markov\n"
+        "    return MC._bernoulli_report, markov._step_weights, os.sep, C()._own()\n"
+    )
+    assert private_reads_across_modules(source) == [(3, "_set_slot"), (9, "_bernoulli_report"),
+                                                    (9, "_step_weights")]
