@@ -10,8 +10,8 @@ _EXPORTS = {
                "build_cartan_datum", "chamber_position", "positive_roots", "weyl_group"),
     "charalg": ("CharacterAlgebra", "ExponentPolynomial", "TauPoint", "tau_point"),
     "crystal": ("CrystalCache", "CrystalGraph", "ModuleSpec", "TensorNode",
-                "count_f_multiplicity", "count_multiplicity", "generate_crystal",
-                "tensor_apply_e", "tensor_apply_f", "tensor_eps_phi"),
+                "count_f_multiplicity", "count_multiplicity", "tensor_apply_e",
+                "tensor_apply_f", "tensor_eps_phi"),
     "markov": ("CrystalDistribution", "TransitionTable", "build_distribution",
                "doob_transform", "hchain_matrix", "pitman", "restricted_table",
                "state_closure", "twisted_tau"),

@@ -27,9 +27,13 @@ from .cartan import (
     weyl_orbit,
     weyl_order,
 )
-from .crystal import CrystalCache, CrystalGraph, ModuleSpec, as_module, count_f_multiplicity
+from .crystal import CrystalCache, CrystalGraph, as_module, count_f_multiplicity
 from .errors import DomainError, ExactEvaluationError, FormatError, ResourceBudgetError
 from .exact import Rational, exact_unit
+
+
+def in_unit_cube(values: Sequence[Fraction]) -> bool:
+    return all(0 < v < 1 for v in values)
 
 
 class TauPoint(Frozen):
@@ -58,12 +62,9 @@ class TauPoint(Frozen):
     def rank(self) -> int:
         return len(self.values)
 
-    def in_convergence_region(self) -> bool:
-        """Finite type: the open unit cube."""
-        return all(0 < v < 1 for v in self.values)
-
     def require_in_region(self) -> None:
-        if not self.in_convergence_region():
+        """Finite type: the convergence region is the open unit cube."""
+        if not in_unit_cube(self.values):
             raise DomainError(f"tau {tuple(map(str, self.values))} is outside ]0,1[^n")
 
     def power(self, exponent: Sequence) -> Fraction:
@@ -322,10 +323,13 @@ class CharacterAlgebra:
 
     # -- finite-horizon quantities -------------------------------------------------
 
-    def _branching(self, mu: Weight, spec: ModuleSpec, ell: int):
-        """Counts f^ell_lam(mu) of the source and the exponent base ell * r."""
+    def _branching(self, mu: Weight, source, tau: TauPoint, ell: int):
+        """Counts f^ell_lam(mu) of the source, the exponent base ell * r and
+        the normalizer N_r(tau)^ell."""
+        spec = as_module(source)
         counts = count_f_multiplicity(self.datum, mu, self.module_crystals(spec), ell)
-        return counts, self.datum.weight(tuple(ell * c for c in spec.reference.fw))
+        ell_r = self.datum.weight(tuple(ell * c for c in spec.reference.fw))
+        return counts, ell_r, self.normalizer(spec, tau) ** ell
 
     def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
                       tau: TauPoint, w) -> Fraction:
@@ -345,10 +349,6 @@ class CharacterAlgebra:
                      for lam in counts]
         return tau.sum_powers(counts.values(), exponents) / norm
 
-    def _rho_shift(self, mu: Weight, tau: TauPoint, w) -> Fraction:
-        shifted = mu + self.datum.rho
-        return tau.power((shifted - act(self.datum, w, shifted)).root)
-
     def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:
         """Finite-horizon stay probability via the branching counts (w = 1)."""
         return self.psi_ell_twisted(mu, source, tau, ell, self._identity)
@@ -362,10 +362,7 @@ class CharacterAlgebra:
         the identity.
         """
         tau.require_in_region()
-        spec = as_module(source)
-        counts, ell_r = self._branching(mu, spec, ell)
-        norm = self.normalizer(spec, tau) ** ell
-        return self._twisted_stay(mu, counts, ell_r, norm, tau, w)
+        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau, w)
 
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
@@ -375,11 +372,10 @@ class CharacterAlgebra:
         counts and one normalizer.
         """
         left = self.psi(mu, tau)
-        spec = as_module(source)
-        counts, ell_r = self._branching(mu, spec, ell)
-        norm = self.normalizer(spec, tau) ** ell
+        counts, ell_r, norm = self._branching(mu, source, tau, ell)
+        shifted = mu + self.datum.rho
         right = Fraction(0)
         for w in self.group:
             stay = self._twisted_stay(mu, counts, ell_r, norm, tau, w)
-            right += w.sign * self._rho_shift(mu, tau, w) * stay
+            right += w.sign * tau.power((shifted - act(self.datum, w, shifted)).root) * stay
         return left, right

@@ -25,10 +25,9 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional
 
 from .cartan import Weight, build_cartan_datum
-from .charalg import CharacterAlgebra, TauPoint, tau_point, tau_point_from_roots
+from .charalg import CharacterAlgebra, TauPoint, in_unit_cube, tau_point, tau_point_from_roots
 from .crystal import ModuleSpec, TensorNode, tensor_apply_e
 from .errors import (
-    ClosureError,
     DomainError,
     ExactEvaluationError,
     FormatError,
@@ -47,14 +46,14 @@ EXIT_BUDGET = 4
 
 # [low, high) of the integer config keys that have a range
 KEY_RANGES = {"samples": (1, math.inf), "horizon": (1, math.inf), "seed": (0, 2**64),
-              "ell": (0, math.inf), "ells": (0, math.inf), "exact_horizon": (0, math.inf),
-              "state_limit": (0, math.inf), "mu_limit": (0, math.inf)}
+              "ell": (0, math.inf), "ells": (0, math.inf), "state_limit": (0, math.inf),
+              "mu_limit": (0, math.inf)}
 
 # the top-level config keys; a "module" item takes "kappa" and "mult", and a
 # "type" object takes "matrix"
 CONFIG_KEYS = frozenset(("type", "max_rank", "module", "kappa", "mu", "tau", "tau_roots",
                          "output_dir", "path", "basis", "samples", "horizon", "seed", "ell",
-                         "ells", "exact_horizon", "state_limit", "mu_limit"))
+                         "ells", "state_limit", "mu_limit"))
 
 
 def _known_keys(table: Dict, keys, where: str) -> None:
@@ -247,7 +246,7 @@ def cmd_crystal(ctx: RunContext, out: OutputWriter) -> int:
 
 def cmd_character(ctx: RunContext, out: OutputWriter) -> int:
     rows = []
-    for crystal, mult in ctx.algebra.module_crystals(ctx.source):
+    for crystal, _ in ctx.algebra.module_crystals(ctx.source):
         poly = ctx.algebra.character_poly(crystal.kappa)
         print(f"S_{crystal.kappa.fw} = {poly}")
         for e, c in poly.sorted_terms():
@@ -282,28 +281,29 @@ def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
 def cmd_hchain(ctx: RunContext, out: OutputWriter) -> int:
     from . import markov as M
 
-    dist = ctx.distribution()
-    states = ctx.states()
-    table = M.hchain_matrix(dist, states, strict=False)
+    table = M.hchain_matrix(ctx.distribution(), ctx.states(), strict=False)
     out.write("hchain.csv", table.to_csv())
     out.write("hchain.json", table.to_json())
-    print(f"hchain table on {len(states)} states "
+    print(f"hchain table on {len(table.states)} states "
           f"({sum(table.row_complete)} complete rows)")
     return EXIT_OK
 
 
-def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
+def _doob_and_hchain(dist, states):
+    """The Doob transform by psi of the restricted table, and the h-chain table."""
     from . import markov as M
 
-    dist = ctx.distribution()
-    states = ctx.states()
     sub = M.restricted_table(dist, states, strict=False)
-    table = M.doob_transform(sub, M.psi_harmonic_witness(dist, sub))
+    return (M.doob_transform(sub, M.psi_harmonic_witness(dist, sub)),
+            M.hchain_matrix(dist, states, strict=False))
+
+
+def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
+    table, hc = _doob_and_hchain(ctx.distribution(), ctx.states())
     out.write("conditioned.csv", table.to_csv())
     out.write("conditioned.json", table.to_json())
-    hc = M.hchain_matrix(dist, states, strict=False)
     same = table.rows == hc.rows
-    print(f"conditioned kernel on {len(states)} states; equals hchain: {same}")
+    print(f"conditioned kernel on {len(table.states)} states; equals hchain: {same}")
     return EXIT_OK if same else EXIT_VERIFY
 
 
@@ -336,7 +336,7 @@ def cmd_simulate(ctx: RunContext, out: OutputWriter) -> int:
     horizon = ctx.read("horizon", 20)
     n = ctx.read("samples", 20000)
     seed = ctx.read("seed", 2024)
-    small = min(horizon, ctx.read("ell") if "ell" in ctx.cfg else ctx.read("exact_horizon", 5))
+    small = min(horizon, ctx.read("ell", 5))
     # first, so that a block over the budget exits before the exact targets run
     summary = MC.simulate_exits(dist, mu, horizon, n, seed)
     exact_small = ctx.algebra.psi_ell(mu, ctx.source, dist.tau, small)
@@ -433,7 +433,6 @@ def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
     datum = ctx.datum
     dist = ctx.distribution()
     group = algebra.group
-    zero = datum.weight((0,) * datum.rank)
     results: List[tuple] = []
 
     def record(name, ok):
@@ -445,16 +444,13 @@ def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
         left, right = algebra.master_identity_sides(ctx.mu(), ctx.source, tau, ell)
         record(f"alternating identity ell={ell}", left == right)
     # matrix identity
-    states = ctx.states(limit=3)
-    sub = M.restricted_table(dist, states, strict=False)
     try:
-        doob = M.doob_transform(sub, M.psi_harmonic_witness(dist, sub))
-        hc = M.hchain_matrix(dist, states, strict=False)
+        doob, hc = _doob_and_hchain(dist, ctx.states(limit=3))
         record("doob(psi) == hchain", doob.rows == hc.rows)
     except HarmonicityError as ex:
         record(f"doob(psi) == hchain ({ex})", False)
     # twisted coordinates leave the cube except at the identity
-    ok = all(M.in_unit_cube(M.twisted_tau(datum, w, tau)) == w.is_identity() for w in group)
+    ok = all(in_unit_cube(M.twisted_tau(datum, w, tau)) == w.is_identity() for w in group)
     record("twisted tau outside ]0,1[^n unless w=1", ok)
     # twisted node law equals the permuted law, node by node
     ok = True
@@ -470,10 +466,10 @@ def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
     for i0 in range(len(crystal)):
         for i1 in range(len(crystal)):
             node = TensorNode(((crystal, i0), (crystal, i1)))
-            concat = P.concat(crystal.nodes[i0], crystal.nodes[i1])
+            path = node.path()
             for i in range(datum.rank):
                 te = tensor_apply_e(node, i)
-                pe = P.apply_e(datum, concat, i)
+                pe = P.apply_e(datum, path, i)
                 ok = ok and ((te is None) == (pe is None))
                 if te is not None:
                     ok = ok and te.path() == pe
@@ -561,7 +557,7 @@ def main(argv=None) -> int:
         code, error = EXIT_CONFIG, f"config error: {ex}"
     except ResourceBudgetError as ex:
         code, error = EXIT_BUDGET, f"resource budget exceeded: {ex}"
-    except (ClosureError, HarmonicityError, WeylwalkError) as ex:
+    except WeylwalkError as ex:
         code, error = EXIT_VERIFY, f"verification failure: {ex}"
     if error is not None:
         print(error, file=sys.stderr)

@@ -17,6 +17,8 @@ from .errors import FormatError, ResourceBudgetError, WeylwalkError
 from . import paths as P
 
 DEFAULT_NODE_BUDGET = 200_000
+# most states the branching DP may carry, summed over its layers
+DEFAULT_DP_BUDGET = 1_000_000
 
 
 class CrystalGraph:
@@ -159,11 +161,6 @@ class CrystalGraph:
         return json.dumps(payload, indent=2)
 
 
-def generate_crystal(datum: CartanDatum, highest_path: P.PiecewisePath,
-                     budget: int = DEFAULT_NODE_BUDGET) -> CrystalGraph:
-    return CrystalGraph(datum, highest_path, budget)
-
-
 class CrystalCache:
     """Crystals B(straight path to lambda), generated once per weight."""
 
@@ -180,9 +177,6 @@ class CrystalCache:
             path = P.straight_path(tuple(Fraction(c) for c in w.fw))
             self._store[key] = CrystalGraph(self.datum, path, self.budget)
         return self._store[key]
-
-    def dim(self, w: Weight) -> int:
-        return len(self.get(w))
 
 
 class ModuleSpec(Frozen):
@@ -334,6 +328,8 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
     add.  The row of nu depends only on its clip class min(nu_i, max_b
     eps_i(b)), since a node passes the cone test at nu exactly when it does
     there; it is computed once per class, as (step key, multiplicity) pairs.
+
+    It raises ``ResourceBudgetError`` once its states pass ``DEFAULT_DP_BUDGET``.
     """
     if ell <= 0:
         return {mu: 1}
@@ -355,6 +351,7 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
     class_rows: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     rows: Dict[int, List[Tuple[int, int]]] = {}
     state: Dict[int, int] = {key(mu.fw): 1}
+    carried = 0
     for _ in range(ell):
         nxt: Dict[int, int] = {}
         for k, c in state.items():
@@ -371,4 +368,8 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
             for d, m in row:
                 nxt[k + d] = nxt.get(k + d, 0) + c * m
         state = nxt
+        carried += len(state)
+        if carried > DEFAULT_DP_BUDGET:
+            raise ResourceBudgetError(f"branching counts over {ell} steps carry more than "
+                                      f"{DEFAULT_DP_BUDGET} states", partial_count=carried)
     return {datum.weight(coords(k)): c for k, c in state.items()}

@@ -121,10 +121,6 @@ def twisted_tau(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> Tuple[Frac
                  for i in range(datum.rank))
 
 
-def in_unit_cube(values: Sequence[Fraction]) -> bool:
-    return all(0 < v < 1 for v in values)
-
-
 def twisted_law(dist: CrystalDistribution, w: WeylElement
                 ) -> Dict[Tuple[Weight, Weight], Fraction]:
     """p^w keyed by (kappa, node weight): the step law a_kappa tau^{r - wt} / N_r

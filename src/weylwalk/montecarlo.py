@@ -153,31 +153,10 @@ class StepSampler:
         return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
 
 
-class WalkSample(Record):
-    """One trajectory: ``positions[k]`` is the position after step k, and
-    ``stay_flags[k]`` whether the path stays in the cone during step k."""
-
-    __slots__ = ("seed", "start", "steps", "positions", "stay_flags")
-
-
 def _rng(seed: int) -> np.random.Generator:
     import numpy as np
 
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def sample_walk(dist: CrystalDistribution, mu: Weight, horizon: int, seed: int,
-                sampler: Optional[StepSampler] = None) -> WalkSample:
-    """One reproducible trajectory of length ``horizon`` started at mu."""
-    import numpy as np
-
-    sampler = sampler or StepSampler.from_distribution(dist)
-    steps = sampler.pick_many(_rng(seed).random(size=horizon))
-    path = np.cumsum(np.vstack([np.array([mu.fw], dtype=np.int64), sampler.weights[steps]]),
-                     axis=0)
-    flags = (path[:-1] >= sampler.eps[steps]).all(axis=1)
-    positions = [tuple(row) for row in path[1:].tolist()]
-    return WalkSample(seed, mu.fw, steps.tolist(), positions, flags.tolist())
 
 
 def _exited_by(exits: Sequence[Optional[int]], horizon: int) -> List[int]:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylwalk import build_cartan_datum, generate_crystal
+from weylwalk import CrystalGraph, build_cartan_datum
 from weylwalk import paths as P
 from weylwalk.charalg import CharacterAlgebra, tau_point
 
@@ -50,12 +50,12 @@ def c2_paths(c2):
 
 @pytest.fixture(scope="session")
 def b_pi1(c2, c2_paths):
-    return generate_crystal(c2, c2_paths["pi1"])
+    return CrystalGraph(c2, c2_paths["pi1"])
 
 
 @pytest.fixture(scope="session")
 def b_gamma12(c2, c2_paths):
-    return generate_crystal(c2, c2_paths["gamma12"])
+    return CrystalGraph(c2, c2_paths["gamma12"])
 
 
 @pytest.fixture(scope="session")

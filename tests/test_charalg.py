@@ -401,11 +401,10 @@ def _stay_source(name):
 def test_twisted_stay_equals_power_oracle(name):
     datum, source, tau = _stay_source(name)
     algebra = CharacterAlgebra(datum)
-    spec = source if isinstance(source, ModuleSpec) else ModuleSpec(((source, 1),))
     for mu in (datum.zero_weight(), datum.weight((1,) + (0,) * (datum.rank - 1))):
         for ell in (1, 2, 3, 4):
-            counts, ell_r = algebra._branching(mu, spec, ell)
-            norm = algebra.normalizer(spec, tau) ** ell
+            counts, ell_r, norm = algebra._branching(mu, source, tau, ell)
+            assert norm == algebra.normalizer(source, tau) ** ell
             for w in algebra.group:
                 assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, w)
                         == power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w))
@@ -414,10 +413,10 @@ def test_twisted_stay_equals_power_oracle(name):
 def test_twisted_stay_raises_without_roots():
     """A fractional exponent on a coordinate without a root raises, with the
     message TauPoint.power gives at the first such exponent."""
-    datum, source, _ = _stay_source("C2 module")
+    datum, source, rooted = _stay_source("C2 module")
     algebra = CharacterAlgebra(datum)
     mu = datum.zero_weight()
-    counts, ell_r = algebra._branching(mu, source, 2)
+    counts, ell_r, _ = algebra._branching(mu, source, rooted, 2)
     for tau in (tau_point(datum, [F(1, 4), F(1, 9)]),
                 tau_point(datum, [F(1, 4), F(1, 9)], roots=[F(1, 2), None])):
         for w in algebra.group:

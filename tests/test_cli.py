@@ -353,6 +353,7 @@ def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
     (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "horizn": 5}),
     (["crystal"], {"type": "C2", "module": [{"kappa": [1, 0], "mul": 2}]}),
     (["crystal"], {"type": {"matrix": [[2, -1], [-1, 2]], "label": "A2"}}),
+    (["simulate"], {"type": "C2", "tau": ["1/2", "1/2"], "exact_horizon": 5}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, argv, payload):
     if payload is not None:
@@ -509,6 +510,11 @@ def _doubled_hchain_entry(monkeypatch):
       "--horizon", str(10**12)], None, None, 4, "resource budget exceeded"),
     (["sandwich", "--type", "C2", "--tau", "1/2,1/3", "--samples", "10",
       "--horizon", str(10**12)], None, None, 4, "resource budget exceeded"),
+    # an exact horizon whose branching counts carry too many states is refused
+    (["simulate", "--type", "A1", "--kappa", "1", "--tau", "1/3", "--samples", "1",
+      "--horizon", "100000", "--ell", "100000"], None, None, 4, "resource budget exceeded"),
+    (["sandwich", "--type", "A1", "--kappa", "1", "--tau", "1/3", "--samples", "1",
+      "--horizon", "100000"], None, None, 4, "resource budget exceeded"),
 ])
 def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
     if payload is not None:

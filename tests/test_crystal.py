@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from weylwalk import crystal as C
 from weylwalk import paths as P
 from weylwalk import weyl_group
 from weylwalk.cartan import act
 from weylwalk.crystal import (
     CrystalCache,
+    CrystalGraph,
     ModuleSpec,
     TensorNode,
     count_f_multiplicity,
     count_multiplicity,
-    generate_crystal,
     module_multiplicity,
     tensor_apply_e,
     tensor_apply_f,
@@ -48,18 +49,18 @@ def test_b_gamma12_golden(c2, c2_paths, b_gamma12):
 
 
 def test_a1_crystal(a1):
-    crystal = generate_crystal(a1, P.straight_path((Fraction(1),)))
+    crystal = CrystalGraph(a1, P.straight_path((Fraction(1),)))
     assert len(crystal) == 2
 
 
 def test_non_dominant_seed_rejected(c2, c2_paths):
     with pytest.raises(WeylwalkError, match="dominant"):
-        generate_crystal(c2, c2_paths["pibar1"])
+        CrystalGraph(c2, c2_paths["pibar1"])
 
 
 def test_node_budget(c2, c2_paths):
     with pytest.raises(ResourceBudgetError) as err:
-        generate_crystal(c2, c2_paths["gamma12"], budget=3)
+        CrystalGraph(c2, c2_paths["gamma12"], budget=3)
     assert err.value.partial_count == 3
 
 
@@ -223,8 +224,8 @@ def test_multiplicity_dimension_sum(c2, c2_algebra, b_pi1, b_gamma12):
         for fw in [(1, 0), (0, 1), (1, 1)]:
             mu = c2.weight(fw)
             row = count_multiplicity(mu, crystal)
-            total = sum(m * cache.dim(lam) for lam, m in row.items())
-            assert total == cache.dim(mu) * len(crystal)
+            total = sum(m * len(cache.get(lam)) for lam, m in row.items())
+            assert total == len(cache.get(mu)) * len(crystal)
 
 
 def test_multiplicities_against_character_products(c2, c2_algebra):
@@ -291,8 +292,19 @@ def test_f_support_inside_root_cone(c2, b_pi1):
                 assert all(c >= 0 and c.denominator == 1 for c in diff.root)
 
 
+def test_f_dp_refuses_once_its_states_pass_the_budget(a1, monkeypatch):
+    """A1 B(omega_1) from 0 carries floor(k/2) + 1 states at layer k: 35 over
+    ten layers, 41 over eleven."""
+    crystals = [(CrystalCache(a1).get(a1.weight((1,))), 1)]
+    monkeypatch.setattr(C, "DEFAULT_DP_BUDGET", 35)
+    assert sum(count_f_multiplicity(a1, a1.zero_weight(), crystals, 10).values()) == 252
+    with pytest.raises(ResourceBudgetError) as err:
+        count_f_multiplicity(a1, a1.zero_weight(), crystals, 11)
+    assert err.value.partial_count == 41
+
+
 def test_a2_f_dp_vs_enumeration(a2):
-    crystal = generate_crystal(a2, P.straight_path((Fraction(1), Fraction(0))))
+    crystal = CrystalGraph(a2, P.straight_path((Fraction(1), Fraction(0))))
     assert len(crystal) == 3
     for ell in (1, 2):
         dp = count_f_multiplicity(a2, a2.zero_weight(), [(crystal, 1)], ell)
@@ -311,7 +323,7 @@ def test_kappa0(c2, b_pi1, b_gamma12):
 def test_minuscule_detection(c2, a2, b_pi1, b_gamma12):
     assert is_minuscule(b_pi1)
     assert not is_minuscule(b_gamma12)
-    a2_crystal = generate_crystal(a2, P.straight_path((Fraction(1), Fraction(0))))
+    a2_crystal = CrystalGraph(a2, P.straight_path((Fraction(1), Fraction(0))))
     assert is_minuscule(a2_crystal)
     assert a2_crystal.kappa0().fw == (0, 0)
 
@@ -324,7 +336,7 @@ def test_kappa0_zero_iff_minuscule_small_sweep(c2, c2_algebra):
 
 def test_isomorphism_invariance_of_generation(c2, c2_paths, b_gamma12):
     # second dominant path to omega_2: the straight line
-    straight = generate_crystal(c2, P.straight_path(tuple(Fraction(c) for c in (0, 1))))
+    straight = CrystalGraph(c2, P.straight_path(tuple(Fraction(c) for c in (0, 1))))
     assert len(straight) == len(b_gamma12) == 5
     assert canonical_signature(straight) == canonical_signature(b_gamma12)
     assert straight.weight_counts() == b_gamma12.weight_counts()
@@ -423,7 +435,7 @@ def test_crystal_size_matches_dimension_formula(label, fw):
 def test_adjoint_generation_is_realization_independent(c2, c2_algebra):
     """A bent dominant path to the same top weight gives an isomorphic graph."""
     straight = c2_algebra.cache.get(c2.weight((2, 0)))
-    bent = generate_crystal(c2, lit(c2, (0, 0), (1, 1), (2, 0)))
+    bent = CrystalGraph(c2, lit(c2, (0, 0), (1, 1), (2, 0)))
     assert len(bent) == len(straight) == 10
     assert canonical_signature(bent) == canonical_signature(straight)
     assert bent.weight_counts() == straight.weight_counts()

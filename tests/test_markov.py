@@ -7,8 +7,8 @@ import pytest
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk import markov as M
-from weylwalk.charalg import CharacterAlgebra, tau_point
-from weylwalk.crystal import ModuleSpec, TensorNode, generate_crystal, tensor_apply_e, tensor_eps_phi
+from weylwalk.charalg import CharacterAlgebra, in_unit_cube, tau_point
+from weylwalk.crystal import CrystalGraph, ModuleSpec, TensorNode, tensor_apply_e, tensor_eps_phi
 from weylwalk.errors import DomainError, HarmonicityError, WeylwalkError
 
 from conftest import partition_weight
@@ -72,7 +72,7 @@ def test_module_distribution_matches_display(c2, dist_mod, tau_mod):
 def test_distribution_invariant_under_isomorphism(c2, c2_algebra, tau_half):
     omega2 = c2.weight((0, 1))
     from_straight = M.build_distribution(c2_algebra, omega2, tau_half)
-    gamma_crystal = generate_crystal(
+    gamma_crystal = CrystalGraph(
         c2, P.canonical_path([0, F(1, 2), 1], [(0, 0), (1, 0), (0, 1)])
     )
     by_weight_a = sorted((e.crystal.weights[e.node].fw, e.probability) for e in from_straight.entries)
@@ -249,7 +249,7 @@ def test_twisted_tau_leaves_cube_c2_a2(c2, a2):
     for datum in (c2, a2):
         tau = tau_point(datum, [F(1, 2), F(1, 3)])
         for w in weyl_group(datum):
-            inside = M.in_unit_cube(M.twisted_tau(datum, w, tau))
+            inside = in_unit_cube(M.twisted_tau(datum, w, tau))
             assert inside == w.is_identity()
 
 
@@ -481,7 +481,7 @@ def test_strict_closure_raises(c2, dist10):
 def test_psi_harmonic_across_types(label, tau_vals):
     """The exit-free probability balances the restricted kernel beyond rank 2."""
     from weylwalk import build_cartan_datum
-    from weylwalk.charalg import CharacterAlgebra, tau_point
+    from weylwalk.charalg import CharacterAlgebra, in_unit_cube, tau_point
 
     datum = build_cartan_datum(label)
     algebra = CharacterAlgebra(datum)

@@ -22,26 +22,15 @@ def dist10(c2, c2_algebra, tau_half):
 
 
 def test_sampling_is_deterministic(c2, dist10):
-    a = MC.sample_walk(dist10, c2.zero_weight(), 25, seed=99)
-    b = MC.sample_walk(dist10, c2.zero_weight(), 25, seed=99)
-    assert a.steps == b.steps and a.positions == b.positions
-    c = MC.sample_walk(dist10, c2.zero_weight(), 25, seed=100)
-    assert a.steps != c.steps
+    a = MC.simulate_exits(dist10, c2.zero_weight(), 25, 200, seed=99)
+    assert a == MC.simulate_exits(dist10, c2.zero_weight(), 25, 200, seed=99)
+    assert a != MC.simulate_exits(dist10, c2.zero_weight(), 25, 200, seed=100)
 
 
 def test_zero_horizon(c2, dist10):
-    sample = MC.sample_walk(dist10, c2.weight((2, 1)), 0, seed=1)
-    assert sample.steps == [] and sample.positions == []
-    assert sample.start == (2, 1)
-
-
-def test_sample_positions_accumulate_weights(c2, dist10):
-    sampler = MC.StepSampler.from_distribution(dist10)
-    sample = MC.sample_walk(dist10, c2.zero_weight(), 40, seed=5, sampler=sampler)
-    pos = (0, 0)
-    for k, p in zip(sample.steps, sample.positions):
-        pos = tuple(a + b for a, b in zip(pos, sampler.weights[k]))
-        assert p == pos
+    summary = MC.simulate_exits(dist10, c2.weight((2, 1)), 0, 10, seed=1)
+    assert summary.continuous_exit == summary.discrete_exit == [None] * 10
+    assert summary.stay_count_continuous(0) == summary.stay_count_discrete(5) == 10
 
 
 def test_empirical_step_law(c2, dist10):
@@ -385,19 +374,6 @@ def test_pick_many_is_exact_on_a_stream():
     picks = sampler.pick_many(u)
     assert picks.shape == u.shape
     assert picks.ravel().tolist() == [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
-
-
-def test_sample_walk_matches_scalar_draws(c2, dist10):
-    sampler = MC.StepSampler.from_distribution(dist10)
-    sample = MC.sample_walk(dist10, c2.weight((1, 0)), 40, seed=13, sampler=sampler)
-    rng = MC._rng(13)
-    pos = (1, 0)
-    for k, p, flag in zip(sample.steps, sample.positions, sample.stay_flags):
-        crystal, idx = sampler.nodes[k]
-        assert k == bisect_right(sampler.cum_fracs, F(rng.random()))
-        assert flag == all(a >= e for a, e in zip(pos, crystal.eps[idx]))
-        pos = tuple(a + b for a, b in zip(pos, crystal.weights[idx].fw))
-        assert p == pos
 
 
 def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):

@@ -363,10 +363,10 @@ def test_closed_form_lowering_equals_ladder_on_rational_paths(label):
 
 @pytest.mark.parametrize("label,kappa", [("C2", (2, 1)), ("G2", (1, 1)), ("B3", (1, 0, 1))])
 def test_closed_form_lowering_equals_ladder_on_crystals(label, kappa):
-    from weylwalk import build_cartan_datum, generate_crystal
+    from weylwalk import CrystalGraph, build_cartan_datum
 
     datum = build_cartan_datum(label)
-    crystal = generate_crystal(datum, P.straight_path(datum.weight(kappa).fw))
+    crystal = CrystalGraph(datum, P.straight_path(datum.weight(kappa).fw))
     for node in crystal.nodes:
         for i in range(datum.rank):
             assert P.apply_f(datum, node, i) == ladder_apply_f(datum, node, i)

@@ -10,6 +10,8 @@ from fractions import Fraction
 from weylwalk import markov
 from weylwalk.cli import main
 
+from test_unused_imports import unused_imports
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -23,6 +25,7 @@ def test_readme_quick_tour_results():
     assert len(blocks) == 1
     tour = blocks[0]
     assert "# Fraction(21, 128)" in tour and "# equals markov.hchain_matrix(...)" in tour
+    assert unused_imports(tour) == []
     ns = {}
     exec(compile(tour, "README.md", "exec"), ns)
     algebra, datum, tau = ns["algebra"], ns["datum"], ns["tau"]

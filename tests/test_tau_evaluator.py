@@ -152,7 +152,7 @@ def test_module_without_roots_raises_the_same_messages():
         (lambda: build_distribution(algebra, README_MODULE, tau), "-1/2"),
     ]
     mu = C2.zero_weight()
-    counts, ell_r = algebra._branching(mu, README_MODULE, 2)
+    counts, ell_r, _ = algebra._branching(mu, README_MODULE, README_POINTS["full"], 2)
     first = next(iter(algebra.group))
     cases.append((lambda: algebra._twisted_stay(mu, counts, ell_r, F(1), tau, first), "-3/2"))
     for call, exponent in cases:

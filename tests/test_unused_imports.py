@@ -181,6 +181,65 @@ def test_local_import_detector_keys_on_the_source_module():
     assert redundant_local_imports(source) == [(9, ".exact"), (10, ".paths")]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, those of the functions nested in it
+    left out."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source):
+    """(line, name) of every name a function assigns, loop targets included,
+    that neither it nor a function nested in it reads; ``_`` is exempt, and so
+    is a name the function declares ``global`` or ``nonlocal``."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, _FUNCTIONS):
+            continue
+        own = list(_own_nodes(func))
+        shared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                  for name in node.names}
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out.extend((node.lineno, node.id) for node in own
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                   and node.id != "_" and node.id not in shared and node.id not in read)
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("relpath", list(_modules(("src",), init=True)))
+def test_no_dead_local_in_src(relpath):
+    assert dead_locals(_read(relpath)) == []
+
+
+def test_dead_local_detector_sees_a_leftover():
+    source = (
+        "def f(xs):\n"
+        "    zero = 0\n"
+        "    total = 0\n"
+        "    for _, x in xs:\n"
+        "        total += x\n"
+        "    for k, mult in xs:\n"
+        "        seen = k\n"
+        "    def g():\n"
+        "        inner = 1\n"
+        "        return total\n"
+        "    return g, [y for y, z in xs]\n"
+        "def h():\n"
+        "    global state\n"
+        "    state = 1\n"
+    )
+    assert dead_locals(source) == [(2, "zero"), (6, "mult"), (7, "seen"), (9, "inner"),
+                                   (11, "z")]
+
+
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
