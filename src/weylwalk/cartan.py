@@ -284,9 +284,6 @@ class CartanDatum(Frozen):
         return tuple(sum(self.matrix[j][i] * c for j, c in enumerate(root))
                      for i in range(self.rank))
 
-    def ambient(self, w: Weight) -> Vector:
-        return self.realization.to_ambient(w.fw)
-
     def simple_root(self, i: int) -> Weight:
         return self.weight(self.matrix[i])
 

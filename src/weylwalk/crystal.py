@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cartan import CartanDatum, Frozen, Weight, WeylElement
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
@@ -318,27 +318,43 @@ def module_multiplicity(mu: Weight,
 def count_f_multiplicity(datum: CartanDatum, mu: Weight,
                          crystals: Sequence[Tuple[CrystalGraph, int]],
                          ell: int) -> Dict[Weight, int]:
-    """Layered dynamic program over dominant endpoints.
+    """Layer ``ell`` of ``count_f_layers``, keyed by weight."""
+    layer = dict(count_f_layers(datum, mu, crystals, (ell,)))[ell]
+    return {datum.weight(fw): c for fw, c in layer.items()}
 
-    Iterates the one-step branching row, so the result counts highest-weight
-    tensor nodes weighted by the summand multiplicities.
+
+def count_f_layers(datum: CartanDatum, mu: Weight,
+                   crystals: Sequence[Tuple[CrystalGraph, int]],
+                   ells: Sequence[int]) -> Iterator[Tuple[int, Dict[Tuple[int, ...], int]]]:
+    """Layered dynamic program over dominant endpoints: (ell, layer ell) for
+    each distinct ell of ``ells``, in increasing order, as the one pass to
+    max(ells) reaches it.  A layer maps the fw coordinates of each endpoint
+    to its count.
+
+    Iterates the one-step branching row, so layer ell counts highest-weight
+    tensor nodes of ell factors weighted by the summand multiplicities.
 
     A dominant weight is one int, its fw coordinates in mixed radix with a
-    base over every coordinate reachable in ell steps, so a step is an int
-    add.  The row of nu depends only on its clip class min(nu_i, max_b
+    base over every coordinate reachable in max(ells) steps, so a step is an
+    int add.  The row of nu depends only on its clip class min(nu_i, max_b
     eps_i(b)), since a node passes the cone test at nu exactly when it does
     there; it is computed once per class, as (step key, multiplicity) pairs.
 
     It raises ``ResourceBudgetError`` once its states pass ``DEFAULT_DP_BUDGET``.
     """
-    if ell <= 0:
-        return {mu: 1}
-    if not mu.is_dominant():
-        # no node's step from outside the cone stays in it
-        return {}
+    wanted = set(ells)
+    for ell in sorted(wanted):
+        if ell <= 0:
+            yield ell, {mu.fw: 1}
+        elif not mu.is_dominant():
+            # no node's step from outside the cone stays in it
+            yield ell, {}
+    top = max(wanted, default=0)
+    if top <= 0 or not mu.is_dominant():
+        return
     rank = datum.rank
     tops = [max(eps[i] for crystal, _ in crystals for eps in crystal.eps) for i in range(rank)]
-    base = max(mu.fw) + ell * max(max(w.fw) for crystal, _ in crystals
+    base = max(mu.fw) + top * max(max(w.fw) for crystal, _ in crystals
                                   for w in crystal.weights) + 1
     place = [base ** i for i in range(rank)]
 
@@ -352,7 +368,7 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
     rows: Dict[int, List[Tuple[int, int]]] = {}
     state: Dict[int, int] = {key(mu.fw): 1}
     carried = 0
-    for _ in range(ell):
+    for step in range(1, top + 1):
         nxt: Dict[int, int] = {}
         for k, c in state.items():
             row = rows.get(k)
@@ -370,6 +386,7 @@ def count_f_multiplicity(datum: CartanDatum, mu: Weight,
         state = nxt
         carried += len(state)
         if carried > DEFAULT_DP_BUDGET:
-            raise ResourceBudgetError(f"branching counts over {ell} steps carry more than "
+            raise ResourceBudgetError(f"branching counts over {top} steps carry more than "
                                       f"{DEFAULT_DP_BUDGET} states", partial_count=carried)
-    return {datum.weight(coords(k)): c for k, c in state.items()}
+        if step in wanted:
+            yield step, {coords(k): c for k, c in state.items()}

@@ -11,8 +11,10 @@ against the exact rational cumulative weights: a table of equal buckets on
 [0, 1) settles every draw whose bucket holds no float boundary, and the rest
 go through a float search and an exact settle.  The exit kernel packs each
 sample's position into int64 words, one biased field per coordinate, so a
-sub-block of rows takes all its steps in one cumulative sum and every cone
-test is one mask of the fields' top bits.
+tile of uniforms takes all its steps in one cumulative sum and every cone
+test is one mask of the fields' top bits.  Every buffer of the sampling
+kernels spans one tile of at most ``TILE`` uniforms, drawn just before it is
+worked, so their memory does not grow with the sample count or the horizon.
 
 Only the sampling kernels need numpy, and each imports it where it runs, so
 importing this module, or using its exact helpers (``asymptotic_ratio``,
@@ -24,25 +26,25 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .cartan import Record, Weight
-from .crystal import CrystalGraph, TensorNode, count_f_multiplicity
+from .crystal import CrystalGraph, TensorNode, count_f_layers
 from .errors import DomainError, ResourceBudgetError, WeylwalkError
+from .exact import dot, vec
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
 
 if TYPE_CHECKING:
     import numpy as np
 
-# samples per block of uniforms drawn at once
-CHUNK = 8192
-# most uniforms one block may hold: with the sub-block's int64 and bool arrays
-# a block takes at most about 50 bytes per uniform (when it is a single
-# sub-block; 11 bytes for a full CHUNK), so a run at the limit stays under 1 GiB
+# most uniforms one tile may hold: the uniforms drawn, picked, packed and
+# tested together, max(1, TILE // horizon) rows at a time or a slice of one row
+TILE = 2**15
+# a run is refused when its first BUDGET_ROWS samples take more than
+# MAX_BLOCK_UNIFORMS uniforms; this caps the work, not the memory, which the
+# tile bounds whatever the horizon
+BUDGET_ROWS = 8192
 MAX_BLOCK_UNIFORMS = 2**24
-# rows of a block whose steps are picked, packed and tested together
-SUB_BLOCK = 512
 # equal buckets on [0, 1); a draw in a bucket free of boundaries is one lookup
 BUCKETS = 4096
 # bits of an int64 word that packed fields may fill, so every word stays positive
@@ -159,36 +161,39 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _exited_by(exits: Sequence[Optional[int]], horizon: int) -> List[int]:
-    """Entry ell: the number of samples whose exit step is at most ell."""
-    counts = [0] * (horizon + 1)
-    for e in exits:
-        if e is not None:
-            counts[e] += 1
-    return list(accumulate(counts))
+def _exit_steps(exits: np.ndarray) -> List[int]:
+    """The exit steps that happened, in increasing order: one entry per
+    exited sample, so its size follows n and not the horizon."""
+    import numpy as np
+
+    return np.sort(exits[exits > 0]).tolist()
 
 
 class ExitSummary(Record):
-    """First violation steps per sample; None means no violation up to L."""
+    """First violation steps per sample; None means no violation up to L.
+
+    It is built from the exit steps as int arrays, 0 for no violation, as the
+    exit kernel keeps them.
+    """
 
     __slots__ = ("horizon", "n", "continuous_exit", "discrete_exit", "lemma_violations",
-                 "_continuous_by", "_discrete_by")
+                 "_continuous_steps", "_discrete_steps")
 
-    def __init__(self, horizon: int, n: int, continuous_exit: List[Optional[int]],
-                 discrete_exit: List[Optional[int]], lemma_violations: int):
-        super().__init__(horizon, n, continuous_exit, discrete_exit, lemma_violations,
-                         _exited_by(continuous_exit, horizon),
-                         _exited_by(discrete_exit, horizon))
+    def __init__(self, horizon: int, n: int, continuous_exit: np.ndarray,
+                 discrete_exit: np.ndarray, lemma_violations: int):
+        super().__init__(horizon, n, [e or None for e in continuous_exit.tolist()],
+                         [e or None for e in discrete_exit.tolist()], lemma_violations,
+                         _exit_steps(continuous_exit), _exit_steps(discrete_exit))
 
     def stay_count_continuous(self, ell: int) -> int:
-        return self._stay_count(self._continuous_by, ell)
+        return self._stay_count(self._continuous_steps, ell)
 
     def stay_count_discrete(self, ell: int) -> int:
-        return self._stay_count(self._discrete_by, ell)
+        return self._stay_count(self._discrete_steps, ell)
 
-    def _stay_count(self, exited_by: List[int], ell: int) -> int:
+    def _stay_count(self, exit_steps: List[int], ell: int) -> int:
         # both exit lists hold one entry per sample
-        return len(self.continuous_exit) - exited_by[min(max(ell, 0), self.horizon)]
+        return len(self.continuous_exit) - bisect_right(exit_steps, ell)
 
 
 def _packed_words(sampler: StepSampler, start: Sequence[int],
@@ -224,39 +229,48 @@ def _packed_words(sampler: StepSampler, start: Sequence[int],
     return width, words
 
 
-def _first_true(bad: np.ndarray):
-    """1 + the first True column of each row, 0 for a row with none."""
-    if not bad.shape[1]:
-        return 0
-    return (bad.argmax(axis=1) + 1) * bad.any(axis=1)
+def _tile_rows(horizon: int) -> int:
+    """Rows of ``horizon`` uniforms that one tile holds, at least one."""
+    return max(1, TILE // max(horizon, 1))
+
+
+def _note_exits(exits: np.ndarray, bad: np.ndarray, first_step: int) -> None:
+    """Give each row of ``exits`` still at 0 the step of its first True column
+    in ``bad``, a slice of steps that starts at ``first_step`` + 1."""
+    hit = bad.any(axis=1)
+    hit &= exits == 0
+    exits[hit] = bad.argmax(axis=1)[hit] + (first_step + 1)
 
 
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                    seed: int, kappa0: Optional[Weight] = None,
-                   sampler: Optional[StepSampler] = None,
-                   chunk: int = CHUNK) -> ExitSummary:
+                   sampler: Optional[StepSampler] = None) -> ExitSummary:
     """First continuous/discrete cone-exit step over n independent samples.
 
-    Each sample consumes exactly ``horizon`` uniforms, so the sample set for
-    a given (seed, horizon, n) is independent of the chunk size, and nested
-    events across smaller horizons refer to identical trajectories.  When
-    ``kappa0`` is given, every sample that stays discretely also has its
-    kappa0-shifted continuous trajectory checked (exactly) and violations of
-    that implication are counted.
+    Each sample consumes exactly ``horizon`` uniforms, read row by row from
+    the seed's stream, so the sample set for a given (seed, horizon, n) does
+    not depend on how the rows are tiled, and nested events across smaller
+    horizons refer to identical trajectories.  When ``kappa0`` is given,
+    every sample that stays discretely also has its kappa0-shifted continuous
+    trajectory checked (exactly) and violations of that implication are
+    counted.
 
-    A chunk draws its (chunk, horizon) block of uniforms at once and is
-    worked in sub-blocks of ``SUB_BLOCK`` rows, all steps together: the
-    positions of a row are one cumulative sum of packed node weights (see
-    ``_packed_words``), the step from x by node b stays in the cone when
-    every field of x - eps(b) has its top bit set, and the path ends a step
-    in the discrete cone when every field of the new position does.
+    The rows are taken ``max(1, TILE // horizon)`` at a time, and a row longer
+    than ``TILE`` in slices of ``TILE`` steps; each tile's uniforms are drawn
+    just before it is worked, all its steps together: the positions of a row
+    are one cumulative sum of packed node weights (see ``_packed_words``)
+    from the packed position the previous slice ended at, the step from x by
+    node b stays in the cone when every field of x - eps(b) has its top bit
+    set, and the path ends a step in the discrete cone when every field of
+    the new position does.
 
-    A block of more than ``MAX_BLOCK_UNIFORMS`` uniforms raises
-    ``ResourceBudgetError`` before anything is drawn or allocated.
+    A run whose first ``BUDGET_ROWS`` samples take more than
+    ``MAX_BLOCK_UNIFORMS`` uniforms raises ``ResourceBudgetError`` before
+    anything is drawn or allocated.
     """
-    if min(chunk, n) * horizon > MAX_BLOCK_UNIFORMS:
-        raise ResourceBudgetError(f"a block of {min(chunk, n)} x {horizon} uniforms is over "
-                                  f"the budget {MAX_BLOCK_UNIFORMS}")
+    if min(BUDGET_ROWS, n) * horizon > MAX_BLOCK_UNIFORMS:
+        raise ResourceBudgetError(f"a block of {min(BUDGET_ROWS, n)} x {horizon} uniforms "
+                                  f"is over the budget {MAX_BLOCK_UNIFORMS}")
     import numpy as np
 
     sampler = sampler or StepSampler.from_distribution(dist)
@@ -266,16 +280,20 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     disc = np.zeros(max(n, 0), dtype=np.int64)
     lemma_bad = 0
     _, words = _packed_words(sampler, mu.fw, None if kappa0 is None else kappa0.fw, horizon)
-    for lo in range(0, n, chunk):
-        block = min(chunk, n - lo)
-        us = rng.random(size=(block, horizon))
-        for r0 in range(0, block, SUB_BLOCK):
-            k = sampler.pick_many(us[r0:r0 + SUB_BLOCK])
+    rows = _tile_rows(horizon)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # the packed position of each row per word, carried from slice to slice
+        pos = [np.full(hi - lo, begin, dtype=np.int64) for _, begin, _, _, _ in words]
+        shifted_out = np.zeros(hi - lo, dtype=bool)
+        for t0 in range(0, horizon, TILE):
+            k = sampler.pick_many(rng.random(size=(hi - lo, min(TILE, horizon - t0))))
             c_bad = d_bad = s_bad = False
-            for high, begin, shift, wt, eps in words:
+            for j, (high, _, shift, wt, eps) in enumerate(words):
                 steps = wt[k]
                 after = np.cumsum(steps, axis=1)
-                after += begin
+                after += pos[j][:, None]
+                pos[j] = after[:, -1].copy()
                 low = after - steps
                 low -= eps[k]
                 c_bad = c_bad | ((low & high) != high)
@@ -283,13 +301,13 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                 if kappa0 is not None:
                     low += shift
                     s_bad = s_bad | ((low & high) != high)
-            rows = slice(lo + r0, lo + r0 + len(k))
-            cont[rows] = _first_true(c_bad)
-            disc[rows] = _first_true(d_bad)
+            _note_exits(cont[lo:hi], c_bad, t0)
+            _note_exits(disc[lo:hi], d_bad, t0)
             if kappa0 is not None:
-                lemma_bad += int(np.count_nonzero(~d_bad.any(axis=1) & s_bad.any(axis=1)))
-    return ExitSummary(horizon, n, [e or None for e in cont.tolist()],
-                       [e or None for e in disc.tolist()], lemma_bad)
+                shifted_out |= s_bad.any(axis=1)
+        if kappa0 is not None:
+            lemma_bad += int(np.count_nonzero(shifted_out & (disc[lo:hi] == 0)))
+    return ExitSummary(horizon, n, cont, disc, lemma_bad)
 
 
 def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
@@ -300,8 +318,9 @@ def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
     datum = dist.datum
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     zero_fw = (0,) * datum.rank
-    for lo in range(0, n, CHUNK):
-        picks = sampler.pick_many(rng.random(size=(min(CHUNK, n - lo), ellmax)))
+    rows = _tile_rows(ellmax)
+    for lo in range(0, n, rows):
+        picks = sampler.pick_many(rng.random(size=(min(rows, n - lo), ellmax)))
         for row in picks.tolist():
             node = TensorNode(tuple(sampler.nodes[k] for k in row))
             hs = [zero_fw] + pitman_prefix_weights(datum, node)
@@ -399,20 +418,28 @@ class RatioReport(Record):
         return abs(self.ratio - self.target)
 
 
-def nearest_dominant(datum, candidates: Sequence[Weight], goal: Sequence[Fraction]
-                     ) -> Optional[Weight]:
-    """Candidate closest to the goal in exact ambient distance.
+def nearest_dominant(datum, candidates: Sequence[Tuple[int, ...]], goal: Sequence[Fraction]
+                     ) -> Optional[Tuple[int, ...]]:
+    """fw coordinates of the candidate closest to the goal in exact ambient
+    distance.
 
-    Ties break toward the lexicographically smallest fw coordinates.
+    Ties break toward the lexicographically smallest fw coordinates.  For x
+    in fw coordinates, |x - goal|^2 - |goal|^2 = x.G.x - x.b, where G is the
+    Gram matrix of the fundamental weights and b_i = 2 omega_i.goal; scaled by
+    the common denominator of G and b it is an integer form.
     """
-    best = None
-    for lam in candidates:
-        amb = datum.ambient(lam)
-        d2 = sum(((a - g) ** 2 for a, g in zip(amb, goal)), Fraction(0))
-        key = (d2, lam.fw)
-        if best is None or key < best[0]:
-            best = (key, lam)
-    return None if best is None else best[1]
+    omegas = datum.realization.fw_vectors
+    gram = [[dot(u, v) for v in omegas] for u in omegas]
+    lin = [2 * dot(u, vec(goal)) for u in omegas]
+    den = math.lcm(*(Fraction(c).denominator for c in lin + [g for row in gram for g in row]))
+    gram = [[int(c * den) for c in row] for row in gram]
+    lin = [int(c * den) for c in lin]
+
+    def key(fw: Tuple[int, ...]):
+        form = sum(x * sum(g * y for g, y in zip(row, fw)) for x, row in zip(fw, gram))
+        return form - sum(b * x for b, x in zip(lin, fw)), fw
+
+    return min(candidates, key=key, default=None)
 
 
 def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
@@ -432,16 +459,14 @@ def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
     target = tau.power(tuple(-c for c in mu.root)) * algebra.character_value(mu, tau)
     m1 = dist.drift_endpoint()
     zero_w = datum.weight((0,) * datum.rank)
-    out = []
-    for ell in ells:
-        from_zero = count_f_multiplicity(datum, zero_w, dist.crystals, ell)
-        from_mu = count_f_multiplicity(datum, mu, dist.crystals, ell)
+    # one branching DP per start, to the largest horizon, read layer by layer
+    found = {}
+    for (ell, from_zero), (_, from_mu) in zip(
+            count_f_layers(datum, zero_w, dist.crystals, ells),
+            count_f_layers(datum, mu, dist.crystals, ells)):
         goal = datum.realization.to_ambient(tuple(ell * c for c in m1))
-        candidates = [lam for lam, f in from_zero.items()
-                      if f > 0 and from_mu.get(lam, 0) > 0]
+        candidates = [fw for fw, f in from_zero.items() if f > 0 and from_mu.get(fw, 0) > 0]
         lam = nearest_dominant(datum, candidates, goal)
-        if lam is None:
-            continue
-        ratio = Fraction(from_mu[lam], from_zero[lam])
-        out.append(RatioReport(ell, lam.fw, ratio, target))
-    return out
+        if lam is not None:
+            found[ell] = RatioReport(ell, lam, Fraction(from_mu[lam], from_zero[lam]), target)
+    return [found[ell] for ell in ells if ell in found]

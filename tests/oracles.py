@@ -32,6 +32,8 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from weylwalk import paths as P
 from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector, reflect,
                              weyl_orbit)
@@ -226,11 +228,10 @@ def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -
 
 def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                           seed: int, kappa0: Optional[Weight] = None,
-                          sampler: Optional[StepSampler] = None,
-                          chunk: int = 8192) -> ExitSummary:
+                          sampler: Optional[StepSampler] = None) -> ExitSummary:
     """Oracle for ``simulate_exits``: one sample and one step at a time.
 
-    It reads the same Philox uniforms in the same (chunk, horizon) blocks,
+    It draws the same Philox uniforms one row of ``horizon`` at a time,
     settles every draw by an exact bisect on the rational cumulative law, and
     takes the weights and raising depths from the crystals themselves.
     """
@@ -242,37 +243,35 @@ def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n
     disc_exit: List[Optional[int]] = []
     lemma_bad = 0
     shifted = None if kappa0 is None else tuple(a + b for a, b in zip(mu.fw, kappa0.fw))
-    remaining = n
-    while remaining > 0:
-        block = min(chunk, remaining)
-        for row in rng.random(size=(block, horizon)):
-            pos = mu.fw
-            c_exit: Optional[int] = None
-            d_exit: Optional[int] = None
-            shifted_ok = True
-            spos = shifted
-            for step in range(horizon):
-                k = bisect_right(sampler.cum_fracs, Fraction(float(row[step])))
-                if c_exit is None and not all(p >= e for p, e in zip(pos, eps[k])):
-                    c_exit = step + 1
-                if spos is not None and not all(p >= e for p, e in zip(spos, eps[k])):
-                    shifted_ok = False
-                pos = tuple(p + w for p, w in zip(pos, weights[k]))
-                if spos is not None:
-                    spos = tuple(p + w for p, w in zip(spos, weights[k]))
-                if d_exit is None and any(c < 0 for c in pos):
-                    d_exit = step + 1
-                # the row of uniforms is drawn up front, so stopping after
-                # both exits (which also settles the shift lemma) cannot
-                # perturb later samples
-                if c_exit is not None and d_exit is not None:
-                    break
-            cont_exit.append(c_exit)
-            disc_exit.append(d_exit)
-            if kappa0 is not None and d_exit is None and not shifted_ok:
-                lemma_bad += 1
-        remaining -= block
-    return ExitSummary(horizon, n, cont_exit, disc_exit, lemma_bad)
+    for _ in range(n):
+        row = rng.random(size=horizon)
+        pos = mu.fw
+        c_exit: Optional[int] = None
+        d_exit: Optional[int] = None
+        shifted_ok = True
+        spos = shifted
+        for step in range(horizon):
+            k = bisect_right(sampler.cum_fracs, Fraction(float(row[step])))
+            if c_exit is None and not all(p >= e for p, e in zip(pos, eps[k])):
+                c_exit = step + 1
+            if spos is not None and not all(p >= e for p, e in zip(spos, eps[k])):
+                shifted_ok = False
+            pos = tuple(p + w for p, w in zip(pos, weights[k]))
+            if spos is not None:
+                spos = tuple(p + w for p, w in zip(spos, weights[k]))
+            if d_exit is None and any(c < 0 for c in pos):
+                d_exit = step + 1
+            # the row of uniforms is drawn up front, so stopping after
+            # both exits (which also settles the shift lemma) cannot
+            # perturb later samples
+            if c_exit is not None and d_exit is not None:
+                break
+        cont_exit.append(c_exit)
+        disc_exit.append(d_exit)
+        if kappa0 is not None and d_exit is None and not shifted_ok:
+            lemma_bad += 1
+    return ExitSummary(horizon, n, np.array([e or 0 for e in cont_exit], dtype=np.int64),
+                       np.array([e or 0 for e in disc_exit], dtype=np.int64), lemma_bad)
 
 
 IntMatrix = Tuple[Tuple[int, ...], ...]

@@ -21,11 +21,11 @@ from oracles import inverse_element
 def test_c2_datum_matches_standard_realization(c2):
     assert c2.matrix == ((2, -1), (-2, 2))
     assert c2.det == 2
-    assert c2.ambient(c2.weight((1, 0))) == (Fraction(1), Fraction(0))
-    assert c2.ambient(c2.weight((0, 1))) == (Fraction(1), Fraction(1))
-    assert c2.ambient(c2.rho) == (Fraction(2), Fraction(1))
-    assert c2.ambient(c2.simple_root(0)) == (Fraction(1), Fraction(-1))
-    assert c2.ambient(c2.simple_root(1)) == (Fraction(0), Fraction(2))
+    assert c2.realization.to_ambient((1, 0)) == (Fraction(1), Fraction(0))
+    assert c2.realization.to_ambient((0, 1)) == (Fraction(1), Fraction(1))
+    assert c2.realization.to_ambient(c2.rho.fw) == (Fraction(2), Fraction(1))
+    assert c2.realization.to_ambient(c2.simple_root(0).fw) == (Fraction(1), Fraction(-1))
+    assert c2.realization.to_ambient(c2.simple_root(1).fw) == (Fraction(0), Fraction(2))
 
 
 def test_inverse_cartan_exact(c2, a2):
@@ -73,7 +73,7 @@ def test_rank_limit_enforced():
 
 def test_positive_roots_c2_golden(c2):
     roots = positive_roots(c2)
-    ambient = {c2.ambient(r) for r in roots}
+    ambient = {c2.realization.to_ambient(r.fw) for r in roots}
     expect = {
         (Fraction(1), Fraction(-1)),
         (Fraction(0), Fraction(2)),
@@ -137,7 +137,7 @@ def test_simple_reflection_action(c2):
     omega1 = c2.weight((1, 0))
     image = act(c2, s1, omega1)
     assert image == omega1 - c2.simple_root(0)
-    assert c2.ambient(image) == (Fraction(0), Fraction(1))  # epsilon_2
+    assert c2.realization.to_ambient(image.fw) == (Fraction(0), Fraction(1))  # epsilon_2
 
 
 def test_action_fixes_origin_and_negates_own_root(c2):

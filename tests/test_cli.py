@@ -515,6 +515,9 @@ def _doubled_hchain_entry(monkeypatch):
       "--horizon", "100000", "--ell", "100000"], None, None, 4, "resource budget exceeded"),
     (["sandwich", "--type", "A1", "--kappa", "1", "--tau", "1/3", "--samples", "1",
       "--horizon", "100000"], None, None, 4, "resource budget exceeded"),
+    # one DP per start to the largest horizon, so the budget bounds the whole run
+    (["ratio", "--type", "A1", "--kappa", "1", "--tau", "1/3", "--ell", "100000"], None, None,
+     4, "resource budget exceeded"),
 ])
 def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
     if payload is not None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -207,10 +208,10 @@ def test_nearest_dominant_tie_break(c2):
     b = c2.weight((2, 0))
     goal_mid = tuple(
         (x + y) / 2
-        for x, y in zip(c2.ambient(a), c2.ambient(b))
+        for x, y in zip(c2.realization.to_ambient(a.fw), c2.realization.to_ambient(b.fw))
     )
-    pick = MC.nearest_dominant(c2, [b, a], goal_mid)
-    assert pick == a  # (0, 1) < (2, 0) lexicographically
+    pick = MC.nearest_dominant(c2, [b.fw, a.fw], goal_mid)
+    assert pick == a.fw  # (0, 1) < (2, 0) lexicographically
     assert MC.nearest_dominant(c2, [], goal_mid) is None
 
 
@@ -312,18 +313,63 @@ def test_packed_kernel_splits_into_words():
 
 
 @pytest.mark.parametrize("name", ["C2 (0,1)", "C2 module"])
-def test_exit_kernel_chunks_and_short_horizons(name):
+def test_exit_kernel_chunks_and_short_horizons(name, monkeypatch):
+    """The sample set does not depend on the tile: the kernel matches the
+    oracle, which draws one row at a time, sample for sample."""
     dist, mu, kappa0 = _kernel_case(name)
-    # n not a multiple of the chunk: the last block is short
-    small = MC.simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0, chunk=7)
-    assert small == scalar_simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0, chunk=7)
-    # the sample set does not depend on the chunk size
-    assert small == MC.simulate_exits(dist, mu, 9, 50, seed=3, kappa0=kappa0)
-    for horizon in (0, 1):
-        summary = MC.simulate_exits(dist, mu, horizon, 60, seed=4, kappa0=kappa0, chunk=16)
-        assert summary == scalar_simulate_exits(dist, mu, horizon, 60, seed=4,
-                                                kappa0=kappa0, chunk=16)
+    whole = MC.simulate_exits(dist, mu, 9, 202, seed=3, kappa0=kappa0)
+    assert whole == scalar_simulate_exits(dist, mu, 9, 202, seed=3, kappa0=kappa0)
+    # a zero shift counts the samples that stay discretely but exit
+    # continuously, which only the module's (0,1) summand has here
+    zero = mu - mu
+    # a tile of 40 takes 4 rows of 9 at a time, so the last of 51 groups holds
+    # 2; a tile of 4 works each row in slices of 4, 4 and 1 steps
+    for tile in (40, 4):
+        monkeypatch.setattr(MC, "TILE", tile)
+        for shift in (None, zero, kappa0):
+            summary = MC.simulate_exits(dist, mu, 9, 202, seed=3, kappa0=shift)
+            assert summary == scalar_simulate_exits(dist, mu, 9, 202, seed=3, kappa0=shift)
+            assert (summary.lemma_violations > 0) == (shift is zero and name == "C2 module")
+        assert summary == whole
+        # exits in the second and third slices read the position carried over
+        assert {e for e in summary.continuous_exit + summary.discrete_exit
+                if e is not None and e > 4}
+        for horizon in (0, 1):
+            for shift in (None, kappa0):
+                summary = MC.simulate_exits(dist, mu, horizon, 60, seed=4, kappa0=shift)
+                assert summary == scalar_simulate_exits(dist, mu, horizon, 60, seed=4,
+                                                        kappa0=shift)
     assert MC.simulate_exits(dist, mu, 5, 0, seed=4).continuous_exit == []
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["plain", "kappa0"])
+def test_exit_kernel_carries_two_words_across_slices(monkeypatch, shift):
+    """Two packed words, each carried from slice to slice of a row."""
+    dist, mu, kappa0 = _kernel_case("A8 adjoint far")
+    kappa0 = kappa0 if shift else None
+    monkeypatch.setattr(MC, "TILE", 5)
+    summary = MC.simulate_exits(dist, mu, 12, 200, seed=29, kappa0=kappa0)
+    assert summary == scalar_simulate_exits(dist, mu, 12, 200, seed=29, kappa0=kappa0)
+    assert {e for e in summary.continuous_exit if e is not None and e > 5}
+
+
+def test_exit_kernel_memory_does_not_grow_with_the_horizon():
+    """Every buffer spans one tile: 3 samples of A1 (1) over 2^18 steps, 8
+    tiles a row, peak at a few MiB, where drawing and testing whole rows took
+    about 50 bytes per uniform, about 38 MiB here."""
+    datum = build_cartan_datum("A1")
+    tau = tau_point(datum, [F(1, 3)])
+    dist = M.build_distribution(CharacterAlgebra(datum), datum.weight((1,)), tau)
+    sampler = MC.StepSampler.from_distribution(dist)
+    MC.simulate_exits(dist, datum.zero_weight(), 2, 2, seed=1, sampler=sampler)
+    tracemalloc.start()
+    try:
+        summary = MC.simulate_exits(dist, datum.zero_weight(), 2**18, 3, seed=1,
+                                    sampler=sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n == 3 and peak < 8 * 2**20
 
 
 def test_stay_counts_read_exit_steps(c2, dist10):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import weylwalk
@@ -152,9 +153,11 @@ def test_report_classes_are_mutable_records():
     with pytest.raises(TypeError):
         hash(first)
     assert copy.deepcopy(first) == first == pickle.loads(pickle.dumps(first))
-    summary = MC.ExitSummary(3, 2, [1, None], [None, 2], 0)
-    assert summary == MC.ExitSummary(3, 2, [1, None], [None, 2], 0)
-    assert summary != MC.ExitSummary(3, 2, [1, None], [None, 2], 1)
+    cont, disc = np.array([1, 0]), np.array([0, 2])
+    summary = MC.ExitSummary(3, 2, cont, disc, 0)
+    assert (summary.continuous_exit, summary.discrete_exit) == ([1, None], [None, 2])
+    assert summary == MC.ExitSummary(3, 2, cont, disc, 0)
+    assert summary != MC.ExitSummary(3, 2, cont, disc, 1)
     assert summary.stay_count_continuous(1) == 1 and summary.stay_count_discrete(3) == 1
 
 

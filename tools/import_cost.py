@@ -4,7 +4,10 @@
 
 For each of ``weylwalk.cli``, ``weylwalk.markov``, ``weylwalk.montecarlo`` and
 ``numpy`` it starts N fresh interpreters that import it and takes the median
-wall time, minus the median wall time of N ``python -c pass`` runs.
+wall time, minus the median wall time of N ``python -c pass`` runs, and the
+median peak RSS of those interpreters, read per child from ``os.wait4``.  The
+RSS column is the floor under the benchmark's ``peak_rss_mib``, which takes
+the same ``ru_maxrss`` of each job process.
 ``weylwalk.cli`` is what every command loads; ``weylwalk.markov`` (timed on
 its own) is the layer that ``hchain``, ``conditioned``, ``pitman`` and
 ``verify`` load on top of it.  The runs go round-robin over the baseline and
@@ -27,7 +30,7 @@ import statistics
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -40,11 +43,18 @@ def _env() -> Dict[str, str]:
     return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
 
 
-def _wall(code: str, env: Dict[str, str]) -> float:
+def _run(code: str, env: Dict[str, str]) -> Tuple[float, float]:
+    """Wall time in s and peak RSS in MiB of one interpreter running ``code``."""
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
-    return time.perf_counter() - start
+    child = subprocess.Popen([sys.executable, "-c", code], env=env,
+                             stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, child.args)
+    # ru_maxrss is in KiB on Linux
+    return wall, usage.ru_maxrss / 1024
 
 
 def _loaded(code: str, env: Dict[str, str]) -> Set[str]:
@@ -63,24 +73,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     env = _env()
     codes = {"pass": "pass", **{m: f"import {m}" for m in MODULES}}
     times: Dict[str, List[float]] = {name: [] for name in codes}
+    rss: Dict[str, List[float]] = {name: [] for name in codes}
     for _ in range(args.runs):
         for name, code in codes.items():
-            times[name].append(_wall(code, env))
+            wall, peak = _run(code, env)
+            times[name].append(wall)
+            rss[name].append(peak)
     base = statistics.median(times["pass"])
     bare = _loaded("pass", env)
     stdlib = set(sys.stdlib_module_names)
     print(f"python {sys.version.split()[0]}, {args.runs} runs per column, "
           f"PYTHONDONTWRITEBYTECODE={env.get('PYTHONDONTWRITEBYTECODE', '')!r}, "
           f"PYTHONPYCACHEPREFIX={env.get('PYTHONPYCACHEPREFIX', '')!r}")
-    print(f"{'import':<22}{'median_s':>10}{'minus_pass_s':>14}{'new_modules':>13}  third-party")
-    print(f"{'(python -c pass)':<22}{base:>10.3f}{0:>14.3f}{0:>13}  -")
+    print(f"{'import':<22}{'median_s':>10}{'minus_pass_s':>14}{'rss_mib':>9}"
+          f"{'new_modules':>13}  third-party")
+    print(f"{'(python -c pass)':<22}{base:>10.3f}{0:>14.3f}"
+          f"{statistics.median(rss['pass']):>9.1f}{0:>13}  -")
     for name in MODULES:
         new = _loaded(codes[name], env) - bare
         third = sorted({m.split(".")[0] for m in new}
                        - stdlib - FIRST_PARTY - {m.split(".")[0] for m in bare})
         median = statistics.median(times[name])
-        print(f"{name:<22}{median:>10.3f}{median - base:>14.3f}{len(new):>13}  "
-              f"{' '.join(third) or '-'}")
+        print(f"{name:<22}{median:>10.3f}{median - base:>14.3f}"
+              f"{statistics.median(rss[name]):>9.1f}{len(new):>13}  {' '.join(third) or '-'}")
     return 0
 
 
