@@ -16,17 +16,26 @@ test is one mask of the fields' top bits.  Every buffer of the sampling
 kernels spans one tile of at most ``TILE`` uniforms, drawn just before it is
 worked, so their memory does not grow with the sample count or the horizon.
 
-Only the sampling kernels need numpy, and each imports it where it runs, so
-importing this module, or using its exact helpers (``asymptotic_ratio``,
-``nearest_dominant``, ``h_trajectory_prediction``), does not load numpy.
+The seed's stream has two evaluators that yield the same floats: numpy's
+Philox, which the vectorized exit kernel draws from by tiles, and
+``philox_uniforms``, the same Philox4x64-10 in pure Python, which the
+row-by-row h-law draws from one uniform at a time and resolves with the scalar
+``StepSampler.pick``.  Only the exit kernel needs numpy, and it imports numpy
+where it runs, so importing this module, building a ``StepSampler``, the
+h-law (``empirical_h_law``, ``h_law_reports``) and the exact helpers
+(``asymptotic_ratio``, ``nearest_dominant``, ``h_trajectory_prediction``) do
+not load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, count, islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import Record, Weight
 from .crystal import CrystalGraph, TensorNode, count_f_layers
@@ -49,6 +58,12 @@ MAX_BLOCK_UNIFORMS = 2**24
 BUCKETS = 4096
 # bits of an int64 word that packed fields may fill, so every word stays positive
 WORD_BITS = 62
+# Philox4x64-10: the round multipliers and the Weyl constants that bump the key
+PHILOX_M0, PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+PHILOX_W0, PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+MASK64 = (1 << 64) - 1
+# Philox blocks the pure-Python stream works together, one per 128-bit lane
+LANES = 256
 
 
 class EstimatorReport(Record):
@@ -101,13 +116,12 @@ def bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = 
 class StepSampler:
     """Inverse-CDF sampler over a finite node list with exact boundaries.
 
-    ``weights`` and ``eps`` hold the weight and the raising depths of every
-    node as integer arrays of shape (nodes, rank), gathered per draw.
+    ``cum_fracs`` holds the exact cumulative weights and ``cum_floats`` their
+    floats.  ``pick`` resolves one uniform in Python and ``pick_many`` an array
+    of them with numpy; both return the exact inverse-CDF index.
     """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
-        import numpy as np
-
         self.nodes = [(c, i) for c, i, _ in weighted_nodes]
         cums: List[Fraction] = []
         acc = Fraction(0)
@@ -119,46 +133,107 @@ class StepSampler:
         if acc != 1:
             raise WeylwalkError(f"step probabilities sum to {acc}")
         self.cum_fracs = cums
-        self.cum_floats = np.array([float(c) for c in cums])
-        # the float boundaries below and above each searchsorted index
-        self._lower = np.concatenate(([-1.0], self.cum_floats))
-        self._upper = np.concatenate((self.cum_floats, [2.0]))
-        # the pick of every draw in a bucket with no float boundary within the
-        # settle margin of it, -1 for the other buckets
-        edges = np.arange(BUCKETS + 1) / BUCKETS
-        first = np.searchsorted(self.cum_floats, edges[:-1] - 1e-9, side="left")
-        past = np.searchsorted(self.cum_floats, edges[1:] + 1e-9, side="right")
-        self._buckets = np.where(first == past, first, -1)
-        self.weights = np.array([c.weights[i].fw for c, i in self.nodes], dtype=np.int64)
-        self.eps = np.array([c.eps[i] for c, i in self.nodes], dtype=np.int64)
+        self.cum_floats = [float(c) for c in cums]
 
     @classmethod
     def from_distribution(cls, dist: CrystalDistribution) -> "StepSampler":
         return cls([(e.crystal, e.node, e.probability) for e in dist.entries])
 
-    def pick_many(self, u: np.ndarray) -> np.ndarray:
-        """Indices of the sampled nodes, one per uniform, exact against the
-        rational boundaries."""
+    def pick(self, u: float) -> int:
+        """Index of the sampled node for one uniform: a float search, settled
+        against the exact boundaries when ``u`` is within 1e-9 of a float one."""
+        floats = self.cum_floats
+        i = bisect_right(floats, u)
+        if (i and u - floats[i - 1] <= 1e-9) or (i < len(floats) and floats[i] - u <= 1e-9):
+            i = bisect_right(self.cum_fracs, Fraction(u))
+        return min(i, len(floats) - 1)
+
+    @cached_property
+    def _pick_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The arrays ``pick_many`` reads, built on its first call: the float
+        boundaries, the float boundary below and above each searchsorted
+        index, and the pick of every draw in a bucket with no float boundary
+        within the settle margin of it, -1 for the other buckets."""
         import numpy as np
 
-        idx = self._buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
+        floats = np.array(self.cum_floats)
+        edges = np.arange(BUCKETS + 1) / BUCKETS
+        first = np.searchsorted(floats, edges[:-1] - 1e-9, side="left")
+        past = np.searchsorted(floats, edges[1:] + 1e-9, side="right")
+        return (floats, np.concatenate(([-1.0], floats)), np.concatenate((floats, [2.0])),
+                np.where(first == past, first, -1))
+
+    def pick_many(self, u: np.ndarray) -> np.ndarray:
+        """Indices of the sampled nodes, one per uniform, as ``pick`` gives
+        them: a bucket lookup where it settles the draw, else ``pick``'s
+        float search and exact settle."""
+        import numpy as np
+
+        floats, lower, upper, buckets = self._pick_tables
+        idx = buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
         rest = idx < 0
         if rest.any():
             ur = u[rest]
-            ir = np.searchsorted(self.cum_floats, ur, side="right")
+            ir = np.searchsorted(floats, ur, side="right")
             # the float search can be off only within rounding distance of a
             # boundary; settle those draws against the exact boundaries
-            near = (ur - self._lower[ir] <= 1e-9) | (self._upper[ir] - ur <= 1e-9)
+            near = (ur - lower[ir] <= 1e-9) | (upper[ir] - ur <= 1e-9)
             for j in np.flatnonzero(near):
                 ir[j] = bisect_right(self.cum_fracs, Fraction(float(ur[j])))
             idx[rest] = ir
         return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` once it is a Philox key: an int, not a bool, in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 1 << 64:
+        raise DomainError(f"a seed is an integer in [0, 2^64), not {seed!r}")
+    return seed
+
+
 def _rng(seed: int) -> np.random.Generator:
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
+
+
+def philox_uniforms(seed: int) -> Iterator[float]:
+    """The uniforms of ``_rng(seed).random()``, one at a time, in pure Python.
+
+    numpy's Philox keyed by ``seed`` is Philox4x64-10 with key (seed, 0): block
+    k = 1, 2, ... starts from the counter (k, 0, 0, 0); each of its ten rounds
+    takes the products p0 = M0 c0 and p1 = M1 c2 to (c0, c1, c2, c3) <-
+    (hi p1 ^ c1 ^ k0, lo p1, hi p0 ^ c3 ^ k1, lo p0) and then bumps the key
+    by the Weyl constants, mod 2^64; its four words x give the doubles
+    (x >> 11) * 2^-53 in order.  The blocks are worked ``LANES`` at a time,
+    one per 128-bit lane of a Python int: a lane's 64-bit word times a 64-bit
+    multiplier fits its lane, so every step of a round is one big-int
+    operation on all the lanes at once.
+    """
+    _check_seed(seed)
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * LANES, "little")
+    low = MASK64 * ones
+    lane_index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(LANES)),
+                                "little")
+    round_keys = []
+    k0, k1 = seed, 0
+    for _ in range(10):
+        round_keys.append((k0 * ones, k1 * ones))
+        k0, k1 = (k0 + PHILOX_W0) & MASK64, (k1 + PHILOX_W1) & MASK64
+    unpack = struct.Struct(f"<{2 * LANES}Q").unpack
+
+    def chunks() -> Iterator[List[float]]:
+        for first in count(1, LANES):
+            # c1 holds the counters' second words, 0 below 2^64 blocks
+            c0, c1, c2, c3 = first * ones + lane_index, 0, 0, 0
+            for key0, key1 in round_keys:
+                p0, p1 = PHILOX_M0 * c0, PHILOX_M1 * c2
+                c0, c1, c2, c3 = (((p1 >> 64) & low) ^ c1 ^ key0, p1 & low,
+                                  ((p0 >> 64) & low) ^ c3 ^ key1, p0 & low)
+            words = [unpack(c.to_bytes(16 * LANES, "little"))[::2] for c in (c0, c1, c2, c3)]
+            yield [(x >> 11) * 2.0**-53 for x in chain.from_iterable(zip(*words))]
+
+    return chain.from_iterable(chunks())
 
 
 def _exit_steps(exits: np.ndarray) -> List[int]:
@@ -209,10 +284,12 @@ def _packed_words(sampler: StepSampler, start: Sequence[int],
     """
     import numpy as np
 
+    weights = np.array([c.weights[i].fw for c, i in sampler.nodes], dtype=np.int64)
+    eps = np.array([c.eps[i] for c, i in sampler.nodes], dtype=np.int64)
     rank = len(start)
     shift = (0,) * rank if shift is None else shift
-    bound = max(abs(start[i]) + abs(shift[i]) + int(sampler.eps[:, i].max())
-                + horizon * int(np.abs(sampler.weights[:, i]).max()) for i in range(rank))
+    bound = max(abs(start[i]) + abs(shift[i]) + int(eps[:, i].max())
+                + horizon * int(np.abs(weights[:, i]).max()) for i in range(rank))
     width = bound.bit_length() + 2
     per_word = WORD_BITS // width
     if per_word == 0:
@@ -225,7 +302,7 @@ def _packed_words(sampler: StepSampler, start: Sequence[int],
         words.append((sum(place) << (width - 1),
                       sum((x + (1 << (width - 1))) * p for x, p in zip(start[cols], place)),
                       sum(x * p for x, p in zip(shift[cols], place)),
-                      sampler.weights[:, cols] @ scale, sampler.eps[:, cols] @ scale))
+                      weights[:, cols] @ scale, eps[:, cols] @ scale))
     return width, words
 
 
@@ -312,20 +389,23 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
 
 def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
                     ) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
-    """Sampled transition counts of the transformed walk up to time ellmax."""
+    """Sampled transition counts of the transformed walk up to time ellmax.
+
+    Each sample takes the next ``ellmax`` uniforms of the seed's stream, the
+    same floats ``simulate_exits`` reads, here drawn by ``philox_uniforms``
+    and picked by ``StepSampler.pick`` one at a time, so numpy is not loaded.
+    """
     sampler = StepSampler.from_distribution(dist)
-    rng = _rng(seed)
+    uniforms = philox_uniforms(seed)
     datum = dist.datum
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     zero_fw = (0,) * datum.rank
-    rows = _tile_rows(ellmax)
-    for lo in range(0, n, rows):
-        picks = sampler.pick_many(rng.random(size=(min(rows, n - lo), ellmax)))
-        for row in picks.tolist():
-            node = TensorNode(tuple(sampler.nodes[k] for k in row))
-            hs = [zero_fw] + pitman_prefix_weights(datum, node)
-            for a, b in zip(hs, hs[1:]):
-                counts[(a, b)] = counts.get((a, b), 0) + 1
+    for _ in range(n):
+        node = TensorNode(tuple(sampler.nodes[sampler.pick(u)]
+                                for u in islice(uniforms, ellmax)))
+        hs = [zero_fw] + pitman_prefix_weights(datum, node)
+        for a, b in zip(hs, hs[1:]):
+            counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 
 

@@ -274,6 +274,8 @@ with tempfile.TemporaryDirectory() as out:
     assert weylwalk.cli.main(["ratio", "--type", "C2", "--kappa", "1,0", "--tau",
                               "1/2,1/3", "--mu", "2,0", "--output-dir", out]) == 0
 loaded("ratio")
+assert MC.h_law_reports(dist, 2, 20, seed=1)
+loaded("h_law")
 MC.simulate_exits(dist, datum.zero_weight(), 3, 10, seed=1)
 loaded("simulate")
 """
@@ -283,15 +285,15 @@ def test_cli_import_leaves_numpy_out():
     """``import weylwalk.cli`` loads neither ``markov`` nor ``montecarlo``, nor
     numpy, datetime or dataclasses.  Importing the package and every layer
     loads neither numpy, datetime nor dataclasses; the exact ratio paths, in
-    the library and the CLI, run without them; the first sampling call loads
-    numpy."""
+    the library and the CLI, and the h-law sampler run without them; the
+    first exit-kernel call loads numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     stages = {words[1]: words[2:] for words in map(str.split, done.stdout.splitlines())
               if words[:1] == ["loaded"]}
     assert stages["cli"] == []
-    for stage in ("import", "ratio"):
+    for stage in ("import", "ratio", "h_law"):
         assert not {"numpy", "datetime", "dataclasses"} & set(stages[stage]), stage
     assert "numpy" in stages["simulate"]
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weylwalk import montecarlo as MC
 from weylwalk import markov as M
 from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode
+from weylwalk.errors import DomainError
 
 from oracles import exhaustive_h_trajectories, is_minuscule, scalar_simulate_exits
 
@@ -305,8 +307,6 @@ def test_packed_kernel_splits_into_words():
             width, packed = MC._packed_words(sampler, mu.fw, shift, 12)
             assert width >= 12 and len(packed) == words
             assert (len(mu.fw) * width > MC.WORD_BITS) == (words > 1)
-    from weylwalk.errors import DomainError
-
     # a start too far out for one int64 field is refused, not wrapped
     with pytest.raises(DomainError):
         MC._packed_words(sampler, (2 ** 61, 1), None, 12)
@@ -409,6 +409,7 @@ def test_pick_many_is_exact_at_edges():
         u = np.array(edges)
         exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
         assert sampler.pick_many(u).tolist() == exact
+        assert [sampler.pick(x) for x in u.tolist()] == exact
         assert [int(sampler.pick_many(np.array([x]))[0]) for x in edges] == exact
         # any shape, one index per uniform
         assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
@@ -419,7 +420,9 @@ def test_pick_many_is_exact_on_a_stream():
     u = MC._rng(5).random(size=(200, 30))
     picks = sampler.pick_many(u)
     assert picks.shape == u.shape
-    assert picks.ravel().tolist() == [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
+    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
+    assert picks.ravel().tolist() == exact
+    assert [sampler.pick(x) for x in islice(MC.philox_uniforms(5), u.size)] == exact
 
 
 def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
@@ -433,3 +436,29 @@ def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
         for a, b in zip(hs, hs[1:]):
             expected[(a, b)] = expected.get((a, b), 0) + 1
     assert MC.empirical_h_law(dist10, 3, 300, seed=19) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_python_stream_equals_numpy_philox(seed, monkeypatch):
+    """The pure-Python Philox4x64-10 yields numpy's floats bit for bit, across
+    the edges of blocks (4 uniforms) and of lane chunks (4 * LANES uniforms),
+    whatever the number of lanes."""
+    chunk = 4 * MC.LANES
+    for k in (0, 1, 3, 4, 5, 1001, 2 * chunk + 5):
+        assert list(islice(MC.philox_uniforms(seed), k)) == MC._rng(seed).random(k).tolist()
+    for lanes in (1, 3):
+        monkeypatch.setattr(MC, "LANES", lanes)
+        assert list(islice(MC.philox_uniforms(seed), 29)) == MC._rng(seed).random(29).tolist()
+
+
+@pytest.mark.parametrize("seed", [1.5, True, False, -1, 2**64, "1", None])
+def test_seeds_outside_the_philox_keys_are_refused(c2, dist10, seed):
+    """Both evaluators of the stream refuse a seed that is not an int key in
+    [0, 2^64), before they draw, and so do the samplers that read them."""
+    for stream in (MC._rng, MC.philox_uniforms):
+        with pytest.raises(DomainError):
+            stream(seed)
+    with pytest.raises(DomainError):
+        MC.simulate_exits(dist10, c2.zero_weight(), 3, 5, seed=seed)
+    with pytest.raises(DomainError):
+        MC.empirical_h_law(dist10, 3, 5, seed=seed)

@@ -6,8 +6,13 @@ For each of ``weylwalk.cli``, ``weylwalk.markov``, ``weylwalk.montecarlo`` and
 ``numpy`` it starts N fresh interpreters that import it and takes the median
 wall time, minus the median wall time of N ``python -c pass`` runs, and the
 median peak RSS of those interpreters, read per child from ``os.wait4``.  The
-RSS column is the floor under the benchmark's ``peak_rss_mib``, which takes
-the same ``ru_maxrss`` of each job process.
+RSS column is the floor under a job's peak RSS, the same ``ru_maxrss`` of
+each job process, whose largest is the benchmark's ``peak_rss_mib``:
+``weylwalk.cli`` lies under every job, and ``numpy`` only under the jobs that
+call the exit kernel (``simulate`` and ``sandwich``, the ``mc-exit`` jobs).
+No ``exact-kernel`` or ``structure`` job loads numpy, the h-law jobs
+included, so their peaks sit on the ``weylwalk.cli`` floor plus what the job
+itself allocates.
 ``weylwalk.cli`` is what every command loads; ``weylwalk.markov`` (timed on
 its own) is the layer that ``hchain``, ``conditioned``, ``pitman`` and
 ``verify`` load on top of it.  The runs go round-robin over the baseline and
