@@ -461,17 +461,6 @@ def positive_roots(datum: CartanDatum) -> List[Weight]:
     return [datum.weight(datum.fw_from_root(r)) for r in _positive_root_coords(datum.matrix)]
 
 
-def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
-    """Positive coroots in simple-coroot coordinates.
-
-    They are the positive roots of the transposed Cartan matrix; a weight's
-    pairing with the coroot c is sum_i c_i * fw_i.
-    """
-    n = datum.rank
-    transposed = tuple(tuple(datum.matrix[j][i] for j in range(n)) for i in range(n))
-    return _positive_root_coords(transposed)
-
-
 def weyl_order(datum: CartanDatum) -> int:
     """|W| = n! * det(A) * prod of the highest root's coefficients.
 
@@ -520,19 +509,18 @@ def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int
     return orbit
 
 
-def weyl_group(datum: CartanDatum, budget: int = DEFAULT_WEYL_BUDGET) -> WeylGroup:
+def weyl_group(datum: CartanDatum) -> WeylGroup:
     """Enumerate the Weyl group as the orbit of rho.
 
     Stepping x = w(rho) to s_i(x) gives s_i w, spelled (i,) + word; the BFS
     depth is the Coxeter length, so every word is reduced and the sign is
-    its parity.  A group whose closed-form order exceeds the budget is
-    refused before any element is built.
+    its parity.  A group whose closed-form order exceeds
+    ``DEFAULT_WEYL_BUDGET`` is refused before any element is built.
     """
     order = weyl_order(datum)
-    if order > budget:
-        raise ResourceBudgetError(
-            f"Weyl group of {datum.label} has {order} elements, over the budget {budget}"
-        )
+    if order > DEFAULT_WEYL_BUDGET:
+        raise ResourceBudgetError(f"Weyl group of {datum.label} has {order} elements, "
+                                  f"over the budget {DEFAULT_WEYL_BUDGET}")
     elements: List[WeylElement] = []
     for x, parent, i in weyl_orbit(datum, (1,) * datum.rank):
         if parent < 0:

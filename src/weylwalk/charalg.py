@@ -21,7 +21,6 @@ from .cartan import (
     WeylElement,
     WeylGroup,
     act,
-    positive_coroots,
     positive_roots,
     weyl_group,
     weyl_orbit,
@@ -188,20 +187,20 @@ class CharacterAlgebra:
     positive roots and the Weyl group of a fixed finite-type datum, every
     character value per (weight, tau) and every Weyl numerator per weight.
 
-    S_lambda(tau) and psi are computed by whichever route costs less: the
-    Weyl alternating sum has |W| terms, the crystal B(lambda) has
-    dim V(lambda) nodes.  The crystal route serves every weight when |W| is
-    over the group budget (E7, E8), where psi_poly, always the sum, is refused.
+    S_lambda(tau) and psi are computed by the Weyl character formula, the
+    alternating sum over the denominator, for every dominant weight wherever
+    |W| fits the group budget and the denominator is nonzero.  The crystal
+    B(lambda) serves the rest: E7 and E8, whose groups are over the budget
+    (psi_poly, always the sum, is refused there), a tau with a vanishing
+    denominator, and a non-dominant weight, which it refuses.
     """
 
-    def __init__(self, datum: CartanDatum, cache: Optional[CrystalCache] = None):
+    def __init__(self, datum: CartanDatum):
         self.datum = datum
-        self.cache = cache if cache is not None else CrystalCache(datum)
+        self.cache = CrystalCache(datum)
         self._group = None
         self._posroots = None
         self._order = weyl_order(datum)
-        self._coroots = positive_coroots(datum)
-        self._rho_dim = prod(sum(c) for c in self._coroots)
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
         self._numerators: Dict[Tuple[int, ...], ExponentPolynomial] = {}
@@ -218,19 +217,6 @@ class CharacterAlgebra:
         if self._posroots is None:
             self._posroots = positive_roots(self.datum)
         return self._posroots
-
-    def dimension(self, lam: Weight) -> int:
-        """dim V(lambda) by the Weyl dimension formula over the positive coroots."""
-        num = prod(sum(c * (x + 1) for c, x in zip(cor, lam.fw)) for cor in self._coroots)
-        return num // self._rho_dim
-
-    def _uses_weyl_sum(self, lam: Weight) -> bool:
-        """Whether the |W|-term alternating sum is cheaper than B(lambda).
-
-        Non-dominant weights stay on the crystal route, which rejects them.
-        """
-        return (self._order <= DEFAULT_WEYL_BUDGET and lam.is_dominant()
-                and self._order < self.dimension(lam))
 
     def denominator_value(self, tau: TauPoint) -> Fraction:
         """prod over positive roots of (1 - tau^alpha), once per tau."""
@@ -255,13 +241,14 @@ class CharacterAlgebra:
         return ExponentPolynomial(out)
 
     def character_value(self, kappa: Weight, tau: TauPoint) -> Fraction:
-        """S_kappa(tau), from the Weyl sum over the denominator where that is
-        cheaper and the denominator is nonzero, else from the crystal."""
+        """S_kappa(tau), the Weyl numerator over the denominator for a dominant
+        kappa when |W| fits the group budget and the denominator is nonzero,
+        else the crystal sum, which refuses a non-dominant kappa."""
         key = (kappa.fw, tau)
         out = self._characters.get(key)
         if out is None:
             denom = self.denominator_value(tau)
-            if denom != 0 and self._uses_weyl_sum(kappa):
+            if denom != 0 and kappa.is_dominant() and self._order <= DEFAULT_WEYL_BUDGET:
                 out = self.weyl_numerator(kappa).evaluate(tau) / denom
             else:
                 out = self.character_poly(kappa).evaluate(tau)
@@ -324,8 +311,8 @@ class CharacterAlgebra:
     # -- finite-horizon quantities -------------------------------------------------
 
     def _branching(self, mu: Weight, source, tau: TauPoint, ell: int):
-        """Counts f^ell_lam(mu) of the source, the exponent base ell * r and
-        the normalizer N_r(tau)^ell."""
+        """Counts f^ell_lam(mu) of the source keyed by the fw coordinates of
+        lambda, the exponent base ell * r and the normalizer N_r(tau)^ell."""
         spec = as_module(source)
         counts = count_f_multiplicity(self.datum, mu, self.module_crystals(spec), ell)
         ell_r = self.datum.weight(tuple(ell * c for c in spec.reference.fw))
@@ -345,8 +332,8 @@ class CharacterAlgebra:
         # D times the coordinate of w(x) is lin . x
         lins = [[sum(x * y for x, y in zip(row, img)) for img in images] for row in datum.coadj]
         base = [a + sum(x * y for x, y in zip(lin, mu.fw)) for a, lin in zip(ell_r.scaled, lins)]
-        exponents = [[a - sum(x * y for x, y in zip(lin, lam.fw)) for a, lin in zip(base, lins)]
-                     for lam in counts]
+        exponents = [[a - sum(x * y for x, y in zip(lin, fw)) for a, lin in zip(base, lins)]
+                     for fw in counts]
         return tau.sum_powers(counts.values(), exponents) / norm
 
     def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:

@@ -24,15 +24,14 @@ DEFAULT_DP_BUDGET = 1_000_000
 class CrystalGraph:
     """Connected colored digraph of paths generated from a dominant path."""
 
-    def __init__(self, datum: CartanDatum, highest_path: P.PiecewisePath,
-                 budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, datum: CartanDatum, highest_path: P.PiecewisePath):
         if not P.is_dominant_path(highest_path):
             raise WeylwalkError("highest path leaves the dominant cone")
         self.datum = datum
         self.nodes: List[P.PiecewisePath] = []
         self.f_edge: Dict[Tuple[int, int], int] = {}
         self.e_edge: Dict[Tuple[int, int], int] = {}
-        self._generate(highest_path, budget)
+        self._generate(highest_path)
         self.highest = 0  # generation starts at the highest path
         self.weights: List[Weight] = [P.path_weight(datum, b) for b in self.nodes]
         self.kappa: Weight = self.weights[self.highest]
@@ -44,7 +43,7 @@ class CrystalGraph:
 
     # -- construction ---------------------------------------------------------
 
-    def _generate(self, seed: P.PiecewisePath, budget: int) -> None:
+    def _generate(self, seed: P.PiecewisePath) -> None:
         datum = self.datum
         self.nodes.append(seed)
         index = {seed: 0}
@@ -58,9 +57,9 @@ class CrystalGraph:
                     continue
                 jdx = index.get(img)
                 if jdx is None:
-                    if len(self.nodes) >= budget:
+                    if len(self.nodes) >= DEFAULT_NODE_BUDGET:
                         raise ResourceBudgetError(
-                            f"crystal exceeds node budget {budget}",
+                            f"crystal exceeds node budget {DEFAULT_NODE_BUDGET}",
                             partial_count=len(self.nodes),
                         )
                     jdx = len(self.nodes)
@@ -164,9 +163,8 @@ class CrystalGraph:
 class CrystalCache:
     """Crystals B(straight path to lambda), generated once per weight."""
 
-    def __init__(self, datum: CartanDatum, budget: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, datum: CartanDatum):
         self.datum = datum
-        self.budget = budget
         self._store: Dict[Tuple[int, ...], CrystalGraph] = {}
 
     def get(self, w: Weight) -> CrystalGraph:
@@ -175,7 +173,7 @@ class CrystalCache:
             if not w.is_dominant():
                 raise WeylwalkError(f"weight {w.fw} is not dominant")
             path = P.straight_path(tuple(Fraction(c) for c in w.fw))
-            self._store[key] = CrystalGraph(self.datum, path, self.budget)
+            self._store[key] = CrystalGraph(self.datum, path)
         return self._store[key]
 
 
@@ -317,10 +315,10 @@ def module_multiplicity(mu: Weight,
 
 def count_f_multiplicity(datum: CartanDatum, mu: Weight,
                          crystals: Sequence[Tuple[CrystalGraph, int]],
-                         ell: int) -> Dict[Weight, int]:
-    """Layer ``ell`` of ``count_f_layers``, keyed by weight."""
-    layer = dict(count_f_layers(datum, mu, crystals, (ell,)))[ell]
-    return {datum.weight(fw): c for fw, c in layer.items()}
+                         ell: int) -> Dict[Tuple[int, ...], int]:
+    """Layer ``ell`` of ``count_f_layers``: the count of each endpoint, keyed
+    by its fw coordinates."""
+    return dict(count_f_layers(datum, mu, crystals, (ell,)))[ell]
 
 
 def count_f_layers(datum: CartanDatum, mu: Weight,

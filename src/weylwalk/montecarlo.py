@@ -71,16 +71,16 @@ class EstimatorReport(Record):
 
     ``slack`` widens the acceptance band to max(sigmas * stderr, slack); it
     carries an exact truncation allowance when the target is an
-    infinite-horizon limit probed at a finite horizon.
+    infinite-horizon limit probed at a finite horizon.  ``notes`` starts
+    empty; ``as_dict`` writes out what callers add to it.
     """
 
     __slots__ = ("name", "estimate", "n", "stderr", "target", "z", "slack", "notes")
 
     def __init__(self, name: str, estimate: float, n: int, stderr: float,
                  target: Optional[Fraction] = None, z: Optional[float] = None,
-                 slack: float = 0.0, notes: Optional[Dict[str, object]] = None):
-        super().__init__(name, estimate, n, stderr, target, z, slack,
-                         {} if notes is None else notes)
+                 slack: float = 0.0):
+        super().__init__(name, estimate, n, stderr, target, z, slack, {})
 
     def within(self, sigmas: float) -> bool:
         if self.target is None:
@@ -320,8 +320,7 @@ def _note_exits(exits: np.ndarray, bad: np.ndarray, first_step: int) -> None:
 
 
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
-                   seed: int, kappa0: Optional[Weight] = None,
-                   sampler: Optional[StepSampler] = None) -> ExitSummary:
+                   seed: int, kappa0: Optional[Weight] = None) -> ExitSummary:
     """First continuous/discrete cone-exit step over n independent samples.
 
     Each sample consumes exactly ``horizon`` uniforms, read row by row from
@@ -350,7 +349,7 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                                   f"is over the budget {MAX_BLOCK_UNIFORMS}")
     import numpy as np
 
-    sampler = sampler or StepSampler.from_distribution(dist)
+    sampler = StepSampler.from_distribution(dist)
     rng = _rng(seed)
     # exit step per sample, 0 while the sample has not exited
     cont = np.zeros(max(n, 0), dtype=np.int64)

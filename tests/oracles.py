@@ -22,8 +22,8 @@ them: the Weyl character formula's product ``denominator * S_mu``, the
 normalizer polynomial N_r (Sigma_M for several summands) and the character
 product identity.  Last come small definitions that only the tests read: a
 path's value at a time, whether every raising operator kills a path or a
-tensor node, the minuscule test, a crystal's isomorphism signature and the
-inverse of a Weyl element.
+tensor node, the minuscule test, a crystal's isomorphism signature, the
+inverse of a Weyl element and the Weyl dimension formula.
 """
 
 import math
@@ -34,9 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from weylwalk import build_cartan_datum
 from weylwalk import paths as P
-from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector, reflect,
-                             weyl_orbit)
+from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector,
+                             positive_roots, reflect, weyl_orbit)
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multiplicity,
                               tensor_apply_e, tensor_eps_phi)
@@ -48,8 +49,10 @@ from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
 
 def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGraph],
                              crystals: Sequence[Tuple[CrystalGraph, int]],
-                             ell: int) -> Dict[Weight, int]:
-    """Brute-force oracle: scan the full tensor product for highest paths.
+                             ell: int) -> Dict[Tuple[int, ...], int]:
+    """Brute-force oracle: scan the full tensor product for highest paths,
+    counted by the fw coordinates of their weights as ``count_f_multiplicity``
+    keys them.
 
     Uses the path-level raising operators on actual concatenations, staying
     independent of both the DP and the tensor rule.
@@ -64,7 +67,7 @@ def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGra
     else:
         for idx in range(len(mu_crystal)):
             firsts.append((mu_crystal.nodes[idx], 1))
-    out: Dict[Weight, int] = {}
+    out: Dict[Tuple[int, ...], int] = {}
     for first, _ in firsts:
         for combo in iproduct(pool, repeat=ell):
             pieces = ([] if first is None else [first]) + [c.nodes[i] for c, i, _ in combo]
@@ -75,7 +78,7 @@ def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGra
             if path is None:
                 continue
             if all_raising_null(datum, path):
-                lam = P.path_weight(datum, path)
+                lam = P.path_weight(datum, path).fw
                 out[lam] = out.get(lam, 0) + weight_mult
     return out
 
@@ -204,14 +207,16 @@ def twisted_drift_endpoint(dist: CrystalDistribution, w_inverse: WeylElement) ->
     return act_vector(w_inverse, dist.drift_endpoint())
 
 
-def power_twisted_stay(algebra: CharacterAlgebra, mu: Weight, counts: Dict[Weight, int],
-                       ell_r: Weight, norm: Fraction, tau: TauPoint, w: WeylElement) -> Fraction:
+def power_twisted_stay(algebra: CharacterAlgebra, mu: Weight,
+                       counts: Dict[Tuple[int, ...], int], ell_r: Weight, norm: Fraction,
+                       tau: TauPoint, w: WeylElement) -> Fraction:
     """Oracle for ``CharacterAlgebra._twisted_stay``: one ``act`` and one
     ``reference_power`` per endpoint, summed in Fractions."""
     w_mu = act(algebra.datum, w, mu)
     out = Fraction(0)
-    for lam, f in counts.items():
-        out += f * reference_power(tau, (ell_r + w_mu - act(algebra.datum, w, lam)).root)
+    for fw, f in counts.items():
+        w_lam = act(algebra.datum, w, algebra.datum.weight(fw))
+        out += f * reference_power(tau, (ell_r + w_mu - w_lam).root)
     return out / norm
 
 
@@ -227,15 +232,14 @@ def brute_force_restricted(dist: CrystalDistribution, mu: Weight, lam: Weight) -
 
 
 def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
-                          seed: int, kappa0: Optional[Weight] = None,
-                          sampler: Optional[StepSampler] = None) -> ExitSummary:
+                          seed: int, kappa0: Optional[Weight] = None) -> ExitSummary:
     """Oracle for ``simulate_exits``: one sample and one step at a time.
 
     It draws the same Philox uniforms one row of ``horizon`` at a time,
     settles every draw by an exact bisect on the rational cumulative law, and
     takes the weights and raising depths from the crystals themselves.
     """
-    sampler = sampler or StepSampler.from_distribution(dist)
+    sampler = StepSampler.from_distribution(dist)
     weights = [c.weights[i].fw for c, i in sampler.nodes]
     eps = [c.eps[i] for c, i in sampler.nodes]
     rng = _rng(seed)
@@ -454,9 +458,10 @@ def character_product_identity(algebra: CharacterAlgebra, mu: Weight, source, el
     counts = count_f_multiplicity(algebra.datum, mu, algebra.module_crystals(spec), ell)
     ell_r = algebra.datum.weight(tuple(ell * c for c in spec.reference.fw))
     left = poly_product(algebra.character_poly(mu), *[normalizer_poly(algebra, spec)] * ell)
+    lams = {algebra.datum.weight(fw): f for fw, f in counts.items()}
     right = poly_sum(*(poly_product(monomial((ell_r + mu - lam).root, f),
                                     algebra.character_poly(lam))
-                       for lam, f in counts.items()))
+                       for lam, f in lams.items()))
     return left == right
 
 
@@ -531,3 +536,15 @@ def inverse_element(w: WeylElement) -> WeylElement:
     for i in w.word:
         rho = reflect(w.cartan, i, rho)
     return WeylElement(rho, w.word[::-1], w.sign, w.cartan)
+
+
+def weyl_dimension(datum: CartanDatum, lam: Weight) -> int:
+    """dim V(lambda) by the Weyl dimension formula: the product over the
+    positive coroots c of <lambda + rho, c> / <rho, c>.  The positive coroots
+    are the positive roots of the transposed Cartan matrix, in simple-coroot
+    coordinates, and a weight pairs with c as sum_i c_i * fw_i."""
+    n = datum.rank
+    dual = build_cartan_datum([[datum.matrix[j][i] for j in range(n)] for i in range(n)])
+    coroots = [alpha.root for alpha in positive_roots(dual)]
+    num = math.prod(sum(c * (x + 1) for c, x in zip(cor, lam.fw)) for cor in coroots)
+    return num // math.prod(sum(cor) for cor in coroots)

@@ -11,6 +11,7 @@ from weylwalk import (
     positive_roots,
     weyl_group,
 )
+from weylwalk import cartan
 from weylwalk.cartan import act_vector, weyl_order
 from weylwalk.errors import FormatError, NotFiniteTypeError, ResourceBudgetError
 
@@ -243,9 +244,10 @@ def test_weyl_order_of_e_types(label, order):
     assert weyl_order(build_cartan_datum(label)) == order
 
 
-def test_weyl_group_over_budget_fails_before_enumerating():
-    with pytest.raises(ResourceBudgetError) as info:
-        weyl_group(build_cartan_datum("D4"), budget=100)
-    assert info.value.partial_count == 0
+def test_weyl_group_over_budget_fails_before_enumerating(monkeypatch):
     with pytest.raises(ResourceBudgetError, match="2903040"):
         weyl_group(build_cartan_datum("E7"))
+    monkeypatch.setattr(cartan, "DEFAULT_WEYL_BUDGET", 100)
+    with pytest.raises(ResourceBudgetError, match="over the budget 100") as info:
+        weyl_group(build_cartan_datum("D4"))
+    assert info.value.partial_count == 0

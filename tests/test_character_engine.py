@@ -1,9 +1,10 @@
-"""The two character routes agree exactly, and the memos return what a fresh
-computation would.
+"""The two character routes agree exactly, the algebra takes the one its rule
+names, and the memos return what a fresh computation would.
 
 S_lambda(tau) is the Weyl alternating sum over prod(1 - tau^alpha) or the sum
-over the crystal B(lambda); the algebra takes whichever has fewer terms (|W|
-against dim V(lambda)).  The crystal route is the oracle here.
+over the crystal B(lambda).  The algebra takes the Weyl sum for every dominant
+weight wherever |W| fits the group budget and the denominator is nonzero, and
+the crystal sum otherwise.  The crystal route is the oracle here.
 """
 
 from fractions import Fraction
@@ -11,17 +12,19 @@ from fractions import Fraction
 import pytest
 
 from weylwalk import build_cartan_datum
+from weylwalk import crystal as C
 from weylwalk import markov as M
 from weylwalk.cartan import act, weyl_order
 from weylwalk.charalg import (
     CharacterAlgebra, ExponentPolynomial, tau_point, tau_point_from_roots)
-from weylwalk.crystal import CrystalCache, module_multiplicity
-from weylwalk.errors import ResourceBudgetError
+from weylwalk.crystal import module_multiplicity
+from weylwalk.errors import ResourceBudgetError, WeylwalkError
 
 from conftest import partition_weight
-from oracles import weyl_character_product
+from oracles import weyl_character_product, weyl_dimension
 
-# Per type: weights with dim V(lambda) below |W| and above it, and a generic tau.
+# Per type: weights with dim V(lambda) below |W| and above it, and a generic tau;
+# the Weyl route serves both.
 CASES = {
     "A2": ([(1, 0), (2, 0)], [(1, 1), (3, 2)], ["2/7", "3/5"]),
     "C2": ([(1, 0), (0, 1)], [(2, 1), (3, 3)], ["1/3", "2/5"]),
@@ -46,13 +49,11 @@ def test_weyl_route_equals_crystal_character(algebras, label):
     algebra = algebras[label]
     datum = algebra.datum
     small, large, tau_values = CASES[label]
-    order = weyl_order(datum)
     points = [tau_point(datum, tau_values)]
     if label == "A2":
         points.append(tau_point_from_roots(datum, ["1/2", "2/3"]))
     for fw in small + large:
         lam = datum.weight(fw)
-        assert (algebra.dimension(lam) > order) == (fw in large)
         crystal_poly = algebra.character_poly(lam)
         for tau in points:
             expect = crystal_poly.evaluate(tau)
@@ -66,10 +67,63 @@ def test_weyl_route_equals_crystal_character(algebras, label):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_dimension_formula_counts_crystal_nodes(algebras, label):
     algebra = algebras[label]
+    datum = algebra.datum
     small, large, _ = CASES[label]
-    for fw in [(0,) * algebra.datum.rank] + small + large:
-        lam = algebra.datum.weight(fw)
-        assert algebra.dimension(lam) == len(algebra.cache.get(lam))
+    order = weyl_order(datum)
+    for fw in [(0,) * datum.rank] + small + large:
+        lam = datum.weight(fw)
+        assert weyl_dimension(datum, lam) == len(algebra.cache.get(lam))
+        assert (weyl_dimension(datum, lam) > order) == (fw in large)
+
+
+def _spy_on_crystal_route(monkeypatch):
+    """The weights ``character_poly`` is called on, in order."""
+    calls = []
+    original = CharacterAlgebra.character_poly
+
+    def spy(self, source):
+        calls.append(source.fw)
+        return original(self, source)
+
+    monkeypatch.setattr(CharacterAlgebra, "character_poly", spy)
+    return calls
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "D4"])
+def test_dominant_weight_within_the_budget_never_reads_a_crystal(label, monkeypatch):
+    """Every dominant weight takes the Weyl route, whatever its dimension and
+    whether or not its crystal is cached: the step source's own crystal is
+    cached by its step law and still not read."""
+    datum = build_cartan_datum(label)
+    small, large, tau_values = CASES[label]
+    weights = [datum.weight(fw) for fw in [(0,) * datum.rank] + small + large]
+    tau = tau_point(datum, tau_values)
+    expect = [CharacterAlgebra(datum).character_poly(lam).evaluate(tau) for lam in weights]
+    calls = _spy_on_crystal_route(monkeypatch)
+    algebra = CharacterAlgebra(datum)
+    source = weights[1]
+    dist = M.build_distribution(algebra, source, tau)
+    assert algebra.cache.get(source) is dist.crystals[0][0]
+    assert [algebra.character_value(lam, tau) for lam in weights] == expect
+    assert calls == []
+
+
+def test_crystal_route_serves_e7_a_zero_denominator_and_a_non_dominant_weight(monkeypatch):
+    e7 = build_cartan_datum("E7")
+    c2 = build_cartan_datum("C2")
+    calls = _spy_on_crystal_route(monkeypatch)
+    zero = e7.zero_weight()
+    assert CharacterAlgebra(e7).character_value(zero, tau_point(e7, ["1/2"] * 7)) == 1
+    assert calls == [zero.fw]
+    algebra = CharacterAlgebra(c2)
+    lam = c2.weight((1, 0))
+    vanishing = tau_point(c2, ["2", "1/2"])
+    assert algebra.denominator_value(vanishing) == 0
+    algebra.character_value(lam, vanishing)
+    assert calls == [zero.fw, lam.fw]
+    with pytest.raises(WeylwalkError, match="not dominant"):
+        algebra.character_value(c2.weight((1, -1)), tau_point(c2, ["1/3", "2/5"]))
+    assert calls == [zero.fw, lam.fw, (1, -1)]
 
 
 def test_weyl_route_off_the_unit_cube(algebras):
@@ -85,20 +139,23 @@ def test_weyl_route_off_the_unit_cube(algebras):
     assert algebra.denominator_value(tau_point(datum, ["2", "1/2"])) == 0
 
 
-def test_custom_matrix_characters():
+def test_custom_matrix_characters(monkeypatch):
     """A custom matrix knows |W| from its highest root, so it takes the Weyl
     route like a named type: under a 20-node crystal budget the 64-dimensional
     V(omega_1 + omega_2) still evaluates, which the crystal route could not."""
     custom = build_cartan_datum([[2, -1], [-3, 2]])
     named = build_cartan_datum("G2")
     assert weyl_order(custom) == 12
-    algebra = CharacterAlgebra(custom, cache=CrystalCache(custom, budget=20))
     reference = CharacterAlgebra(named)
     tau = tau_point(custom, ["1/3", "2/5"])
-    for fw in [(0, 0), (1, 0), (1, 1), (2, 1)]:
-        expect = reference.character_poly(named.weight(fw)).evaluate(tau)
-        assert algebra.character_value(custom.weight(fw), tau) == expect
-        assert algebra.psi(custom.weight(fw), tau) == reference.psi(named.weight(fw), tau)
+    weights = [(0, 0), (1, 0), (1, 1), (2, 1)]
+    expect = [(reference.character_poly(named.weight(fw)).evaluate(tau),
+               reference.psi(named.weight(fw), tau)) for fw in weights]
+    monkeypatch.setattr(C, "DEFAULT_NODE_BUDGET", 20)
+    algebra = CharacterAlgebra(custom)
+    for fw, (character, psi) in zip(weights, expect):
+        assert algebra.character_value(custom.weight(fw), tau) == character
+        assert algebra.psi(custom.weight(fw), tau) == psi
     with pytest.raises(ResourceBudgetError):
         algebra.character_poly(custom.weight((1, 1)))
 

@@ -296,7 +296,8 @@ def test_twisted_term_factorization(c2, c2_algebra, tau_half):
             S = algebra.character_value(kappa, tau_half)
             for w in algebra.group:
                 direct = F(0)
-                for lam, f in counts.items():
+                for fw, f in counts.items():
+                    lam = datum.weight(fw)
                     expo = tuple(
                         ell * k + r
                         for k, r in zip(

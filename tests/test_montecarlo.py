@@ -101,12 +101,14 @@ def test_twisted_finite_horizon_decreases(c2, c2_algebra, tau_half):
     assert plain > F(21, 128)
 
 
-def test_twisted_sampling_consistent_with_exact(c2, c2_algebra, dist10, tau_half):
+def test_twisted_sampling_consistent_with_exact(c2, c2_algebra, dist10, tau_half,
+                                                monkeypatch):
     s1 = next(w for w in c2_algebra.group if w.word == (0,))
     weighted = M.twisted_distribution_probabilities(dist10, s1)
     sampler = MC.StepSampler(weighted)
+    monkeypatch.setattr(MC.StepSampler, "from_distribution", lambda dist: sampler)
     zero = c2.zero_weight()
-    summary = MC.simulate_exits(dist10, zero, 10, 30_000, seed=17, sampler=sampler)
+    summary = MC.simulate_exits(dist10, zero, 10, 30_000, seed=17)
     for ell in (5, 10):
         exact = c2_algebra.psi_ell_twisted(zero, c2.weight((1, 0)), tau_half, ell, s1)
         hits = summary.stay_count_continuous(ell)
@@ -360,12 +362,10 @@ def test_exit_kernel_memory_does_not_grow_with_the_horizon():
     datum = build_cartan_datum("A1")
     tau = tau_point(datum, [F(1, 3)])
     dist = M.build_distribution(CharacterAlgebra(datum), datum.weight((1,)), tau)
-    sampler = MC.StepSampler.from_distribution(dist)
-    MC.simulate_exits(dist, datum.zero_weight(), 2, 2, seed=1, sampler=sampler)
+    MC.simulate_exits(dist, datum.zero_weight(), 2, 2, seed=1)
     tracemalloc.start()
     try:
-        summary = MC.simulate_exits(dist, datum.zero_weight(), 2**18, 3, seed=1,
-                                    sampler=sampler)
+        summary = MC.simulate_exits(dist, datum.zero_weight(), 2**18, 3, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

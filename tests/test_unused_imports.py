@@ -2,7 +2,9 @@
 function in src/ imports from a module that its file imports at module level
 or that README "Cold start" does not let it load lazily, no private helper
 in src/ is left without a reference, no definition in src/ is left without a
-caller outside the tests, and no module in src/ reads another's private name.
+caller outside the tests, no parameter with a default in src/ is left that no
+caller outside the tests passes, and no module in src/ reads another's
+private name.
 
 A name counts as used when the module references it anywhere or lists it in
 ``__all__``.  Package ``__init__.py`` files re-export by importing, and
@@ -386,6 +388,86 @@ def test_uncalled_definition_detector_sees_a_leftover():
     named |= backticked_names("Call `exported()` once.\n") | {"C"}
     assert uncalled_definitions(sources, outside, frozenset(named)) == [
         ("a.py", "oracle_only"), ("a.py", "recursive")]
+
+
+def _defaulted_parameters(func, method):
+    """(position, name) of every parameter of ``func`` with a default.  The
+    position counts the values a call passes, so it leaves out the ``self``
+    of a method that is not a ``staticmethod``; it is None for a keyword-only
+    parameter."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    bound = int(method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                   for d in func.decorator_list))
+    first = len(positional) - len(args.defaults)
+    out = [(k - bound, p.arg) for k, p in enumerate(positional) if k >= first]
+    out.extend((None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def unpassed_defaults(sources, callers):
+    """(path, function, parameter) of every parameter with a default, of a
+    module-level function or a method of a module-level class in ``sources``
+    (a {path: source} dict), that no call in ``callers`` passes: by keyword,
+    by position, or through ``*`` or ``**``.  A call matches a definition by
+    the name it calls, the class name for ``__init__``; other dunders are
+    left out."""
+    calls = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    out = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        funcs = [(stmt, stmt.name, stmt.name, False) for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                funcs.extend((f, cls.name if f.name == "__init__" else f.name,
+                              f"{cls.name}.{f.name}", True) for f in cls.body
+                             if isinstance(f, ast.FunctionDef)
+                             and (f.name == "__init__" or not f.name.startswith("__")))
+        for func, called_as, shown, method in funcs:
+            sites = calls.get(called_as, [])
+            for position, name in _defaulted_parameters(func, method):
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg in (name, None) for k in call.keywords)
+                           or (position is not None and len(call.args) > position)
+                           for call in sites):
+                    out.append((path, shown, name))
+    return sorted(out)
+
+
+def test_every_default_in_src_is_passed_by_a_caller():
+    """A default that only the tests override is a knob the program never
+    turns: the tests monkeypatch the module constant the body reads instead.
+    Callers are src/, perfbench/ and tools/."""
+    sources = {relpath: _read(relpath) for relpath in _modules(("src",), init=True)}
+    callers = list(sources.values()) + [_read(p) for p in _modules(("perfbench", "tools"))]
+    assert unpassed_defaults(sources, callers) == []
+
+
+def test_unpassed_default_detector_sees_a_leftover():
+    sources = {"a.py": ("def f(x, scale=1, *, strict=True, budget=10):\n    return x\n"
+                        "def g(x, y=0):\n    return x\n"
+                        "def h(x, y=0):\n    return x\n"
+                        "class C:\n"
+                        "    def __init__(self, n, cache=None):\n        self.n = n\n"
+                        "    def __eq__(self, other=None):\n        return True\n"
+                        "    def m(self, k=2):\n        return k\n"
+                        "    @staticmethod\n"
+                        "    def s(a, b=3):\n        return a\n")}
+    callers = [sources["a.py"], ("from a import C, f, g, h\n"
+                                 "f(1, 2, strict=False)\n"
+                                 "g(*[1, 2])\n"
+                                 "h(1, **{'y': 2})\n"
+                                 "C(1).m(3)\n"
+                                 "C.s(1)\n")]
+    assert unpassed_defaults(sources, callers) == [
+        ("a.py", "C.__init__", "cache"), ("a.py", "C.s", "b"), ("a.py", "f", "budget")]
 
 
 def private_reads_across_modules(source):
