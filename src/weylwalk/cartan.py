@@ -461,6 +461,17 @@ def positive_roots(datum: CartanDatum) -> List[Weight]:
     return [datum.weight(datum.fw_from_root(r)) for r in _positive_root_coords(datum.matrix)]
 
 
+def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
+    """Positive coroots in simple-coroot coordinates.
+
+    They are the positive roots of the transposed Cartan matrix; a weight's
+    pairing with the coroot c is sum_i c_i * fw_i.
+    """
+    n = datum.rank
+    transposed = tuple(tuple(datum.matrix[j][i] for j in range(n)) for i in range(n))
+    return _positive_root_coords(transposed)
+
+
 def weyl_order(datum: CartanDatum) -> int:
     """|W| = n! * det(A) * prod of the highest root's coefficients.
 
@@ -491,9 +502,18 @@ def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int
     comes first as ``(start, -1, -1)``.  Only positive coordinates are
     reflected, and each such step lengthens the element by one, so the depth
     of w(start) is the length of w when the start is regular (rho, mu + rho).
+
+    A regular start has |W| images, so any walk is refused before it begins
+    on a group whose closed-form order exceeds ``DEFAULT_WEYL_BUDGET``, read
+    at call time.  This is the one budget test behind ``weyl_group`` and the
+    algebra's Weyl numerator.
     """
     if any(c < 0 for c in start):
         raise DomainError(f"orbit walk needs a dominant start, got {tuple(start)}")
+    order = weyl_order(datum)
+    if order > DEFAULT_WEYL_BUDGET:
+        raise ResourceBudgetError(f"Weyl group of {datum.label} has {order} elements, "
+                                  f"over the budget {DEFAULT_WEYL_BUDGET}")
     orbit = [(tuple(start), -1, -1)]
     seen = {orbit[0][0]}
     k = 0
@@ -514,13 +534,9 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
 
     Stepping x = w(rho) to s_i(x) gives s_i w, spelled (i,) + word; the BFS
     depth is the Coxeter length, so every word is reduced and the sign is
-    its parity.  A group whose closed-form order exceeds
-    ``DEFAULT_WEYL_BUDGET`` is refused before any element is built.
+    its parity.  A group over the budget is refused by ``weyl_orbit``
+    before any element is built.
     """
-    order = weyl_order(datum)
-    if order > DEFAULT_WEYL_BUDGET:
-        raise ResourceBudgetError(f"Weyl group of {datum.label} has {order} elements, "
-                                  f"over the budget {DEFAULT_WEYL_BUDGET}")
     elements: List[WeylElement] = []
     for x, parent, i in weyl_orbit(datum, (1,) * datum.rank):
         if parent < 0:

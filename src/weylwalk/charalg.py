@@ -14,20 +14,20 @@ from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import (
-    DEFAULT_WEYL_BUDGET,
     CartanDatum,
     Frozen,
     Weight,
     WeylElement,
     WeylGroup,
     act,
+    positive_coroots,
     positive_roots,
     weyl_group,
     weyl_orbit,
     weyl_order,
 )
 from .crystal import CrystalCache, CrystalGraph, as_module, count_f_multiplicity
-from .errors import DomainError, ExactEvaluationError, FormatError, ResourceBudgetError
+from .errors import DomainError, ExactEvaluationError, FormatError
 from .exact import Rational, exact_unit
 
 
@@ -187,12 +187,12 @@ class CharacterAlgebra:
     positive roots and the Weyl group of a fixed finite-type datum, every
     character value per (weight, tau) and every Weyl numerator per weight.
 
-    S_lambda(tau) and psi are computed by the Weyl character formula, the
-    alternating sum over the denominator, for every dominant weight wherever
-    |W| fits the group budget and the denominator is nonzero.  The crystal
-    B(lambda) serves the rest: E7 and E8, whose groups are over the budget
-    (psi_poly, always the sum, is refused there), a tau with a vanishing
-    denominator, and a non-dominant weight, which it refuses.
+    S_lambda(tau) is computed by whichever route has fewer terms: the Weyl
+    alternating sum over the denominator has |W|, the crystal B(lambda) has
+    dim V(lambda) nodes.  The crystal also serves a tau with a vanishing
+    denominator and a non-dominant weight, which it refuses.  A dominant
+    weight that the sum would serve on E7 or E8 is refused, because their
+    groups are over the budget; so is psi_poly, always the sum, there.
     """
 
     def __init__(self, datum: CartanDatum):
@@ -201,6 +201,8 @@ class CharacterAlgebra:
         self._group = None
         self._posroots = None
         self._order = weyl_order(datum)
+        self._coroots = positive_coroots(datum)
+        self._rho_dim = prod(sum(c) for c in self._coroots)
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
         self._numerators: Dict[Tuple[int, ...], ExponentPolynomial] = {}
@@ -217,6 +219,11 @@ class CharacterAlgebra:
         if self._posroots is None:
             self._posroots = positive_roots(self.datum)
         return self._posroots
+
+    def dimension(self, lam: Weight) -> int:
+        """dim V(lambda) by the Weyl dimension formula over the positive coroots."""
+        num = prod(sum(c * (x + 1) for c, x in zip(cor, lam.fw)) for cor in self._coroots)
+        return num // self._rho_dim
 
     def denominator_value(self, tau: TauPoint) -> Fraction:
         """prod over positive roots of (1 - tau^alpha), once per tau."""
@@ -242,13 +249,13 @@ class CharacterAlgebra:
 
     def character_value(self, kappa: Weight, tau: TauPoint) -> Fraction:
         """S_kappa(tau), the Weyl numerator over the denominator for a dominant
-        kappa when |W| fits the group budget and the denominator is nonzero,
-        else the crystal sum, which refuses a non-dominant kappa."""
+        kappa when |W| < dim V(kappa) and the denominator is nonzero, else the
+        crystal sum, which refuses a non-dominant kappa."""
         key = (kappa.fw, tau)
         out = self._characters.get(key)
         if out is None:
             denom = self.denominator_value(tau)
-            if denom != 0 and kappa.is_dominant() and self._order <= DEFAULT_WEYL_BUDGET:
+            if denom != 0 and kappa.is_dominant() and self._order < self.dimension(kappa):
                 out = self.weyl_numerator(kappa).evaluate(tau) / denom
             else:
                 out = self.character_poly(kappa).evaluate(tau)
@@ -263,15 +270,11 @@ class CharacterAlgebra:
         Stepping x to s_i(x) adds x_i to the i-th root coordinate of the
         exponent (mu + rho) - x and flips the sign.  Built once per mu;
         callers must not mutate it.  A non-dominant mu is refused, and so is a
-        group over the budget, as by ``weyl_group``."""
+        group over the budget, by ``weyl_orbit``."""
         poly = self._numerators.get(mu.fw)
         if poly is None:
             if not mu.is_dominant():
                 raise DomainError(f"weight {mu.fw} is not dominant")
-            if self._order > DEFAULT_WEYL_BUDGET:
-                raise ResourceBudgetError(f"Weyl group of {self.datum.label} has "
-                                          f"{self._order} elements, over the budget "
-                                          f"{DEFAULT_WEYL_BUDGET}")
             orbit = weyl_orbit(self.datum, tuple(c + 1 for c in mu.fw))
             terms = [((0,) * self.datum.rank, 1)]
             for _, parent, i in orbit[1:]:

@@ -22,8 +22,8 @@ them: the Weyl character formula's product ``denominator * S_mu``, the
 normalizer polynomial N_r (Sigma_M for several summands) and the character
 product identity.  Last come small definitions that only the tests read: a
 path's value at a time, whether every raising operator kills a path or a
-tensor node, the minuscule test, a crystal's isomorphism signature, the
-inverse of a Weyl element and the Weyl dimension formula.
+tensor node, the minuscule test, a crystal's isomorphism signature and the
+inverse of a Weyl element.
 """
 
 import math
@@ -34,10 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from weylwalk import build_cartan_datum
 from weylwalk import paths as P
-from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector,
-                             positive_roots, reflect, weyl_orbit)
+from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector, reflect,
+                             weyl_orbit)
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multiplicity,
                               tensor_apply_e, tensor_eps_phi)
@@ -537,14 +536,3 @@ def inverse_element(w: WeylElement) -> WeylElement:
         rho = reflect(w.cartan, i, rho)
     return WeylElement(rho, w.word[::-1], w.sign, w.cartan)
 
-
-def weyl_dimension(datum: CartanDatum, lam: Weight) -> int:
-    """dim V(lambda) by the Weyl dimension formula: the product over the
-    positive coroots c of <lambda + rho, c> / <rho, c>.  The positive coroots
-    are the positive roots of the transposed Cartan matrix, in simple-coroot
-    coordinates, and a weight pairs with c as sum_i c_i * fw_i."""
-    n = datum.rank
-    dual = build_cartan_datum([[datum.matrix[j][i] for j in range(n)] for i in range(n)])
-    coroots = [alpha.root for alpha in positive_roots(dual)]
-    num = math.prod(sum(c * (x + 1) for c, x in zip(cor, lam.fw)) for cor in coroots)
-    return num // math.prod(sum(cor) for cor in coroots)

@@ -2,9 +2,9 @@
 names, and the memos return what a fresh computation would.
 
 S_lambda(tau) is the Weyl alternating sum over prod(1 - tau^alpha) or the sum
-over the crystal B(lambda).  The algebra takes the Weyl sum for every dominant
-weight wherever |W| fits the group budget and the denominator is nonzero, and
-the crystal sum otherwise.  The crystal route is the oracle here.
+over the crystal B(lambda).  The algebra takes whichever has fewer terms (|W|
+against dim V(lambda)), the Weyl sum only where the denominator is nonzero.
+The crystal route is the oracle here.
 """
 
 from fractions import Fraction
@@ -21,10 +21,9 @@ from weylwalk.crystal import module_multiplicity
 from weylwalk.errors import ResourceBudgetError, WeylwalkError
 
 from conftest import partition_weight
-from oracles import weyl_character_product, weyl_dimension
+from oracles import weyl_character_product
 
-# Per type: weights with dim V(lambda) below |W| and above it, and a generic tau;
-# the Weyl route serves both.
+# Per type: weights with dim V(lambda) below |W| and above it, and a generic tau.
 CASES = {
     "A2": ([(1, 0), (2, 0)], [(1, 1), (3, 2)], ["2/7", "3/5"]),
     "C2": ([(1, 0), (0, 1)], [(2, 1), (3, 3)], ["1/3", "2/5"]),
@@ -49,11 +48,13 @@ def test_weyl_route_equals_crystal_character(algebras, label):
     algebra = algebras[label]
     datum = algebra.datum
     small, large, tau_values = CASES[label]
+    order = weyl_order(datum)
     points = [tau_point(datum, tau_values)]
     if label == "A2":
         points.append(tau_point_from_roots(datum, ["1/2", "2/3"]))
     for fw in small + large:
         lam = datum.weight(fw)
+        assert (algebra.dimension(lam) > order) == (fw in large)
         crystal_poly = algebra.character_poly(lam)
         for tau in points:
             expect = crystal_poly.evaluate(tau)
@@ -67,13 +68,10 @@ def test_weyl_route_equals_crystal_character(algebras, label):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_dimension_formula_counts_crystal_nodes(algebras, label):
     algebra = algebras[label]
-    datum = algebra.datum
     small, large, _ = CASES[label]
-    order = weyl_order(datum)
-    for fw in [(0,) * datum.rank] + small + large:
-        lam = datum.weight(fw)
-        assert weyl_dimension(datum, lam) == len(algebra.cache.get(lam))
-        assert (weyl_dimension(datum, lam) > order) == (fw in large)
+    for fw in [(0,) * algebra.datum.rank] + small + large:
+        lam = algebra.datum.weight(fw)
+        assert algebra.dimension(lam) == len(algebra.cache.get(lam))
 
 
 def _spy_on_crystal_route(monkeypatch):
@@ -90,10 +88,10 @@ def _spy_on_crystal_route(monkeypatch):
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "D4"])
-def test_dominant_weight_within_the_budget_never_reads_a_crystal(label, monkeypatch):
-    """Every dominant weight takes the Weyl route, whatever its dimension and
-    whether or not its crystal is cached: the step source's own crystal is
-    cached by its step law and still not read."""
+def test_route_reads_a_crystal_exactly_below_the_group_order(label, monkeypatch):
+    """A dominant weight with dim V(lambda) < |W| reads its crystal and one
+    above |W| takes the Weyl sum, whether or not its crystal is cached: the
+    step sources' own crystals are cached by their step laws."""
     datum = build_cartan_datum(label)
     small, large, tau_values = CASES[label]
     weights = [datum.weight(fw) for fw in [(0,) * datum.rank] + small + large]
@@ -101,11 +99,23 @@ def test_dominant_weight_within_the_budget_never_reads_a_crystal(label, monkeypa
     expect = [CharacterAlgebra(datum).character_poly(lam).evaluate(tau) for lam in weights]
     calls = _spy_on_crystal_route(monkeypatch)
     algebra = CharacterAlgebra(datum)
-    source = weights[1]
-    dist = M.build_distribution(algebra, source, tau)
-    assert algebra.cache.get(source) is dist.crystals[0][0]
+    for source in (weights[1], weights[-1]):
+        dist = M.build_distribution(algebra, source, tau)
+        assert algebra.cache.get(source) is dist.crystals[0][0]
     assert [algebra.character_value(lam, tau) for lam in weights] == expect
-    assert calls == []
+    assert sorted(calls) == sorted([(0,) * datum.rank] + small)
+    assert sorted(algebra._numerators) == sorted(large)
+
+
+def test_a8_fundamental_character_reads_its_crystal(monkeypatch):
+    """|W| = 9! = 362880 against dim V(omega_1) = 9: the 9-node crystal, not
+    an orbit of 362880 points.  S = 1 + t1 + t1 t2 + ... + t1...t8."""
+    a8 = build_cartan_datum("A8")
+    calls = _spy_on_crystal_route(monkeypatch)
+    algebra = CharacterAlgebra(a8)
+    lam = a8.weight((1,) + (0,) * 7)
+    assert algebra.character_value(lam, tau_point(a8, ["1/2"] * 8)) == 2 - Fraction(1, 256)
+    assert calls == [lam.fw] and algebra._numerators == {}
 
 
 def test_crystal_route_serves_e7_a_zero_denominator_and_a_non_dominant_weight(monkeypatch):
@@ -116,14 +126,16 @@ def test_crystal_route_serves_e7_a_zero_denominator_and_a_non_dominant_weight(mo
     assert CharacterAlgebra(e7).character_value(zero, tau_point(e7, ["1/2"] * 7)) == 1
     assert calls == [zero.fw]
     algebra = CharacterAlgebra(c2)
-    lam = c2.weight((1, 0))
+    lam = c2.weight((3, 3))  # dim V(lambda) > |W|: only the zero denominator sends it here
     vanishing = tau_point(c2, ["2", "1/2"])
     assert algebra.denominator_value(vanishing) == 0
     algebra.character_value(lam, vanishing)
     assert calls == [zero.fw, lam.fw]
+    # the dimension formula gives 10 > |W| = 8 here; the crystal route still refuses it
+    assert algebra.dimension(c2.weight((-6, 3))) == 10
     with pytest.raises(WeylwalkError, match="not dominant"):
-        algebra.character_value(c2.weight((1, -1)), tau_point(c2, ["1/3", "2/5"]))
-    assert calls == [zero.fw, lam.fw, (1, -1)]
+        algebra.character_value(c2.weight((-6, 3)), tau_point(c2, ["1/3", "2/5"]))
+    assert calls == [zero.fw, lam.fw, (-6, 3)]
 
 
 def test_weyl_route_off_the_unit_cube(algebras):
