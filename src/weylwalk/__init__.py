@@ -6,8 +6,8 @@ needs.
 """
 
 _EXPORTS = {
-    "cartan": ("CartanDatum", "Weight", "WeylElement", "WeylGroup", "act",
-               "build_cartan_datum", "chamber_position", "positive_roots", "weyl_group"),
+    "cartan": ("CartanDatum", "Weight", "WeylElement", "act", "build_cartan_datum",
+               "chamber_position", "positive_roots", "weyl_group"),
     "charalg": ("CharacterAlgebra", "ExponentPolynomial", "TauPoint", "tau_point"),
     "crystal": ("CrystalCache", "CrystalGraph", "ModuleSpec", "TensorNode",
                 "count_f_multiplicity", "count_multiplicity", "tensor_apply_e",

@@ -247,16 +247,6 @@ class WeylElement(Frozen):
         return x
 
 
-class WeylGroup(Frozen):
-    __slots__ = ("elements",)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 class CartanDatum(Frozen):
     """Cartan matrix with its exact derived data and an ambient realization.
 
@@ -529,8 +519,8 @@ def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int
     return orbit
 
 
-def weyl_group(datum: CartanDatum) -> WeylGroup:
-    """Enumerate the Weyl group as the orbit of rho.
+def weyl_group(datum: CartanDatum) -> Tuple[WeylElement, ...]:
+    """Enumerate the Weyl group as the orbit of rho, the identity first.
 
     Stepping x = w(rho) to s_i(x) gives s_i w, spelled (i,) + word; the BFS
     depth is the Coxeter length, so every word is reduced and the sign is
@@ -544,7 +534,7 @@ def weyl_group(datum: CartanDatum) -> WeylGroup:
         else:
             up = elements[parent]
             elements.append(WeylElement(x, (i,) + up.word, -up.sign, datum.matrix))
-    return WeylGroup(tuple(elements))
+    return tuple(elements)
 
 
 def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:

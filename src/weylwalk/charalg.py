@@ -18,7 +18,6 @@ from .cartan import (
     Frozen,
     Weight,
     WeylElement,
-    WeylGroup,
     act,
     positive_coroots,
     positive_roots,
@@ -209,7 +208,7 @@ class CharacterAlgebra:
         self._identity = WeylElement((1,) * datum.rank, (), 1, datum.matrix)
 
     @property
-    def group(self) -> WeylGroup:
+    def group(self) -> Tuple[WeylElement, ...]:
         if self._group is None:
             self._group = weyl_group(self.datum)
         return self._group
@@ -241,11 +240,8 @@ class CharacterAlgebra:
         """S_kappa as a polynomial for a dominant weight kappa: sum over the
         nodes of B(kappa) of tau^{kappa - wt}."""
         crystal = self.cache.get(source)
-        out: Dict[Tuple, int] = {}
-        for w in crystal.weights:
-            e = (crystal.kappa - w).root
-            out[e] = out.get(e, 0) + 1
-        return ExponentPolynomial(out)
+        return ExponentPolynomial({(crystal.kappa - w).root: n
+                                   for w, n in crystal.weight_counts().items()})
 
     def character_value(self, kappa: Weight, tau: TauPoint) -> Fraction:
         """S_kappa(tau), the Weyl numerator over the denominator for a dominant

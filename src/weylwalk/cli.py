@@ -44,20 +44,18 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_BUDGET = 4
 
-# [low, high) of the integer config keys that have a range
-KEY_RANGES = {"samples": (1, math.inf), "horizon": (1, math.inf), "seed": (0, 2**64),
-              "ell": (0, math.inf), "ells": (0, math.inf), "state_limit": (0, math.inf),
-              "mu_limit": (0, math.inf)}
-
-# the top-level config keys; a "module" item takes "kappa" and "mult", and a
-# "type" object takes "matrix"
-CONFIG_KEYS = frozenset(("type", "max_rank", "module", "kappa", "mu", "tau", "tau_roots",
-                         "output_dir", "path", "basis", "samples", "horizon", "seed", "ell",
-                         "ells", "state_limit", "mu_limit"))
+# the top-level config keys, each with the [low, high) of its integer values
+# or None; a "module" item takes "kappa" and "mult", and a "type" object
+# takes "matrix"
+CONFIG_KEYS = {"type": None, "max_rank": None, "module": None, "kappa": None, "mu": None,
+               "tau": None, "tau_roots": None, "output_dir": None, "path": None,
+               "basis": None, "samples": (1, math.inf), "horizon": (1, math.inf),
+               "seed": (0, 2**64), "ell": (0, math.inf), "ells": (0, math.inf),
+               "state_limit": (0, math.inf), "mu_limit": (0, math.inf)}
 
 
 def _known_keys(table: Dict, keys, where: str) -> None:
-    unknown = sorted(set(table) - keys)
+    unknown = sorted(set(table).difference(keys))
     if unknown:
         raise FormatError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
@@ -115,7 +113,7 @@ class RunContext:
     def read(self, key: str, default=None, vector: bool = False, table: Optional[Dict] = None):
         """The integer (integer tuple with ``vector``) at ``key`` of ``table``,
         by default the config; FormatError names a missing or malformed key,
-        or one outside its ``KEY_RANGES`` entry."""
+        or one outside its ``CONFIG_KEYS`` range."""
         table = self.cfg if table is None else table
         value = table.get(key, default)
         if value is None:
@@ -136,7 +134,7 @@ class RunContext:
         except (TypeError, ValueError):
             kind = "a list of integers" if vector else "an integer"
             raise FormatError(f"config key {key!r} must be {kind}, got {value!r}") from None
-        low, high = KEY_RANGES.get(key, (-math.inf, math.inf))
+        low, high = CONFIG_KEYS.get(key) or (-math.inf, math.inf)
         if not all(low <= c < high for c in (out if vector else (out,))):
             raise FormatError(f"config key {key!r} must be in [{low}, {high}), got {value!r}")
         return out
@@ -259,7 +257,6 @@ def cmd_character(ctx: RunContext, out: OutputWriter) -> int:
 
 def cmd_psi(ctx: RunContext, out: OutputWriter) -> int:
     tau = ctx.require_tau()
-    tau.require_in_region()
     limit = ctx.read("mu_limit", 3)
     mu = ctx.mu()  # a config error, so read before any output is written
     rows = []
@@ -416,6 +413,9 @@ def cmd_ratio(ctx: RunContext, out: OutputWriter) -> int:
          "target_float": float(r.target), "deviation_float": float(r.deviation)}
         for r in reports
     ], indent=2))
+    if len(reports) < 2:
+        print("one horizon reported; no deviation trend can be read")
+        return EXIT_OK
     # a sequence that is exactly 0 throughout has converged already
     trend = (reports[-1].deviation < reports[0].deviation
              or all(r.deviation == 0 for r in reports))
@@ -428,7 +428,6 @@ def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
     from . import markov as M
 
     tau = ctx.require_tau()
-    tau.require_in_region()
     algebra = ctx.algebra
     datum = ctx.datum
     dist = ctx.distribution()

@@ -321,38 +321,33 @@ def hchain_matrix(dist: CrystalDistribution, states: Sequence[Weight],
 
 def pitman(datum: CartanDatum, obj: Union[TensorNode, P.PiecewisePath]
            ) -> Union[TensorNode, P.PiecewisePath]:
-    """Raise to the unique all-raising-null element of the connected component.
+    """P_w0 = P_{i_1} ... P_{i_N} over a reduced word of w0, the letters
+    taken right to left; it raises a tensor node to the highest node of its
+    connected component and takes a path into the dominant cone.
 
-    A tensor node goes through P_w0 = P_{i_1} ... P_{i_N} over a reduced word
-    of w0, one integer pass over the factors per letter.  P_{alpha_i} is
-    e_i^{eps_i}: the i-height dips to ``height - eps_i(b)`` inside a factor b
-    entered at ``height``, and b is raised once for every level by which
-    that dip sets a new minimum below ``low``, the minimum before it.  A path
-    is raised by the root operators, lowest color first; the result does not
-    depend on the order because the component has a unique highest node.
+    A tensor node takes one integer pass over the factors per letter.
+    P_{alpha_i} is e_i^{eps_i}: the i-height dips to ``height - eps_i(b)``
+    inside a factor b entered at ``height``, and b is raised once for every
+    level by which that dip sets a new minimum below ``low``, the minimum
+    before it.  A path takes ``paths.pitman_letter`` per letter.
     """
-    if isinstance(obj, TensorNode):
-        factors = list(obj.factors)
-        for i in reversed(longest_word(datum)):
-            height = low = 0
-            for k, (crys, idx) in enumerate(factors):
-                dip = height - crys.eps[idx][i]
-                height += crys.weights[idx].fw[i]
-                if dip < low:
-                    for _ in range(low - dip):
-                        idx = crys.e_edge[(idx, i)]
-                    factors[k] = (crys, idx)
-                    low = dip
-        return TensorNode(tuple(factors))
-    cur_path = obj
-    while True:
-        for i in range(datum.rank):
-            nxt = P.apply_e(datum, cur_path, i)
-            if nxt is not None:
-                cur_path = nxt
-                break
-        else:
-            return cur_path
+    word = reversed(longest_word(datum))
+    if not isinstance(obj, TensorNode):
+        for i in word:
+            obj = P.pitman_letter(datum, obj, i)
+        return obj
+    factors = list(obj.factors)
+    for i in word:
+        height = low = 0
+        for k, (crys, idx) in enumerate(factors):
+            dip = height - crys.eps[idx][i]
+            height += crys.weights[idx].fw[i]
+            if dip < low:
+                for _ in range(low - dip):
+                    idx = crys.e_edge[(idx, i)]
+                factors[k] = (crys, idx)
+                low = dip
+    return TensorNode(tuple(factors))
 
 
 def pitman_prefix_weights(datum: CartanDatum, node: TensorNode) -> List[Tuple[int, ...]]:

@@ -9,12 +9,13 @@ color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
 enter through the uniform variates themselves, and each draw is resolved
 against the exact rational cumulative weights: a table of equal buckets on
 [0, 1) settles every draw whose bucket holds no float boundary, and the rest
-go through a float search and an exact settle.  The exit kernel packs each
-sample's position into int64 words, one biased field per coordinate, so a
-tile of uniforms takes all its steps in one cumulative sum and every cone
-test is one mask of the fields' top bits.  Every buffer of the sampling
-kernels spans one tile of at most ``TILE`` uniforms, drawn just before it is
-worked, so their memory does not grow with the sample count or the horizon.
+go through the scalar pick, a float search and an exact settle.  The exit
+kernel packs each sample's position into int64 words, one biased field per
+coordinate, so a tile of uniforms takes all its steps in one cumulative sum
+and every cone test is one mask of the fields' top bits.  Every buffer of
+the sampling kernels spans one tile of at most ``TILE`` uniforms, drawn just
+before it is worked, so their memory does not grow with the sample count or
+the horizon.
 
 The seed's stream has two evaluators that yield the same floats: numpy's
 Philox, which the vectorized exit kernel draws from by tiles, and
@@ -118,7 +119,8 @@ class StepSampler:
 
     ``cum_fracs`` holds the exact cumulative weights and ``cum_floats`` their
     floats.  ``pick`` resolves one uniform in Python and ``pick_many`` an array
-    of them with numpy; both return the exact inverse-CDF index.
+    of them, by a bucket table and ``pick`` for the draws the table leaves
+    open; both return the exact inverse-CDF index.
     """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
@@ -149,39 +151,27 @@ class StepSampler:
         return min(i, len(floats) - 1)
 
     @cached_property
-    def _pick_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The arrays ``pick_many`` reads, built on its first call: the float
-        boundaries, the float boundary below and above each searchsorted
-        index, and the pick of every draw in a bucket with no float boundary
-        within the settle margin of it, -1 for the other buckets."""
+    def _buckets(self) -> np.ndarray:
+        """The pick of every draw in a bucket with no float boundary within
+        the settle margin of it, -1 for the other buckets; built on the first
+        call of ``pick_many``."""
         import numpy as np
 
         floats = np.array(self.cum_floats)
         edges = np.arange(BUCKETS + 1) / BUCKETS
         first = np.searchsorted(floats, edges[:-1] - 1e-9, side="left")
         past = np.searchsorted(floats, edges[1:] + 1e-9, side="right")
-        return (floats, np.concatenate(([-1.0], floats)), np.concatenate((floats, [2.0])),
-                np.where(first == past, first, -1))
+        return np.where(first == past, first, -1)
 
     def pick_many(self, u: np.ndarray) -> np.ndarray:
         """Indices of the sampled nodes, one per uniform, as ``pick`` gives
-        them: a bucket lookup where it settles the draw, else ``pick``'s
-        float search and exact settle."""
+        them: a bucket lookup where it settles the draw, else ``pick``."""
         import numpy as np
 
-        floats, lower, upper, buckets = self._pick_tables
-        idx = buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
+        idx = self._buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
         rest = idx < 0
-        if rest.any():
-            ur = u[rest]
-            ir = np.searchsorted(floats, ur, side="right")
-            # the float search can be off only within rounding distance of a
-            # boundary; settle those draws against the exact boundaries
-            near = (ur - lower[ir] <= 1e-9) | (upper[ir] - ur <= 1e-9)
-            for j in np.flatnonzero(near):
-                ir[j] = bisect_right(self.cum_fracs, Fraction(float(ur[j])))
-            idx[rest] = ir
-        return np.minimum(idx, len(self.cum_fracs) - 1, out=idx)
+        idx[rest] = [self.pick(x) for x in u[rest].tolist()]
+        return idx
 
 
 def _check_seed(seed: int) -> int:
@@ -306,11 +296,6 @@ def _packed_words(sampler: StepSampler, start: Sequence[int],
     return width, words
 
 
-def _tile_rows(horizon: int) -> int:
-    """Rows of ``horizon`` uniforms that one tile holds, at least one."""
-    return max(1, TILE // max(horizon, 1))
-
-
 def _note_exits(exits: np.ndarray, bad: np.ndarray, first_step: int) -> None:
     """Give each row of ``exits`` still at 0 the step of its first True column
     in ``bad``, a slice of steps that starts at ``first_step`` + 1."""
@@ -356,7 +341,7 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     disc = np.zeros(max(n, 0), dtype=np.int64)
     lemma_bad = 0
     _, words = _packed_words(sampler, mu.fw, None if kappa0 is None else kappa0.fw, horizon)
-    rows = _tile_rows(horizon)
+    rows = max(1, TILE // max(horizon, 1))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         # the packed position of each row per word, carried from slice to slice
@@ -525,10 +510,12 @@ def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
                      ) -> List[RatioReport]:
     """Exact branching-count ratios toward the character limit.
 
-    For each horizon the dominant endpoint nearest ell * drift with nonzero
-    counts from both 0 and mu is selected; the reported target is
-    tau^{-mu} S_mu(tau).  Only the deviation sequence is reported; the
-    statement behind it is a limit, so no monotonicity is asserted here.
+    One report per distinct horizon of ``ells`` that has an endpoint, in
+    increasing order.  For each horizon the dominant endpoint nearest
+    ell * drift with nonzero counts from both 0 and mu is selected; the
+    reported target is tau^{-mu} S_mu(tau).  Only the deviation sequence is
+    reported; the statement behind it is a limit, so no monotonicity is
+    asserted here.
     """
     algebra = dist.algebra
     datum = dist.datum
@@ -539,7 +526,7 @@ def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
     m1 = dist.drift_endpoint()
     zero_w = datum.weight((0,) * datum.rank)
     # one branching DP per start, to the largest horizon, read layer by layer
-    found = {}
+    reports = []
     for (ell, from_zero), (_, from_mu) in zip(
             count_f_layers(datum, zero_w, dist.crystals, ells),
             count_f_layers(datum, mu, dist.crystals, ells)):
@@ -547,5 +534,5 @@ def asymptotic_ratio(dist: CrystalDistribution, mu: Weight, ells: Sequence[int]
         candidates = [fw for fw, f in from_zero.items() if f > 0 and from_mu.get(fw, 0) > 0]
         lam = nearest_dominant(datum, candidates, goal)
         if lam is not None:
-            found[ell] = RatioReport(ell, lam, Fraction(from_mu[lam], from_zero[lam]), target)
-    return [found[ell] for ell in ells if ell in found]
+            reports.append(RatioReport(ell, lam, Fraction(from_mu[lam], from_zero[lam]), target))
+    return reports

@@ -12,6 +12,7 @@ root operator is represented by ``None``; it is a value, not an error.
 The lowering operator is f_i pi(t) = pi(t) - min(1, min_{s>=t} h_i(s) - m) alpha_i,
 m the minimum of h_i.  The duality pi*(t) = pi(1 - t) - pi(1) swaps raising
 and lowering (Littelmann 1995), so the raising operator is e_i = * f_i *.
+The Pitman transform P_{alpha_i} subtracts the running minimum instead.
 """
 
 from __future__ import annotations
@@ -212,6 +213,25 @@ def apply_f(datum: CartanDatum, path: MaybePath, i: int) -> MaybePath:
         else:
             out_rev.append(disp[k])
     return from_displacements(disp[:k] + out_rev[::-1], dim=path.dim)
+
+
+def pitman_letter(datum: CartanDatum, path: PiecewisePath, i: int) -> PiecewisePath:
+    """Pitman transform P_{alpha_i} pi(t) = pi(t) - min(0, min_{s<=t} h_i(s)) alpha_i.
+
+    Walking forward with the running minimum ``low`` of h_i, the part of each
+    segment below ``low`` is reflected by s_i and the rest kept.
+    """
+    h = path.heights(i)
+    out: List[Vector] = []
+    low = 0
+    for k, d in enumerate(path.displacements()):
+        if h[k + 1] < low:  # h[k] >= low, so the segment falls through it
+            above, below = _split_displacement(d, (low - h[k]) / (h[k + 1] - h[k]))
+            out += [above, reflect(datum.matrix, i, below)]
+            low = h[k + 1]
+        else:
+            out.append(d)
+    return from_displacements(out, dim=path.dim)
 
 
 def eps_phi(path: PiecewisePath, i: int) -> Tuple[int, int]:

@@ -2,8 +2,9 @@
 
 Each one enumerates what the library computes by a shortcut: the full tensor
 product for the branching counts and the transformed-walk law, one raising
-operator at a time for the one-pass Pitman transform, the node list with the
-path-level cone test for the restricted kernel, one sample and one step
+operator at a time for the Pitman transform (of tensor nodes, and of paths
+with integral minima), the node list with the path-level cone test for the
+restricted kernel, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
 rationals for the inverse Cartan matrix, one normalizer per node at tau^w
@@ -114,6 +115,21 @@ def repeated_raising_pitman(datum: CartanDatum, node: TensorNode) -> TensorNode:
         if live is None:
             return cur
         cur = tensor_apply_e(cur, live)
+
+
+def repeated_raising_path_pitman(datum: CartanDatum, path: P.PiecewisePath) -> P.PiecewisePath:
+    """Oracle for ``pitman`` on a path whose height functions have integral
+    local minima: one path-level raising operator at a time, lowest live
+    color first, until all are null.  Off the integers it can stop early,
+    since ``apply_e`` is None while a minimum lies above -1."""
+    while True:
+        for i in range(datum.rank):
+            raised = P.apply_e(datum, path, i)
+            if raised is not None:
+                path = raised
+                break
+        else:
+            return path
 
 
 def reference_power(tau: TauPoint, exponent: Sequence) -> Fraction:

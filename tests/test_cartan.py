@@ -115,8 +115,8 @@ def test_classical_counts(label, count, order):
 
 def test_weyl_group_c2(c2):
     group = weyl_group(c2)
-    assert len(group) == 8
-    assert group.elements[0].sign == 1 and group.elements[0].word == ()
+    assert type(group) is tuple and len(group) == 8
+    assert group[0].sign == 1 and group[0].word == ()
     assert sum(1 for w in group if w.sign == -1) == 4
     longest = max(group, key=lambda w: len(w.word))
     assert len(longest.word) == 4
@@ -182,7 +182,7 @@ def test_sign_is_a_homomorphism_and_involutions(c2):
             assert prod.sign == u.sign * v.sign
     for i in range(c2.rank):
         s = next(w for w in group if w.word == (i,))
-        assert s.apply_fw(s.rho_image) == group.elements[0].rho_image
+        assert s.apply_fw(s.rho_image) == group[0].rho_image
 
 
 @given(fw=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))

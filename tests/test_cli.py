@@ -111,6 +111,19 @@ def test_pitman_command(tmp_path):
     assert payload["output"][-1][1] == ["2", "0"]  # raised to the doubled end
 
 
+def test_pitman_raises_a_fractional_path_into_the_cone(tmp_path, capsys):
+    # h_1 dips to -1/2 only, so no raising operator applies, but P_w0 does
+    cfg = write_config(tmp_path, {
+        "type": "C2", "basis": "fw",
+        "path": [["0", ["0", "0"]], ["1/2", ["-1/2", "1"]], ["1", ["1", "0"]]],
+    })
+    code, outdir = run(tmp_path, "pitman", "--config", cfg)
+    assert code == 0
+    assert "dominant=True" in capsys.readouterr().out
+    payload = json.loads((outdir / "pitman.json").read_text())
+    assert payload["output"][-1][1] == ["1", "1/2"]
+
+
 def test_simulate_and_exit_contract(tmp_path):
     cfg = write_config(tmp_path, {
         "type": "C2", "kappa": [1, 0], "tau": ["1/2", "1/2"],
@@ -224,6 +237,28 @@ def test_verify_e7_exits_budget_at_once(tmp_path):
     code, _ = run(tmp_path, "verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7))
     assert code == 4
     assert time.perf_counter() - start < 30
+
+
+RATIO_C2 = ["ratio", "--type", "C2", "--kappa", "1,0", "--tau", "1/2,1/3", "--mu", "2,0"]
+
+
+@pytest.mark.parametrize("flags,payload,ells", [
+    (["--ell", "4"], None, [4]),
+    ([], {"ells": [6, 6]}, [6]),
+    ([], {"ells": [8, 4]}, [4, 8]),
+])
+def test_ratio_reports_each_horizon_once_in_order(tmp_path, capsys, flags, payload, ells):
+    """One report per distinct horizon, increasing; a trend needs two."""
+    argv = RATIO_C2 + flags
+    if payload is not None:
+        argv += ["--config", write_config(tmp_path, payload)]
+    code, outdir = run(tmp_path, *argv)
+    assert code == 0
+    assert [r["ell"] for r in json.loads((outdir / "ratio.json").read_text())] == ells
+    assert (outdir / "ratio.csv").read_text().count("\n") == len(ells)
+    printed = capsys.readouterr().out
+    assert ("no deviation trend" in printed) == (len(ells) == 1)
+    assert ("trend decreasing: True" in printed) == (len(ells) > 1)
 
 
 @pytest.mark.parametrize("mu", [None, "2,0"])
@@ -520,6 +555,10 @@ def _doubled_hchain_entry(monkeypatch):
     # one DP per start to the largest horizon, so the budget bounds the whole run
     (["ratio", "--type", "A1", "--kappa", "1", "--tau", "1/3", "--ell", "100000"], None, None,
      4, "resource budget exceeded"),
+    # one horizon, a repeated one, and horizons out of order
+    (RATIO_C2 + ["--ell", "4"], None, None, 0, None),
+    (RATIO_C2, {"ells": [6, 6]}, None, 0, None),
+    (RATIO_C2, {"ells": [8, 4]}, None, 0, None),
 ])
 def test_manifest_records_every_exit(tmp_path, monkeypatch, argv, payload, patch, code, error):
     if payload is not None:

@@ -235,7 +235,7 @@ def test_module_closing_display(c2, c2_algebra, dist_mod, tau_mod, b_pi1, b_gamm
 def test_twisted_tau_identity_and_a1(c2, a1, tau_half):
     from weylwalk import weyl_group
 
-    ident = weyl_group(c2).elements[0]
+    ident = weyl_group(c2)[0]
     assert M.twisted_tau(c2, ident, tau_half) == tau_half.values
     a1_group = weyl_group(a1)
     s = max(a1_group, key=lambda w: len(w.word))

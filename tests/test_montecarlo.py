@@ -397,15 +397,27 @@ def _bucket_edge_sampler():
     return sampler
 
 
+def _edge_draws(sampler):
+    """0, three draws just below 1, five around every float boundary and
+    both sides of every bucket edge."""
+    edges = [0.0, np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
+    for c in sampler.cum_floats[:-1]:
+        edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    for k in range(1, MC.BUCKETS):
+        edges += [k / MC.BUCKETS - 1e-12, k / MC.BUCKETS, k / MC.BUCKETS + 1e-12]
+    return edges
+
+
+def _unsettled(sampler, x):
+    """Whether the bucket of x holds a float boundary within 1e-9 of it."""
+    k = min(int(x * MC.BUCKETS), MC.BUCKETS - 1)
+    lo, hi = k / MC.BUCKETS - 1e-9, (k + 1) / MC.BUCKETS + 1e-9
+    return any(lo <= c <= hi for c in sampler.cum_floats)
+
+
 def test_pick_many_is_exact_at_edges():
     for sampler in (_boundary_sampler(), _bucket_edge_sampler()):
-        below_one = [np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
-        edges = [0.0] + below_one
-        for c in sampler.cum_floats[:-1]:
-            edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
-        # both sides of every bucket edge
-        for k in range(1, MC.BUCKETS):
-            edges += [k / MC.BUCKETS - 1e-12, k / MC.BUCKETS, k / MC.BUCKETS + 1e-12]
+        edges = _edge_draws(sampler)
         u = np.array(edges)
         exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
         assert sampler.pick_many(u).tolist() == exact
@@ -423,6 +435,26 @@ def test_pick_many_is_exact_on_a_stream():
     exact = [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
     assert picks.ravel().tolist() == exact
     assert [sampler.pick(x) for x in islice(MC.philox_uniforms(5), u.size)] == exact
+
+
+def test_pick_many_hands_unsettled_draws_to_pick(monkeypatch):
+    """A spy on ``pick`` sees every draw whose bucket the table leaves open,
+    once and in order, and no other draw: on a stream and at the edges."""
+    cases = [(_boundary_sampler(), MC._rng(5).random(size=(200, 30)))]
+    cases += [(s, np.array(_edge_draws(s))) for s in (_boundary_sampler(), _bucket_edge_sampler())]
+    for sampler, u in cases:
+        seen = []
+
+        def spy(x, sampler=sampler, seen=seen):
+            seen.append(x)
+            return MC.StepSampler.pick(sampler, x)
+
+        monkeypatch.setattr(sampler, "pick", spy)
+        picks = sampler.pick_many(u).ravel().tolist()
+        draws = u.ravel().tolist()
+        assert seen == [x for x in draws if _unsettled(sampler, x)]
+        assert 0 < len(seen) < len(draws) // 100
+        assert picks == [bisect_right(sampler.cum_fracs, F(x)) for x in draws]
 
 
 def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):

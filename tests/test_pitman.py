@@ -3,8 +3,10 @@
 The one-pass tensor transform is checked against the repeated tensor-rule
 raising it replaced and against the path-level transform of the
 concatenation; the prefix positions against the path-level transform of each
-prefix; the string lengths read off path minima against counts along the
-crystal edges and against operator iteration.
+prefix; the path-level transform against repeated raising on integral paths
+and against a second reduced word of w0 off the integers; the string lengths
+read off path minima against counts along the crystal edges and against
+operator iteration.
 """
 
 import random
@@ -20,7 +22,7 @@ from weylwalk.cartan import longest_word, positive_roots, reflect
 from weylwalk.charalg import CharacterAlgebra
 from weylwalk.crystal import ModuleSpec, TensorNode, tensor_eps_phi
 
-from oracles import repeated_raising_pitman
+from oracles import repeated_raising_path_pitman, repeated_raising_pitman
 
 F = Fraction
 
@@ -103,6 +105,59 @@ def test_one_pass_pitman_on_mixed_module_nodes(c2, c2_algebra):
     for ell in (1, 2, 3):
         for combo in iproduct(pool, repeat=ell):
             _check_node(c2, TensorNode(combo))
+
+
+# --- path-level transform ---------------------------------------------------------
+
+
+def _random_path(rng, rank, den):
+    steps = [tuple(F(rng.randint(-4, 4), den) for _ in range(rank))
+             for _ in range(rng.randint(1, 4))]
+    return P.from_displacements(steps, dim=rank)
+
+
+def _last_positive_word(datum):
+    """A reduced word of w0 from the walk from rho that reflects in the last
+    positive coordinate, where ``longest_word`` takes the first."""
+    x, word = (1,) * datum.rank, []
+    while any(c > 0 for c in x):
+        word.append(max(k for k, c in enumerate(x) if c > 0))
+        x = reflect(datum.matrix, word[-1], x)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_path_pitman_off_the_integers_is_dominant_and_word_free(label):
+    datum = build_cartan_datum(label)
+    other = _last_positive_word(datum)
+    assert other != longest_word(datum)
+    rng = random.Random(label)
+    for _ in range(100):
+        path = _random_path(rng, datum.rank, 2)
+        raised = M.pitman(datum, path)
+        assert P.is_dominant_path(raised)
+        again = path
+        for i in reversed(other):
+            again = P.pitman_letter(datum, again, i)
+        assert again == raised
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "A3"])
+def test_path_pitman_on_integral_paths_equals_repeated_raising(label):
+    datum = build_cartan_datum(label)
+    rng = random.Random(label)
+    for _ in range(60):
+        path = _random_path(rng, datum.rank, 1)
+        assert M.pitman(datum, path) == repeated_raising_path_pitman(datum, path)
+
+
+def test_pitman_letter_subtracts_the_running_minimum(c2):
+    # h_1 runs 0, -1/2, 1: the first segment is reflected by s_1, as it sets
+    # the running minimum, and the second is kept; alpha_1 = (2, -1)
+    path = P.from_displacements([(F(-1, 2), F(1)), (F(3, 2), F(-1))], dim=2)
+    raised = P.pitman_letter(c2, path, 0)
+    assert raised.points == ((0, 0), (F(1, 2), F(1, 2)), (2, F(-1, 2)))
+    assert P.apply_e(c2, path, 0) is None
 
 
 # --- eps / phi read off path minima -------------------------------------------

@@ -40,7 +40,7 @@ def test_orbit_group_equals_matrix_group(spec):
         assert len(w.word) == len(oracle[m])  # ... and is reduced
         assert w.sign == (-1) ** len(w.word)
         assert w.apply_fw(probe) == tuple(sum(a * x for a, x in zip(row, probe)) for row in m)
-    assert group.elements[0].word == () and group.elements[0].rho_image == rho
+    assert group[0].word == () and group[0].rho_image == rho
 
 
 def test_inverse_element_on_f4():

@@ -11,6 +11,11 @@ for each seed in one process, importing weylwalk from ``--src``, and records
 each job's exit code and the SHA-256 of its standard output and of every file
 it writes.  The manifests are left out: they carry a timestamp.  ``compare``
 prints every job whose record differs and exits 1 if any does.
+
+``--workload commands`` runs instead the fixed list ``COMMAND_JOBS`` below:
+CLI runs of the commands that no benchmark workload makes (``crystal``,
+``character``, ``pitman`` and ``ratio``), so that a change can be compared on
+every command.  ``--seeds`` and ``--jobs`` do not apply to it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
+
+
+RATIO_C2 = {"type": "C2", "kappa": [1, 0], "tau": ["1/2", "1/3"], "mu": [2, 0]}
+COMMAND_JOBS = [
+    {"id": f"commands-{k:02d}-{command}", "kind": "cli", "command": command, "config": config}
+    for k, (command, config) in enumerate([
+        ("crystal", {"type": "C2", "kappa": [0, 1]}),
+        ("character", {"type": "B3", "kappa": [0, 0, 1]}),
+        ("pitman", {"type": "C2", "basis": "fw", "path": [
+            ["0", ["0", "0"]], ["1/3", ["-1", "1"]], ["2/3", ["-2", "1"]], ["1", ["1", "-1"]]]}),
+        # its h_1 dips to -1/2 only
+        ("pitman", {"type": "C2", "basis": "fw", "path": [
+            ["0", ["0", "0"]], ["1/2", ["-1/2", "1"]], ["1", ["1", "0"]]]}),
+        ("pitman", {"type": "B3", "path": [
+            ["0", ["0", "0", "0"]], ["1/2", ["0", "-1", "0"]], ["1", ["1/2", "-1/2", "-1/2"]]]}),
+        ("ratio", RATIO_C2),
+        ("ratio", {**RATIO_C2, "ell": 4}),
+        ("ratio", {**RATIO_C2, "ells": [6, 6]}),
+        ("ratio", {**RATIO_C2, "ells": [8, 4]}),
+    ])
+]
 
 
 def _sha(data: bytes) -> str:
@@ -66,11 +92,15 @@ def digest(src: str, workload: str, seeds, count: int) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import weylwalk
 
+    if workload == "commands":
+        jobs = COMMAND_JOBS
+    else:
+        jobs = [job for seed in seeds
+                for job, _ in zip(workloads.jobs(workload, seed), range(count))]
     records = {}
     with tempfile.TemporaryDirectory() as work:
-        for seed in seeds:
-            for job, _ in zip(workloads.jobs(workload, seed), range(count)):
-                records[job["id"]] = run_job(job, work)
+        for job in jobs:
+            records[job["id"]] = run_job(job, work)
     return {"weylwalk": os.path.dirname(weylwalk.__file__), "jobs": records}
 
 
@@ -90,7 +120,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     d = sub.add_parser("digest")
     d.add_argument("--src", required=True, help="the src/ directory of a weylwalk tree")
-    d.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    d.add_argument("--workload", required=True,
+                   choices=sorted(workloads.WORKLOADS) + ["commands"])
     d.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     d.add_argument("--jobs", type=int, default=40)
     d.add_argument("--out", required=True)
