@@ -5,8 +5,7 @@ All rationals cross the I/O boundary as strings "p/q".  Every run writes a
 manifest echoing the resolved configuration next to its outputs.  The
 commands that use ``markov`` or ``montecarlo`` import it when they run, so
 ``psi``, ``character`` and ``crystal`` never load ``markov``, and only the
-Monte-Carlo commands load ``montecarlo`` (its docstring says where numpy is
-loaded).
+Monte-Carlo commands load ``montecarlo``.  No command loads numpy.
 
 Exit codes: 0 success, 2 config error, 3 verification failure, 4 resource
 budget exceeded.

@@ -7,45 +7,39 @@ stay-in-cone events are decided in exact integer arithmetic: the step by node
 b from position x stays in the cone exactly when x_i >= eps_i(b) for every
 color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
 enter through the uniform variates themselves, and each draw is resolved
-against the exact rational cumulative weights: a table of equal buckets on
-[0, 1) settles every draw whose bucket holds no float boundary, and the rest
-go through the scalar pick, a float search and an exact settle.  The exit
-kernel packs each sample's position into int64 words, one biased field per
-coordinate, so a tile of uniforms takes all its steps in one cumulative sum
-and every cone test is one mask of the fields' top bits.  Every buffer of
-the sampling kernels spans one tile of at most ``TILE`` uniforms, drawn just
-before it is worked, so their memory does not grow with the sample count or
-the horizon.
+against the exact rational cumulative weights: tables of equal groups and
+buckets on [0, 1) settle every draw whose group or bucket holds no float
+boundary, and the rest go through the scalar pick, a float search and an
+exact settle.
 
-The seed's stream has two evaluators that yield the same floats: numpy's
-Philox, which the vectorized exit kernel draws from by tiles, and
-``philox_uniforms``, the same Philox4x64-10 in pure Python, which the
-row-by-row h-law draws from one uniform at a time and resolves with the scalar
-``StepSampler.pick``.  Only the exit kernel needs numpy, and it imports numpy
-where it runs, so importing this module, building a ``StepSampler``, the
-h-law (``empirical_h_law``, ``h_law_reports``) and the exact helpers
-(``asymptotic_ratio``, ``nearest_dominant``, ``h_trajectory_prediction``) do
-not load numpy.
+The seed's stream has one evaluator, ``philox_lanes``: Philox4x64-10 in pure
+Python, many blocks at once, one per lane of a Python int.
+``StepSampler.draws`` turns its words into node indices, a byte each for
+sources of at most 255 nodes, and both samplers read them: the exit kernel
+by tiles, the h-law one row at a time.  The exit kernel packs each sample's
+position into byte-aligned biased fields of one Python int per tile, so a
+step of every row of the tile is a few big-int operations and each cone
+test is a mask of the fields' top bits.  Every buffer of the sampling
+kernels spans one tile of at most ``TILE`` uniforms, drawn just before it is
+worked, so their memory does not grow with the sample count or the horizon.
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, count, islice, repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cartan import Record, Weight
 from .crystal import CrystalGraph, TensorNode, count_f_layers
 from .errors import DomainError, ResourceBudgetError, WeylwalkError
 from .exact import dot, vec
 from .markov import CrystalDistribution, hchain_entry, pitman_prefix_weights
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # most uniforms one tile may hold: the uniforms drawn, picked, packed and
 # tested together, max(1, TILE // horizon) rows at a time or a slice of one row
@@ -55,16 +49,21 @@ TILE = 2**15
 # tile bounds whatever the horizon
 BUDGET_ROWS = 8192
 MAX_BLOCK_UNIFORMS = 2**24
-# equal buckets on [0, 1); a draw in a bucket free of boundaries is one lookup
+# equal groups on [0, 1), one per top byte of a Philox word, and equal buckets,
+# one per top 12 bits; a draw in a group or bucket free of boundaries is one lookup
+GROUPS = 256
 BUCKETS = 4096
-# bits of an int64 word that packed fields may fill, so every word stays positive
-WORD_BITS = 62
+# the byte of a group that settles no node index a byte can name
+OPEN = 255
 # Philox4x64-10: the round multipliers and the Weyl constants that bump the key
 PHILOX_M0, PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 PHILOX_W0, PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 MASK64 = (1 << 64) - 1
 # Philox blocks the pure-Python stream works together, one per 128-bit lane
-LANES = 256
+LANES = 1024
+
+# node indices of a chunk of draws: a byte each, or 16 bits past OPEN nodes
+Picks = Union[bytearray, array]
 
 
 class EstimatorReport(Record):
@@ -118,9 +117,9 @@ class StepSampler:
     """Inverse-CDF sampler over a finite node list with exact boundaries.
 
     ``cum_fracs`` holds the exact cumulative weights and ``cum_floats`` their
-    floats.  ``pick`` resolves one uniform in Python and ``pick_many`` an array
-    of them, by a bucket table and ``pick`` for the draws the table leaves
-    open; both return the exact inverse-CDF index.
+    floats.  ``pick`` resolves one uniform in Python, and ``draws`` the
+    seed's whole stream, by a group table, a bucket table and ``pick`` for
+    the draws both tables leave open; both return the exact inverse-CDF index.
     """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
@@ -150,28 +149,57 @@ class StepSampler:
             i = bisect_right(self.cum_fracs, Fraction(u))
         return min(i, len(floats) - 1)
 
+    def _settled(self, k: int, buckets: int) -> int:
+        """The pick of every draw in bucket k of ``buckets`` equal ones on
+        [0, 1) when no float boundary lies within the settle margin of it, -1
+        otherwise.  No draw below 1 picks past the last node, so the last
+        boundary is left out, and a bucket settles the last node too."""
+        floats, inner = self.cum_floats, len(self.cum_floats) - 1
+        first = bisect_left(floats, k / buckets - 1e-9, 0, inner)
+        return first if first == bisect_right(floats, (k + 1) / buckets + 1e-9, 0, inner) else -1
+
     @cached_property
-    def _buckets(self) -> np.ndarray:
-        """The pick of every draw in a bucket with no float boundary within
-        the settle margin of it, -1 for the other buckets; built on the first
-        call of ``pick_many``."""
-        import numpy as np
+    def _groups(self) -> bytes:
+        """The ``translate`` table from a word's top byte to the node index
+        its group settles, or ``OPEN`` where the group settles none or the
+        index does not fit a byte."""
+        return bytes(k if 0 <= k < OPEN else OPEN
+                     for k in (self._settled(g, GROUPS) for g in range(GROUPS)))
 
-        floats = np.array(self.cum_floats)
-        edges = np.arange(BUCKETS + 1) / BUCKETS
-        first = np.searchsorted(floats, edges[:-1] - 1e-9, side="left")
-        past = np.searchsorted(floats, edges[1:] + 1e-9, side="right")
-        return np.where(first == past, first, -1)
+    @cached_property
+    def _buckets(self) -> Dict[int, int]:
+        """``_settled`` of every bucket inside a group that ``_groups`` leaves
+        open, keyed by the bucket."""
+        per = BUCKETS // GROUPS
+        return {k: self._settled(k, BUCKETS) for g, byte in enumerate(self._groups)
+                if byte == OPEN for k in range(g * per, (g + 1) * per)}
 
-    def pick_many(self, u: np.ndarray) -> np.ndarray:
-        """Indices of the sampled nodes, one per uniform, as ``pick`` gives
-        them: a bucket lookup where it settles the draw, else ``pick``."""
-        import numpy as np
+    def draws(self, seed: int) -> Iterator[Picks]:
+        """The node index of every uniform of the seed's stream, in order, a
+        chunk of ``4 * LANES`` at a time."""
+        return map(self._resolve, philox_lanes(seed))
 
-        idx = self._buckets[np.clip((u * BUCKETS).astype(np.intp), 0, BUCKETS - 1)]
-        rest = idx < 0
-        idx[rest] = [self.pick(x) for x in u[rest].tolist()]
-        return idx
+    def _resolve(self, lanes: Tuple[bytes, ...]) -> Picks:
+        """Node indices of one chunk of ``philox_lanes``: each word's top byte
+        through ``_groups``; a word in an open group through ``_buckets`` on
+        its top 12 bits, and in an open bucket through ``pick``."""
+        top = bytearray(len(lanes[0]) // 4)
+        for w, raw in enumerate(lanes):
+            top[w::4] = raw[7::16]
+        picks = top.translate(self._groups)
+        open_at = []
+        at = picks.find(OPEN)
+        while at >= 0:
+            open_at.append(at)
+            at = picks.find(OPEN, at + 1)
+        if len(self.nodes) > OPEN:
+            picks = array("H", list(picks))
+        for at in open_at:
+            lane = 16 * (at >> 2)
+            x = int.from_bytes(lanes[at & 3][lane:lane + 8], "little")
+            k = self._buckets[x >> 52]
+            picks[at] = k if k >= 0 else self.pick((x >> 11) * 2.0**-53)
+        return picks
 
 
 def _check_seed(seed: int) -> int:
@@ -181,74 +209,63 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _rng(seed: int) -> np.random.Generator:
-    import numpy as np
-
-    return np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
-
-
-def philox_uniforms(seed: int) -> Iterator[float]:
-    """The uniforms of ``_rng(seed).random()``, one at a time, in pure Python.
+def philox_lanes(seed: int) -> Iterator[Tuple[bytes, bytes, bytes, bytes]]:
+    """The words of numpy's ``Philox(key=seed)``, in pure Python, ``LANES``
+    blocks at a time.
 
     numpy's Philox keyed by ``seed`` is Philox4x64-10 with key (seed, 0): block
     k = 1, 2, ... starts from the counter (k, 0, 0, 0); each of its ten rounds
     takes the products p0 = M0 c0 and p1 = M1 c2 to (c0, c1, c2, c3) <-
     (hi p1 ^ c1 ^ k0, lo p1, hi p0 ^ c3 ^ k1, lo p0) and then bumps the key
-    by the Weyl constants, mod 2^64; its four words x give the doubles
-    (x >> 11) * 2^-53 in order.  The blocks are worked ``LANES`` at a time,
-    one per 128-bit lane of a Python int: a lane's 64-bit word times a 64-bit
-    multiplier fits its lane, so every step of a round is one big-int
-    operation on all the lanes at once.
+    by the Weyl constants, mod 2^64.  The stream reads each block's words c0,
+    c1, c2, c3 in order, and a word x is the double (x >> 11) * 2^-53 of
+    ``random()``.  The blocks are worked one per 128-bit lane of a Python
+    int: a lane's 64-bit word times a 64-bit multiplier fits its lane, so
+    every step of a round is one big-int operation on all the lanes at once.
+    Each chunk is the little-endian bytes of c0, c1, c2 and c3, 16 bytes a
+    lane, the lane's word in its low 8.
     """
     _check_seed(seed)
-    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * LANES, "little")
+    lanes = LANES
+    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * lanes, "little")
     low = MASK64 * ones
-    lane_index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(LANES)),
+    lane_index = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(lanes)),
                                 "little")
     round_keys = []
     k0, k1 = seed, 0
     for _ in range(10):
         round_keys.append((k0 * ones, k1 * ones))
         k0, k1 = (k0 + PHILOX_W0) & MASK64, (k1 + PHILOX_W1) & MASK64
-    unpack = struct.Struct(f"<{2 * LANES}Q").unpack
 
-    def chunks() -> Iterator[List[float]]:
-        for first in count(1, LANES):
+    def chunks() -> Iterator[Tuple[bytes, bytes, bytes, bytes]]:
+        for first in count(1, lanes):
             # c1 holds the counters' second words, 0 below 2^64 blocks
             c0, c1, c2, c3 = first * ones + lane_index, 0, 0, 0
             for key0, key1 in round_keys:
                 p0, p1 = PHILOX_M0 * c0, PHILOX_M1 * c2
                 c0, c1, c2, c3 = (((p1 >> 64) & low) ^ c1 ^ key0, p1 & low,
                                   ((p0 >> 64) & low) ^ c3 ^ key1, p0 & low)
-            words = [unpack(c.to_bytes(16 * LANES, "little"))[::2] for c in (c0, c1, c2, c3)]
-            yield [(x >> 11) * 2.0**-53 for x in chain.from_iterable(zip(*words))]
+            yield tuple(c.to_bytes(16 * lanes, "little") for c in (c0, c1, c2, c3))
 
-    return chain.from_iterable(chunks())
-
-
-def _exit_steps(exits: np.ndarray) -> List[int]:
-    """The exit steps that happened, in increasing order: one entry per
-    exited sample, so its size follows n and not the horizon."""
-    import numpy as np
-
-    return np.sort(exits[exits > 0]).tolist()
+    return chunks()
 
 
 class ExitSummary(Record):
     """First violation steps per sample; None means no violation up to L.
 
-    It is built from the exit steps as int arrays, 0 for no violation, as the
+    It is built from the exit steps as int lists, 0 for no violation, as the
     exit kernel keeps them.
     """
 
     __slots__ = ("horizon", "n", "continuous_exit", "discrete_exit", "lemma_violations",
                  "_continuous_steps", "_discrete_steps")
 
-    def __init__(self, horizon: int, n: int, continuous_exit: np.ndarray,
-                 discrete_exit: np.ndarray, lemma_violations: int):
-        super().__init__(horizon, n, [e or None for e in continuous_exit.tolist()],
-                         [e or None for e in discrete_exit.tolist()], lemma_violations,
-                         _exit_steps(continuous_exit), _exit_steps(discrete_exit))
+    def __init__(self, horizon: int, n: int, continuous_exit: List[int],
+                 discrete_exit: List[int], lemma_violations: int):
+        # the exit steps that happened, sorted: one entry per exited sample
+        super().__init__(horizon, n, [e or None for e in continuous_exit],
+                         [e or None for e in discrete_exit], lemma_violations,
+                         sorted(filter(None, continuous_exit)), sorted(filter(None, discrete_exit)))
 
     def stay_count_continuous(self, ell: int) -> int:
         return self._stay_count(self._continuous_steps, ell)
@@ -261,47 +278,32 @@ class ExitSummary(Record):
         return len(self.continuous_exit) - bisect_right(exit_steps, ell)
 
 
-def _packed_words(sampler: StepSampler, start: Sequence[int],
-                  shift: Optional[Sequence[int]], horizon: int) -> Tuple[int, list]:
-    """Field width and int64 words of the packed exit kernel.
-
-    A field of width w holds one coordinate plus the bias 2^(w-1), so its top
-    bit is set exactly when the coordinate is >= 0.  w = bit_length(bound) + 2,
-    where bound covers every |pos_i - eps_i| up to the horizon, the start and
-    the shift included.  The coordinates fill words of WORD_BITS // w fields;
-    a word is (its top bits, the biased start, the packed shift, and the
-    packed weight and eps of every node).
-    """
-    import numpy as np
-
-    weights = np.array([c.weights[i].fw for c, i in sampler.nodes], dtype=np.int64)
-    eps = np.array([c.eps[i] for c, i in sampler.nodes], dtype=np.int64)
-    rank = len(start)
-    shift = (0,) * rank if shift is None else shift
-    bound = max(abs(start[i]) + abs(shift[i]) + int(eps[:, i].max())
-                + horizon * int(np.abs(weights[:, i]).max()) for i in range(rank))
-    width = bound.bit_length() + 2
-    per_word = WORD_BITS // width
-    if per_word == 0:
-        raise DomainError(f"positions up to {bound} do not fit an int64 field")
-    words = []
-    for lo in range(0, rank, per_word):
-        cols = slice(lo, lo + per_word)
-        place = [1 << (width * j) for j in range(len(start[cols]))]
-        scale = np.array(place, dtype=np.int64)
-        words.append((sum(place) << (width - 1),
-                      sum((x + (1 << (width - 1))) * p for x, p in zip(start[cols], place)),
-                      sum(x * p for x, p in zip(shift[cols], place)),
-                      weights[:, cols] @ scale, eps[:, cols] @ scale))
-    return width, words
+def _byte_tables(records: Sequence[int], stride: int) -> List[Tuple[int, bytes]]:
+    """(j, table) for each byte j of a ``stride``-byte slot that some record
+    sets: ``table[k]`` is byte j of node k's record, padded for ``translate``."""
+    tables = [(j, bytes((r >> 8 * j) & 255 for r in records)) for j in range(stride)]
+    return [(j, table.ljust(256, b"\x00")) for j, table in tables if any(table)]
 
 
-def _note_exits(exits: np.ndarray, bad: np.ndarray, first_step: int) -> None:
-    """Give each row of ``exits`` still at 0 the step of its first True column
-    in ``bad``, a slice of steps that starts at ``first_step`` + 1."""
-    hit = bad.any(axis=1)
-    hit &= exits == 0
-    exits[hit] = bad.argmax(axis=1)[hit] + (first_step + 1)
+def _wide_lookup(tile: array, table: bytes) -> bytes:
+    return bytes(map(table.__getitem__, tile))
+
+
+def _tile_shape(rows: int, cols: int, stride: int) -> Tuple[int, int, List[Tuple[int, int]]]:
+    """The constants of a tile of ``rows`` rows of ``cols`` slots of
+    ``stride`` bytes: a 1 in every slot, each slot's step count t + 1 in its
+    row, and for each doubling d < cols, the bit shift of d slots and the
+    mask of the slots t >= d, which keeps a row's prefix sums inside it."""
+    row = cols * stride
+    ones = int.from_bytes(b"\x01".ljust(stride, b"\x00") * (rows * cols), "little")
+    ramp = b"".join(t.to_bytes(stride, "little") for t in range(1, cols + 1)) * rows
+    doublings = []
+    d = 1
+    while d < cols:
+        mask = (bytes(d * stride) + b"\xff" * (row - d * stride)) * rows
+        doublings.append((8 * stride * d, int.from_bytes(mask, "little")))
+        d *= 2
+    return ones, int.from_bytes(ramp, "little"), doublings
 
 
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
@@ -317,13 +319,21 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     counted.
 
     The rows are taken ``max(1, TILE // horizon)`` at a time, and a row longer
-    than ``TILE`` in slices of ``TILE`` steps; each tile's uniforms are drawn
-    just before it is worked, all its steps together: the positions of a row
-    are one cumulative sum of packed node weights (see ``_packed_words``)
-    from the packed position the previous slice ended at, the step from x by
-    node b stays in the cone when every field of x - eps(b) has its top bit
-    set, and the path ends a step in the discrete cone when every field of
-    the new position does.
+    than ``TILE`` in slices of ``TILE`` steps; each tile's node indices are
+    drawn just before it is worked, all its steps together, in one int with a
+    ``stride``-byte slot per step, in the order of the draws.  A slot holds
+    ``rank`` fields of ``field`` bytes, and a position is its coordinates
+    plus the bias 2^(8 field - 1), so a field's top bit is set exactly when
+    its coordinate is >= 0.  The node weights, each field offset to be >= 0,
+    are read into the slots by one ``translate`` per byte; summing each
+    slot's row prefix by doubling, adding the start and taking the offsets
+    off gives every position.  ``field`` fits those prefix sums and every
+    |pos_i - eps_i| up to the horizon, the start and the shift included.  The
+    step from x by node b stays in the cone when every field of x - eps(b)
+    has its top bit set, and the path ends it in the discrete cone when every
+    field of the new position does: the AND of a slot's fields lands on the
+    top bit of its first field, and a row's first slot where it is clear is
+    its exit.  A row that spans slices carries its last position on.
 
     A run whose first ``BUDGET_ROWS`` samples take more than
     ``MAX_BLOCK_UNIFORMS`` uniforms raises ``ResourceBudgetError`` before
@@ -332,42 +342,92 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
     if min(BUDGET_ROWS, n) * horizon > MAX_BLOCK_UNIFORMS:
         raise ResourceBudgetError(f"a block of {min(BUDGET_ROWS, n)} x {horizon} uniforms "
                                   f"is over the budget {MAX_BLOCK_UNIFORMS}")
-    import numpy as np
-
     sampler = StepSampler.from_distribution(dist)
-    rng = _rng(seed)
+    draws = sampler.draws(seed)
+    start = mu.fw
+    rank = len(start)
+    shift = (0,) * rank if kappa0 is None else kappa0.fw
+    weights = [c.weights[i].fw for c, i in sampler.nodes]
+    eps = [c.eps[i] for c, i in sampler.nodes]
+    offsets = [-min(w[i] for w in weights) for i in range(rank)]
+    spans = [max(w[i] for w in weights) + offsets[i] for i in range(rank)]
+    bound = max(abs(start[i]) + abs(shift[i]) + max(e[i] for e in eps)
+                + horizon * max(abs(w[i]) for w in weights) for i in range(rank))
+    # the largest prefix sum of offset weights, and of step counts, in one slice
+    widest = min(TILE, horizon) * max(spans + [1])
+    field = (max(bound.bit_length() + 1, widest.bit_length()) + 7) // 8
+    stride = rank * field
+    flag = 8 * field - 1
+    later_fields = [8 * field * i for i in range(1, rank)]
+
+    def packed(values: Sequence[int]) -> int:
+        return sum(v << 8 * field * i for i, v in enumerate(values))
+
+    start_row = packed([x + (1 << flag) for x in start])
+    offset_row, shift_row = packed(offsets), packed(shift)
+    weight_tables = _byte_tables([packed([a + b for a, b in zip(w, offsets)]) for w in weights],
+                                 stride)
+    eps_tables = _byte_tables([packed(e) for e in eps], stride)
+    narrow = len(sampler.nodes) <= OPEN
+    lookup = bytearray.translate if narrow else _wide_lookup
+    pending: Picks = bytearray() if narrow else array("H")
+    shapes: Dict[Tuple[int, int], Tuple[int, int, List[Tuple[int, int]]]] = {}
     # exit step per sample, 0 while the sample has not exited
-    cont = np.zeros(max(n, 0), dtype=np.int64)
-    disc = np.zeros(max(n, 0), dtype=np.int64)
+    cont = [0] * max(n, 0)
+    disc = [0] * max(n, 0)
     lemma_bad = 0
-    _, words = _packed_words(sampler, mu.fw, None if kappa0 is None else kappa0.fw, horizon)
     rows = max(1, TILE // max(horizon, 1))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        # the packed position of each row per word, carried from slice to slice
-        pos = [np.full(hi - lo, begin, dtype=np.int64) for _, begin, _, _, _ in words]
-        shifted_out = np.zeros(hi - lo, dtype=bool)
+        row_start = start_row
+        shifted_out = [False] * (hi - lo)
         for t0 in range(0, horizon, TILE):
-            k = sampler.pick_many(rng.random(size=(hi - lo, min(TILE, horizon - t0))))
-            c_bad = d_bad = s_bad = False
-            for j, (high, _, shift, wt, eps) in enumerate(words):
-                steps = wt[k]
-                after = np.cumsum(steps, axis=1)
-                after += pos[j][:, None]
-                pos[j] = after[:, -1].copy()
-                low = after - steps
-                low -= eps[k]
-                c_bad = c_bad | ((low & high) != high)
-                d_bad = d_bad | ((after & high) != high)
-                if kappa0 is not None:
-                    low += shift
-                    s_bad = s_bad | ((low & high) != high)
-            _note_exits(cont[lo:hi], c_bad, t0)
-            _note_exits(disc[lo:hi], d_bad, t0)
+            cols = min(TILE, horizon - t0)
+            size = (hi - lo) * cols
+            while len(pending) < size:
+                pending += next(draws)
+            tile = pending[:size]
+            del pending[:size]
+            if all(cont[lo:hi]) and all(disc[lo:hi]):
+                continue
+            if (hi - lo, cols) not in shapes:
+                shapes[hi - lo, cols] = _tile_shape(hi - lo, cols, stride)
+            slots, ramp, doublings = shapes[hi - lo, cols]
+            flags = slots << flag
+            records = bytearray(size * stride)
+            for j, table in weight_tables:
+                records[j::stride] = lookup(tile, table)
+            steps = int.from_bytes(records, "little")
+            records = bytearray(size * stride)
+            for j, table in eps_tables:
+                records[j::stride] = lookup(tile, table)
+            depths = int.from_bytes(records, "little")
+            pos = steps
+            for s, mask in doublings:
+                pos += (pos << s) & mask
+            pos += row_start * slots - offset_row * ramp
+            low = pos - steps + offset_row * slots - depths
+            starts, ends = range(0, size, cols), range(cols, size + 1, cols)
+            tests = [(cont, low), (disc, pos)]
             if kappa0 is not None:
-                shifted_out |= s_bad.any(axis=1)
+                tests.append((None, low + shift_row * slots))
+            # a row longer than a tile goes on from its last position
+            row_start = pos >> 8 * stride * (size - 1)
+            for exits, fields in tests:
+                ok = fields
+                for s in later_fields:
+                    ok &= fields >> s
+                # one byte per step: 0x80 where the step passes the test, else 0
+                passed = (ok & flags).to_bytes(size * stride, "little")[field - 1::stride]
+                # each row's first failed step, as an index into passed, -1 for none
+                fails = map(passed.find, repeat(0), starts, ends)
+                if exits is None:
+                    shifted_out = [o or f >= 0 for o, f in zip(shifted_out, fails)]
+                else:
+                    exits[lo:hi] = [e or (f - a + t0 + 1 if f >= 0 else 0)
+                                    for e, f, a in zip(exits[lo:hi], fails, starts)]
         if kappa0 is not None:
-            lemma_bad += int(np.count_nonzero(shifted_out & (disc[lo:hi] == 0)))
+            lemma_bad += sum(1 for o, d in zip(shifted_out, disc[lo:hi]) if o and not d)
     return ExitSummary(horizon, n, cont, disc, lemma_bad)
 
 
@@ -375,18 +435,16 @@ def empirical_h_law(dist: CrystalDistribution, ellmax: int, n: int, seed: int
                     ) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
     """Sampled transition counts of the transformed walk up to time ellmax.
 
-    Each sample takes the next ``ellmax`` uniforms of the seed's stream, the
-    same floats ``simulate_exits`` reads, here drawn by ``philox_uniforms``
-    and picked by ``StepSampler.pick`` one at a time, so numpy is not loaded.
+    Each sample takes the next ``ellmax`` node indices of the seed's stream,
+    the same draws ``simulate_exits`` reads.
     """
     sampler = StepSampler.from_distribution(dist)
-    uniforms = philox_uniforms(seed)
+    picks = chain.from_iterable(sampler.draws(seed))
     datum = dist.datum
     counts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
     zero_fw = (0,) * datum.rank
     for _ in range(n):
-        node = TensorNode(tuple(sampler.nodes[sampler.pick(u)]
-                                for u in islice(uniforms, ellmax)))
+        node = TensorNode(tuple(sampler.nodes[k] for k in islice(picks, ellmax)))
         hs = [zero_fw] + pitman_prefix_weights(datum, node)
         for a, b in zip(hs, hs[1:]):
             counts[(a, b)] = counts.get((a, b), 0) + 1

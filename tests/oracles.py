@@ -44,7 +44,13 @@ from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multi
 from weylwalk.errors import ExactEvaluationError, FormatError
 from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
-from weylwalk.montecarlo import ExitSummary, StepSampler, _rng
+from weylwalk.montecarlo import ExitSummary, StepSampler, _check_seed
+
+
+def numpy_philox(seed: int) -> np.random.Generator:
+    """numpy's Philox keyed by a checked seed: the independent evaluator of
+    the stream that ``montecarlo.philox_lanes`` writes out in Python."""
+    return np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
 
 
 def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGraph],
@@ -257,7 +263,7 @@ def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n
     sampler = StepSampler.from_distribution(dist)
     weights = [c.weights[i].fw for c, i in sampler.nodes]
     eps = [c.eps[i] for c, i in sampler.nodes]
-    rng = _rng(seed)
+    rng = numpy_philox(seed)
     cont_exit: List[Optional[int]] = []
     disc_exit: List[Optional[int]] = []
     lemma_bad = 0
@@ -289,8 +295,8 @@ def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n
         disc_exit.append(d_exit)
         if kappa0 is not None and d_exit is None and not shifted_ok:
             lemma_bad += 1
-    return ExitSummary(horizon, n, np.array([e or 0 for e in cont_exit], dtype=np.int64),
-                       np.array([e or 0 for e in disc_exit], dtype=np.int64), lemma_bad)
+    return ExitSummary(horizon, n, [e or 0 for e in cont_exit], [e or 0 for e in disc_exit],
+                       lemma_bad)
 
 
 IntMatrix = Tuple[Tuple[int, ...], ...]

@@ -313,24 +313,29 @@ assert MC.h_law_reports(dist, 2, 20, seed=1)
 loaded("h_law")
 MC.simulate_exits(dist, datum.zero_weight(), 3, 10, seed=1)
 loaded("simulate")
+MC.sandwich_check(dist, datum.zero_weight(), 3, 10, seed=1)
+with tempfile.TemporaryDirectory() as out:
+    assert weylwalk.cli.main(["sandwich", "--type", "C2", "--kappa", "1,0", "--tau",
+                              "1/2,1/3", "--samples", "50", "--horizon", "4",
+                              "--output-dir", out]) == 0
+loaded("sandwich")
 """
 
 
 def test_cli_import_leaves_numpy_out():
     """``import weylwalk.cli`` loads neither ``markov`` nor ``montecarlo``, nor
     numpy, datetime or dataclasses.  Importing the package and every layer
-    loads neither numpy, datetime nor dataclasses; the exact ratio paths, in
-    the library and the CLI, and the h-law sampler run without them; the
-    first exit-kernel call loads numpy."""
+    loads neither numpy, datetime nor dataclasses, and no stage loads them:
+    the exact ratio paths, in the library and the CLI, the h-law sampler,
+    the exit kernel and the sandwich check, in the library and the CLI."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylwalk.__file__)))
     done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
     stages = {words[1]: words[2:] for words in map(str.split, done.stdout.splitlines())
               if words[:1] == ["loaded"]}
     assert stages["cli"] == []
-    for stage in ("import", "ratio", "h_law"):
+    for stage in ("import", "ratio", "h_law", "simulate", "sandwich"):
         assert not {"numpy", "datetime", "dataclasses"} & set(stages[stage]), stage
-    assert "numpy" in stages["simulate"]
 
 
 MODULE_1_2 = {

@@ -2,7 +2,7 @@ import math
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, product
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode
 from weylwalk.errors import DomainError
 
-from oracles import exhaustive_h_trajectories, is_minuscule, scalar_simulate_exits
+from oracles import (exhaustive_h_trajectories, is_minuscule, numpy_philox,
+                     scalar_simulate_exits)
 
 F = Fraction
 
@@ -38,10 +39,9 @@ def test_zero_horizon(c2, dist10):
 
 def test_empirical_step_law(c2, dist10):
     sampler = MC.StepSampler.from_distribution(dist10)
-    rng = MC._rng(123)
     n = 100_000
     counts = [0] * len(sampler.nodes)
-    for k in sampler.pick_many(rng.random(size=n)).tolist():
+    for k in islice(chain.from_iterable(sampler.draws(123)), n):
         counts[k] += 1
     for k, e in enumerate(dist10.entries):
         p = float(e.probability)
@@ -55,7 +55,9 @@ def test_pick_exact_at_boundaries(a1, a1_algebra):
     sampler = MC.StepSampler.from_distribution(dist)
     assert sampler.cum_fracs == [F(3, 4), F(1)]
     # the boundary 3/4 belongs to the upper cell
-    assert sampler.pick_many(np.array([0.75, 0.7499999999, 0.0])).tolist() == [1, 0, 0]
+    draws = [0.75, 0.7499999999, 0.0, 0.25]
+    assert [sampler.pick(u) for u in draws] == [1, 0, 0, 0]
+    assert list(sampler._resolve(_lanes([_word(u) for u in draws]))) == [1, 0, 0, 0]
 
 
 def test_exit_summary_nesting_and_inclusion(c2, dist10):
@@ -263,9 +265,12 @@ KERNEL_CASES = {
     "G2 (1,0)": ("G2", (1, 0)),
     "B3 (0,0,1)": ("B3", (0, 0, 1)),
     "C2 module": ("C2", "module"),
-    # a start far out along one coordinate: A8 needs two packed words, C2 wide fields
+    # a start far out along one coordinate: A8 takes 2-byte fields, 128 bits a
+    # slot, and C2 wide fields
     "A8 adjoint far": ("A8", (1,) + (0,) * 6 + (1,), (512,) + (1,) * 7),
     "C2 (2,0) far": ("C2", (2, 0), (1000, 1)),
+    # 729 nodes, more than a byte can name
+    "A3 (2,2,2)": ("A3", (2, 2, 2)),
 }
 
 
@@ -300,18 +305,15 @@ def test_exit_kernel_equals_scalar_oracle(name, shift):
 
 
 def test_packed_kernel_splits_into_words():
-    """Eight A8 fields wide enough for a start coordinate of 512 overflow one
-    word and take two; the two C2 fields for 1000 fit in one."""
-    for name, words in (("A8 adjoint far", 2), ("C2 (2,0) far", 1)):
-        dist, mu, kappa0 = _kernel_case(name)
-        sampler = MC.StepSampler.from_distribution(dist)
-        for shift in (None, kappa0.fw):
-            width, packed = MC._packed_words(sampler, mu.fw, shift, 12)
-            assert width >= 12 and len(packed) == words
-            assert (len(mu.fw) * width > MC.WORD_BITS) == (words > 1)
-    # a start too far out for one int64 field is refused, not wrapped
-    with pytest.raises(DomainError):
-        MC._packed_words(sampler, (2 ** 61, 1), None, 12)
+    """A slot holds one byte-aligned field per coordinate of one Python int,
+    so no int64 word bounds it: starts of +-2^61, far past an int64 field,
+    match the oracle with and without the shift."""
+    dist, _, kappa0 = _kernel_case("C2 (2,0) far")
+    for fw in ((2**61, 1), (1, -2**61), (2**61, 2**61)):
+        mu = dist.datum.weight(fw)
+        for shift in (None, kappa0):
+            summary = MC.simulate_exits(dist, mu, 12, 60, seed=8, kappa0=shift)
+            assert summary == scalar_simulate_exits(dist, mu, 12, 60, seed=8, kappa0=shift)
 
 
 @pytest.mark.parametrize("name", ["C2 (0,1)", "C2 module"])
@@ -346,7 +348,7 @@ def test_exit_kernel_chunks_and_short_horizons(name, monkeypatch):
 
 @pytest.mark.parametrize("shift", [False, True], ids=["plain", "kappa0"])
 def test_exit_kernel_carries_two_words_across_slices(monkeypatch, shift):
-    """Two packed words, each carried from slice to slice of a row."""
+    """A slot of 128 bits, carried from slice to slice of a row."""
     dist, mu, kappa0 = _kernel_case("A8 adjoint far")
     kappa0 = kappa0 if shift else None
     monkeypatch.setattr(MC, "TILE", 5)
@@ -389,60 +391,90 @@ def _boundary_sampler():
 
 
 def _bucket_edge_sampler():
-    """A1 (1) at tau 1/3: the boundary 3/4 is the bucket edge 3072/4096."""
+    """A1 (1) at tau 1/3: the boundary 3/4 is the bucket edge 3072/4096 and
+    the group edge 192/256."""
     a1 = build_cartan_datum("A1")
     dist = M.build_distribution(CharacterAlgebra(a1), a1.weight((1,)), tau_point(a1, [F(1, 3)]))
     sampler = MC.StepSampler.from_distribution(dist)
-    assert sampler.cum_fracs[0] == F(3072, MC.BUCKETS)
+    assert sampler.cum_fracs[0] == F(3072, MC.BUCKETS) == F(192, MC.GROUPS)
     return sampler
 
 
 def _edge_draws(sampler):
     """0, three draws just below 1, five around every float boundary and
-    both sides of every bucket edge."""
+    both sides of every bucket edge, which include the group edges; each
+    as the two draws of the stream's grid of 2^-53 on either side of it."""
     edges = [0.0, np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
     for c in sampler.cum_floats[:-1]:
         edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
     for k in range(1, MC.BUCKETS):
         edges += [k / MC.BUCKETS - 1e-12, k / MC.BUCKETS, k / MC.BUCKETS + 1e-12]
-    return edges
+    grid = sorted({min(math.floor(u * 2**53) + d, 2**53 - 1) for u in edges for d in (0, 1)})
+    return [x * 2.0**-53 for x in grid]
 
 
-def _unsettled(sampler, x):
-    """Whether the bucket of x holds a float boundary within 1e-9 of it."""
+def _word(u, low_bits=0):
+    """The Philox word of a stream draw u; its low 11 bits do not reach u."""
+    x = int(u * 2**53)
+    assert x * 2.0**-53 == u
+    return x << 11 | low_bits
+
+
+def _lanes(words):
+    """Words, four to a block, laid out as one chunk of ``philox_lanes``."""
+    words = list(words)
+    words += [0] * (-len(words) % 4)
+    return tuple(b"".join(x.to_bytes(8, "little") + bytes(8) for x in words[w::4])
+                 for w in range(4))
+
+
+def _stream_words(lanes):
+    """The words of a chunk of ``philox_lanes``, in stream order."""
+    return [int.from_bytes(lanes[w][16 * j:16 * j + 8], "little")
+            for j in range(len(lanes[0]) // 16) for w in range(4)]
+
+
+def _open(sampler, x):
+    """Whether the bucket of x holds a float boundary other than the last
+    within 1e-9 of it."""
     k = min(int(x * MC.BUCKETS), MC.BUCKETS - 1)
     lo, hi = k / MC.BUCKETS - 1e-9, (k + 1) / MC.BUCKETS + 1e-9
-    return any(lo <= c <= hi for c in sampler.cum_floats)
+    return any(lo <= c <= hi for c in sampler.cum_floats[:-1])
 
 
-def test_pick_many_is_exact_at_edges():
+def test_node_stream_is_exact_at_edges():
     for sampler in (_boundary_sampler(), _bucket_edge_sampler()):
         edges = _edge_draws(sampler)
-        u = np.array(edges)
         exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
-        assert sampler.pick_many(u).tolist() == exact
-        assert [sampler.pick(x) for x in u.tolist()] == exact
-        assert [int(sampler.pick_many(np.array([x]))[0]) for x in edges] == exact
-        # any shape, one index per uniform
-        assert sampler.pick_many(u.reshape(-1, 1)).ravel().tolist() == exact
+        assert [sampler.pick(x) for x in edges] == exact
+        for low_bits in (0, 2**11 - 1):
+            picks = sampler._resolve(_lanes(_word(x, low_bits) for x in edges))
+            assert list(picks)[:len(edges)] == exact
+        # one draw at a time, each the first word of its chunk
+        assert [sampler._resolve(_lanes([_word(x)]))[0] for x in edges] == exact
 
 
-def test_pick_many_is_exact_on_a_stream():
+def test_node_stream_is_exact_on_a_stream(monkeypatch):
+    """200 x 30 draws of the seed's stream, over the edge of a chunk of
+    ``4 * LANES`` draws, and with one and three lanes a chunk."""
     sampler = _boundary_sampler()
-    u = MC._rng(5).random(size=(200, 30))
-    picks = sampler.pick_many(u)
-    assert picks.shape == u.shape
-    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in u.ravel()]
-    assert picks.ravel().tolist() == exact
-    assert [sampler.pick(x) for x in islice(MC.philox_uniforms(5), u.size)] == exact
+    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in numpy_philox(5).random(200 * 30)]
+    assert 200 * 30 > 4 * MC.LANES
+    for lanes in (MC.LANES, 1, 3):
+        monkeypatch.setattr(MC, "LANES", lanes)
+        chunks = list(islice(sampler.draws(5), -(-200 * 30 // (4 * lanes))))
+        assert {len(c) for c in chunks} == {4 * lanes}
+        assert list(chain.from_iterable(chunks))[:200 * 30] == exact
 
 
-def test_pick_many_hands_unsettled_draws_to_pick(monkeypatch):
-    """A spy on ``pick`` sees every draw whose bucket the table leaves open,
+def test_node_stream_hands_open_draws_to_pick(monkeypatch):
+    """A spy on ``pick`` sees every draw whose bucket the tables leave open,
     once and in order, and no other draw: on a stream and at the edges."""
-    cases = [(_boundary_sampler(), MC._rng(5).random(size=(200, 30)))]
-    cases += [(s, np.array(_edge_draws(s))) for s in (_boundary_sampler(), _bucket_edge_sampler())]
-    for sampler, u in cases:
+    stream = list(islice(MC.philox_lanes(5), 2))
+    cases = [(_boundary_sampler(), stream)]
+    cases += [(s, [_lanes(_word(x) for x in _edge_draws(s))])
+              for s in (_boundary_sampler(), _bucket_edge_sampler())]
+    for sampler, chunks in cases:
         seen = []
 
         def spy(x, sampler=sampler, seen=seen):
@@ -450,16 +482,53 @@ def test_pick_many_hands_unsettled_draws_to_pick(monkeypatch):
             return MC.StepSampler.pick(sampler, x)
 
         monkeypatch.setattr(sampler, "pick", spy)
-        picks = sampler.pick_many(u).ravel().tolist()
-        draws = u.ravel().tolist()
-        assert seen == [x for x in draws if _unsettled(sampler, x)]
+        picks = list(chain.from_iterable(sampler._resolve(c) for c in chunks))
+        draws = [(x >> 11) * 2.0**-53 for c in chunks for x in _stream_words(c)]
+        assert seen == [x for x in draws if _open(sampler, x)]
         assert 0 < len(seen) < len(draws) // 100
         assert picks == [bisect_right(sampler.cum_fracs, F(x)) for x in draws]
 
 
+SOURCES = ["A2 (1,0)", "C2 (1,0)", "C2 (0,1)", "C2 (2,0)", "G2 (1,0)", "B3 (0,0,1)"]
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_top_group_and_bucket_settle(name):
+    """No draw below 1 picks past the last node, so at every tau of the
+    benchmark's Monte-Carlo pool the top bucket settles the last node, and
+    the top group does unless a lower boundary lies in it; the picks are
+    still exact."""
+    label, kappa = KERNEL_CASES[name]
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    for taus in product([F(2, 5), F(1, 2), F(3, 5)], repeat=datum.rank):
+        dist = M.build_distribution(algebra, datum.weight(kappa), tau_point(datum, list(taus)))
+        sampler = MC.StepSampler.from_distribution(dist)
+        last = len(sampler.nodes) - 1
+        assert sampler._settled(MC.BUCKETS - 1, MC.BUCKETS) == last
+        top_free = sampler.cum_floats[-2] < (MC.GROUPS - 1) / MC.GROUPS - 1e-9
+        assert (sampler._groups[-1] == last) == top_free
+        assert top_free or label in ("G2", "B3")
+    draws = numpy_philox(11).random(3000).tolist() + _edge_draws(sampler)
+    picks = chain.from_iterable(sampler._resolve(_lanes(_word(x) for x in draws[i:i + 4096]))
+                                for i in range(0, len(draws), 4096))
+    assert list(picks)[:len(draws)] == [bisect_right(sampler.cum_fracs, F(x)) for x in draws]
+
+
+def test_boundary_rounding_to_one_leaves_its_group_open():
+    """A boundary below the last whose float is 1.0 still opens the top group
+    and bucket, and a draw just below 1 settles below it exactly."""
+    sampler = MC.StepSampler([(None, 0, 1 - F(1, 2**60)), (None, 1, F(1, 2**60))])
+    assert sampler.cum_floats == [1.0, 1.0]
+    assert sampler._groups[-1] == MC.OPEN
+    assert sampler._settled(MC.BUCKETS - 1, MC.BUCKETS) == -1
+    top = float(np.nextafter(1.0, 0.0))
+    assert sampler._resolve(_lanes([_word(top), _word(0.5)]))[:2] == bytearray([0, 0])
+
+
 def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
     sampler = MC.StepSampler.from_distribution(dist10)
-    rng = MC._rng(19)
+    rng = numpy_philox(19)
     expected = {}
     for _ in range(300):
         row = [bisect_right(sampler.cum_fracs, F(x)) for x in rng.random(size=3)]
@@ -472,22 +541,24 @@ def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1])
 def test_python_stream_equals_numpy_philox(seed, monkeypatch):
-    """The pure-Python Philox4x64-10 yields numpy's floats bit for bit, across
-    the edges of blocks (4 uniforms) and of lane chunks (4 * LANES uniforms),
-    whatever the number of lanes."""
-    chunk = 4 * MC.LANES
-    for k in (0, 1, 3, 4, 5, 1001, 2 * chunk + 5):
-        assert list(islice(MC.philox_uniforms(seed), k)) == MC._rng(seed).random(k).tolist()
-    for lanes in (1, 3):
+    """The pure-Python Philox4x64-10 yields numpy's words bit for bit, across
+    the edges of blocks (4 words) and of lane chunks (4 * LANES words),
+    whatever the number of lanes, and so numpy's doubles."""
+    for lanes, k in ((MC.LANES, 2 * 4 * MC.LANES + 5), (1, 29), (3, 29)):
         monkeypatch.setattr(MC, "LANES", lanes)
-        assert list(islice(MC.philox_uniforms(seed), 29)) == MC._rng(seed).random(29).tolist()
+        chunks = islice(MC.philox_lanes(seed), -(-k // (4 * lanes)))
+        words = list(chain.from_iterable(map(_stream_words, chunks)))[:k]
+        raw = np.random.Philox(key=np.uint64(seed)).random_raw(k).tolist()
+        assert words == raw
+        assert [(x >> 11) * 2.0**-53 for x in words] == numpy_philox(seed).random(k).tolist()
 
 
 @pytest.mark.parametrize("seed", [1.5, True, False, -1, 2**64, "1", None])
 def test_seeds_outside_the_philox_keys_are_refused(c2, dist10, seed):
     """Both evaluators of the stream refuse a seed that is not an int key in
     [0, 2^64), before they draw, and so do the samplers that read them."""
-    for stream in (MC._rng, MC.philox_uniforms):
+    sampler = MC.StepSampler.from_distribution(dist10)
+    for stream in (numpy_philox, MC.philox_lanes, sampler.draws):
         with pytest.raises(DomainError):
             stream(seed)
     with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 import weylwalk
@@ -153,7 +152,7 @@ def test_report_classes_are_mutable_records():
     with pytest.raises(TypeError):
         hash(first)
     assert copy.deepcopy(first) == first == pickle.loads(pickle.dumps(first))
-    cont, disc = np.array([1, 0]), np.array([0, 2])
+    cont, disc = [1, 0], [0, 2]
     summary = MC.ExitSummary(3, 2, cont, disc, 0)
     assert (summary.continuous_exit, summary.discrete_exit) == ([1, None], [None, 2])
     assert summary == MC.ExitSummary(3, 2, cont, disc, 0)

@@ -20,7 +20,7 @@ from weylwalk.charalg import tau_point
 from weylwalk.crystal import CrystalCache, ModuleSpec, count_multiplicity
 from weylwalk.errors import DomainError, FormatError
 
-from oracles import pi_ell_w, twisted_walk_transition
+from oracles import numpy_philox, pi_ell_w, twisted_walk_transition
 
 F = Fraction
 
@@ -143,7 +143,7 @@ def _exits_by_paths(dist, mu, horizon, n, seed, kappa0):
     """First exits per sample from the exact cumulative law and path breakpoints."""
     cums = list(accumulate(e.probability for e in dist.entries))
     cont, disc, lemma_bad = [], [], 0
-    for row in MC._rng(seed).random(size=(n, horizon)):
+    for row in numpy_philox(seed).random(size=(n, horizon)):
         pos = mu.fw
         spos = tuple(a + b for a, b in zip(mu.fw, kappa0.fw))
         c_exit = d_exit = None

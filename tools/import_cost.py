@@ -1,4 +1,4 @@
-"""Cold-start cost of importing weylwalk's entry modules and numpy.
+"""Cold-start cost of importing weylwalk's entry modules, and numpy for reference.
 
     python3 tools/import_cost.py [--runs N]
 
@@ -8,11 +8,11 @@ wall time, minus the median wall time of N ``python -c pass`` runs, and the
 median peak RSS of those interpreters, read per child from ``os.wait4``.  The
 RSS column is the floor under a job's peak RSS, the same ``ru_maxrss`` of
 each job process, whose largest is the benchmark's ``peak_rss_mib``:
-``weylwalk.cli`` lies under every job, and ``numpy`` only under the jobs that
-call the exit kernel (``simulate`` and ``sandwich``, the ``mc-exit`` jobs).
-No ``exact-kernel`` or ``structure`` job loads numpy, the h-law jobs
-included, so their peaks sit on the ``weylwalk.cli`` floor plus what the job
-itself allocates.
+``weylwalk.cli`` lies under every job.  No job loads numpy: both samplers,
+the exit kernel behind ``simulate`` and ``sandwich`` and the h-law, draw
+their stream in pure Python, so every peak sits on the ``weylwalk.cli``
+floor plus what the job itself allocates.  The ``numpy`` row shows what a
+sampler on numpy would put under each Monte-Carlo job.
 ``weylwalk.cli`` is what every command loads; ``weylwalk.markov`` (timed on
 its own) is the layer that ``hchain``, ``conditioned``, ``pitman`` and
 ``verify`` load on top of it.  The runs go round-robin over the baseline and
