@@ -342,7 +342,7 @@ def cmd_simulate(ctx: RunContext, out: OutputWriter) -> int:
         MC.bernoulli_report(f"stay<=L={small}", summary.stay_count_continuous(small),
                             n, exact_small),
         MC.bernoulli_report(f"stay<=L={horizon}", summary.stay_count_continuous(horizon),
-                            n, psi_inf, slack=float(truncation)),
+                            n, psi_inf, slack=truncation),
     ]
     reports[-1].notes["truncation_bound"] = truncation
     ok = _print_reports(reports)

@@ -5,12 +5,11 @@ Random draws come from a counter-based generator (Philox keyed by the seed),
 so runs are reproducible and the stream could be split across workers.  The
 stay-in-cone events are decided in exact integer arithmetic: the step by node
 b from position x stays in the cone exactly when x_i >= eps_i(b) for every
-color i, since the minimum of h_i along b is -eps_i(b).  Floats only ever
-enter through the uniform variates themselves, and each draw is resolved
-against the exact rational cumulative weights: tables of equal groups and
-buckets on [0, 1) settle every draw whose group or bucket holds no float
-boundary, and the rest go through the scalar pick, a float search and an
-exact settle.
+color i, since the minimum of h_i along b is -eps_i(b).  No float enters a
+pick: a draw is the integer k of the uniform k / 2^53, and its node is one
+integer bisect on the thresholds ceil(c_i 2^53) of the exact cumulative
+weights c_i, after a table of 256 equal groups has settled every draw whose
+group holds no threshold.
 
 The seed's stream has one evaluator, ``philox_lanes``: Philox4x64-10 in pure
 Python, many blocks at once, one per lane of a Python int.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, islice, repeat
@@ -49,10 +48,9 @@ TILE = 2**15
 # tile bounds whatever the horizon
 BUDGET_ROWS = 8192
 MAX_BLOCK_UNIFORMS = 2**24
-# equal groups on [0, 1), one per top byte of a Philox word, and equal buckets,
-# one per top 12 bits; a draw in a group or bucket free of boundaries is one lookup
+# equal groups of draws, one per top byte of a Philox word; a draw in a group
+# free of thresholds is one lookup
 GROUPS = 256
-BUCKETS = 4096
 # the byte of a group that settles no node index a byte can name
 OPEN = 255
 # Philox4x64-10: the round multipliers and the Weyl constants that bump the key
@@ -69,24 +67,26 @@ Picks = Union[bytearray, array]
 class EstimatorReport(Record):
     """Bernoulli estimate with its standard error and optional exact target.
 
-    ``slack`` widens the acceptance band to max(sigmas * stderr, slack); it
-    carries an exact truncation allowance when the target is an
-    infinite-horizon limit probed at a finite horizon.  ``notes`` starts
-    empty; ``as_dict`` writes out what callers add to it.
+    ``estimate`` is the float of hits / n.  ``slack`` widens the acceptance
+    band to max(sigmas * stderr, slack); it carries an exact truncation
+    allowance when the target is an infinite-horizon limit probed at a
+    finite horizon.  ``within`` tests the band exactly, on hits / n, so an
+    estimate that lies on its edge passes.  ``notes`` starts empty;
+    ``as_dict`` writes out what callers add to it.
     """
 
     __slots__ = ("name", "estimate", "n", "stderr", "target", "z", "slack", "notes")
 
     def __init__(self, name: str, estimate: float, n: int, stderr: float,
                  target: Optional[Fraction] = None, z: Optional[float] = None,
-                 slack: float = 0.0):
+                 slack: Union[Fraction, float] = 0.0):
         super().__init__(name, estimate, n, stderr, target, z, slack, {})
 
     def within(self, sigmas: float) -> bool:
         if self.target is None:
             return True
-        gap = abs(self.estimate - float(self.target))
-        return gap <= max(sigmas * self.stderr, self.slack)
+        gap = abs(Fraction(round(self.estimate * self.n), self.n) - self.target)
+        return gap <= max(Fraction(sigmas * self.stderr), self.slack)
 
     def as_dict(self) -> Dict[str, object]:
         out = {
@@ -104,7 +104,7 @@ class EstimatorReport(Record):
 
 
 def bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = None,
-                     slack: float = 0.0) -> EstimatorReport:
+                     slack: Union[Fraction, float] = 0.0) -> EstimatorReport:
     p_hat = hits / n
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n)
     z = None
@@ -116,63 +116,39 @@ def bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = 
 class StepSampler:
     """Inverse-CDF sampler over a finite node list with exact boundaries.
 
-    ``cum_fracs`` holds the exact cumulative weights and ``cum_floats`` their
-    floats.  ``pick`` resolves one uniform in Python, and ``draws`` the
-    seed's whole stream, by a group table, a bucket table and ``pick`` for
-    the draws both tables leave open; both return the exact inverse-CDF index.
+    ``thresholds`` holds T_i = ceil(c_i 2^53) for the exact cumulative
+    weights c_i, so c_i <= k / 2^53 exactly when T_i <= k, and the draw k
+    in [0, 2^53) of a word's top 53 bits picks ``bisect_right(thresholds,
+    k)``.  ``draws`` resolves the seed's stream by a group table and that
+    bisect.
     """
 
     def __init__(self, weighted_nodes: Sequence[Tuple[CrystalGraph, int, Fraction]]):
         self.nodes = [(c, i) for c, i, _ in weighted_nodes]
-        cums: List[Fraction] = []
+        self.thresholds: List[int] = []
         acc = Fraction(0)
         for _, _, p in weighted_nodes:
             if p <= 0:
                 raise WeylwalkError("step probabilities must be positive")
             acc += p
-            cums.append(acc)
+            self.thresholds.append(math.ceil(acc * 2**53))
         if acc != 1:
             raise WeylwalkError(f"step probabilities sum to {acc}")
-        self.cum_fracs = cums
-        self.cum_floats = [float(c) for c in cums]
 
     @classmethod
     def from_distribution(cls, dist: CrystalDistribution) -> "StepSampler":
         return cls([(e.crystal, e.node, e.probability) for e in dist.entries])
 
-    def pick(self, u: float) -> int:
-        """Index of the sampled node for one uniform: a float search, settled
-        against the exact boundaries when ``u`` is within 1e-9 of a float one."""
-        floats = self.cum_floats
-        i = bisect_right(floats, u)
-        if (i and u - floats[i - 1] <= 1e-9) or (i < len(floats) and floats[i] - u <= 1e-9):
-            i = bisect_right(self.cum_fracs, Fraction(u))
-        return min(i, len(floats) - 1)
-
-    def _settled(self, k: int, buckets: int) -> int:
-        """The pick of every draw in bucket k of ``buckets`` equal ones on
-        [0, 1) when no float boundary lies within the settle margin of it, -1
-        otherwise.  No draw below 1 picks past the last node, so the last
-        boundary is left out, and a bucket settles the last node too."""
-        floats, inner = self.cum_floats, len(self.cum_floats) - 1
-        first = bisect_left(floats, k / buckets - 1e-9, 0, inner)
-        return first if first == bisect_right(floats, (k + 1) / buckets + 1e-9, 0, inner) else -1
-
     @cached_property
     def _groups(self) -> bytes:
-        """The ``translate`` table from a word's top byte to the node index
-        its group settles, or ``OPEN`` where the group settles none or the
-        index does not fit a byte."""
-        return bytes(k if 0 <= k < OPEN else OPEN
-                     for k in (self._settled(g, GROUPS) for g in range(GROUPS)))
-
-    @cached_property
-    def _buckets(self) -> Dict[int, int]:
-        """``_settled`` of every bucket inside a group that ``_groups`` leaves
-        open, keyed by the bucket."""
-        per = BUCKETS // GROUPS
-        return {k: self._settled(k, BUCKETS) for g, byte in enumerate(self._groups)
-                if byte == OPEN for k in range(g * per, (g + 1) * per)}
+        """The ``translate`` table from a word's top byte g to the node index
+        of every draw of its group, [g 2^45, (g+1) 2^45), or ``OPEN`` where
+        the group's first and last draws pick apart or the index does not fit
+        a byte."""
+        t = self.thresholds
+        ends = ((bisect_right(t, g << 45), bisect_right(t, (g + 1 << 45) - 1))
+                for g in range(GROUPS))
+        return bytes(first if first == last < OPEN else OPEN for first, last in ends)
 
     def draws(self, seed: int) -> Iterator[Picks]:
         """The node index of every uniform of the seed's stream, in order, a
@@ -181,24 +157,20 @@ class StepSampler:
 
     def _resolve(self, lanes: Tuple[bytes, ...]) -> Picks:
         """Node indices of one chunk of ``philox_lanes``: each word's top byte
-        through ``_groups``; a word in an open group through ``_buckets`` on
-        its top 12 bits, and in an open bucket through ``pick``."""
+        through ``_groups``, and a word x in an open group by the bisect of
+        its draw x >> 11 on the thresholds."""
         top = bytearray(len(lanes[0]) // 4)
         for w, raw in enumerate(lanes):
             top[w::4] = raw[7::16]
-        picks = top.translate(self._groups)
-        open_at = []
-        at = picks.find(OPEN)
+        settled = top.translate(self._groups)
+        # narrow picks are ``settled`` itself; a pick written there is below OPEN
+        picks = settled if len(self.nodes) <= OPEN else array("H", list(settled))
+        at = settled.find(OPEN)
         while at >= 0:
-            open_at.append(at)
-            at = picks.find(OPEN, at + 1)
-        if len(self.nodes) > OPEN:
-            picks = array("H", list(picks))
-        for at in open_at:
             lane = 16 * (at >> 2)
             x = int.from_bytes(lanes[at & 3][lane:lane + 8], "little")
-            k = self._buckets[x >> 52]
-            picks[at] = k if k >= 0 else self.pick((x >> 11) * 2.0**-53)
+            picks[at] = bisect_right(self.thresholds, x >> 11)
+            at = settled.find(OPEN, at + 1)
         return picks
 
 

@@ -4,7 +4,8 @@ Each one enumerates what the library computes by a shortcut: the full tensor
 product for the branching counts and the transformed-walk law, one raising
 operator at a time for the Pitman transform (of tensor nodes, and of paths
 with integral minima), the node list with the path-level cone test for the
-restricted kernel, one sample and one step
+restricted kernel, a ``Fraction`` bisect of each float uniform on the
+cumulative law for the sampler's picks, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
 products for the Weyl group, Gauss-Jordan elimination over the
 rationals for the inverse Cartan matrix, one normalizer per node at tau^w
@@ -30,8 +31,8 @@ inverse of a Weyl element.
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, product as iproduct
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,13 +45,22 @@ from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multi
 from weylwalk.errors import ExactEvaluationError, FormatError
 from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
-from weylwalk.montecarlo import ExitSummary, StepSampler, _check_seed
+from weylwalk.montecarlo import ExitSummary, _check_seed
 
 
 def numpy_philox(seed: int) -> np.random.Generator:
     """numpy's Philox keyed by a checked seed: the independent evaluator of
     the stream that ``montecarlo.philox_lanes`` writes out in Python."""
     return np.random.Generator(np.random.Philox(key=np.uint64(_check_seed(seed))))
+
+
+def exact_picker(dist: CrystalDistribution) -> Callable[[Iterable[float]], List[int]]:
+    """Oracle for the sampler's picks: the function from float uniforms to
+    their inverse-CDF node indices, in the order of ``dist.entries``, each a
+    bisect of ``Fraction(u)`` on the cumulative ``Fraction``s of the node
+    probabilities."""
+    cums = list(accumulate(e.probability for e in dist.entries))
+    return lambda uniforms: [bisect_right(cums, Fraction(float(u))) for u in uniforms]
 
 
 def enumerate_f_multiplicity(datum: CartanDatum, mu_crystal: Optional[CrystalGraph],
@@ -260,23 +270,24 @@ def scalar_simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n
     settles every draw by an exact bisect on the rational cumulative law, and
     takes the weights and raising depths from the crystals themselves.
     """
-    sampler = StepSampler.from_distribution(dist)
-    weights = [c.weights[i].fw for c, i in sampler.nodes]
-    eps = [c.eps[i] for c, i in sampler.nodes]
+    picks = exact_picker(dist)
+    nodes = [(e.crystal, e.node) for e in dist.entries]
+    weights = [c.weights[i].fw for c, i in nodes]
+    eps = [c.eps[i] for c, i in nodes]
     rng = numpy_philox(seed)
     cont_exit: List[Optional[int]] = []
     disc_exit: List[Optional[int]] = []
     lemma_bad = 0
     shifted = None if kappa0 is None else tuple(a + b for a, b in zip(mu.fw, kappa0.fw))
     for _ in range(n):
-        row = rng.random(size=horizon)
+        row = picks(rng.random(size=horizon))
         pos = mu.fw
         c_exit: Optional[int] = None
         d_exit: Optional[int] = None
         shifted_ok = True
         spos = shifted
         for step in range(horizon):
-            k = bisect_right(sampler.cum_fracs, Fraction(float(row[step])))
+            k = row[step]
             if c_exit is None and not all(p >= e for p, e in zip(pos, eps[k])):
                 c_exit = step + 1
             if spos is not None and not all(p >= e for p, e in zip(spos, eps[k])):

@@ -135,6 +135,19 @@ def test_simulate_and_exit_contract(tmp_path):
     assert len(payload) == 2 and all("target" in r for r in payload)
 
 
+@pytest.mark.parametrize("flags", [
+    "--type C2 --kappa 1,0 --mu 6,6 --tau 1/9,1/9 --samples 20000 --horizon 5",
+    "--type A1 --kappa 1 --mu 3 --tau 1/3 --samples 2000 --horizon 3",
+])
+def test_simulate_passes_a_gap_equal_to_the_slack(tmp_path, flags):
+    """No sample can exit by the horizon, so the estimate 1 is psi_L: its gap
+    to psi equals the truncation slack exactly, though not in floats."""
+    code, outdir = run(tmp_path, "simulate", *flags.split())
+    assert code == 0
+    payload = json.loads((outdir / "simulate.json").read_text())
+    assert [r["estimate"] for r in payload] == [1.0, 1.0]
+
+
 def test_sandwich_command(tmp_path):
     cfg = write_config(tmp_path, {
         "type": "C2", "kappa": [0, 1], "tau": ["1/2", "1/2"],

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, islice, product
 
@@ -14,7 +13,7 @@ from weylwalk.charalg import CharacterAlgebra, tau_point
 from weylwalk.crystal import ModuleSpec, TensorNode
 from weylwalk.errors import DomainError
 
-from oracles import (exhaustive_h_trajectories, is_minuscule, numpy_philox,
+from oracles import (exact_picker, exhaustive_h_trajectories, is_minuscule, numpy_philox,
                      scalar_simulate_exits)
 
 F = Fraction
@@ -53,11 +52,11 @@ def test_pick_exact_at_boundaries(a1, a1_algebra):
     tau = tau_point(a1, [F(1, 3)])
     dist = M.build_distribution(a1_algebra, a1.weight((1,)), tau)
     sampler = MC.StepSampler.from_distribution(dist)
-    assert sampler.cum_fracs == [F(3, 4), F(1)]
+    assert sampler.thresholds == [3 * 2**51, 2**53]
     # the boundary 3/4 belongs to the upper cell
-    draws = [0.75, 0.7499999999, 0.0, 0.25]
-    assert [sampler.pick(u) for u in draws] == [1, 0, 0, 0]
-    assert list(sampler._resolve(_lanes([_word(u) for u in draws]))) == [1, 0, 0, 0]
+    draws = [3 * 2**51, 3 * 2**51 - 1, 0, 2**51]
+    assert list(sampler._resolve(_lanes(map(_word, draws)))) == [1, 0, 0, 0]
+    assert exact_picker(dist)(k * 2.0**-53 for k in draws) == [1, 0, 0, 0]
 
 
 def test_exit_summary_nesting_and_inclusion(c2, dist10):
@@ -206,6 +205,17 @@ def test_reports_serialize(c2, dist10):
     report = MC.bernoulli_report("stay<=L=3", summary.stay_count_continuous(3), 500, F(1, 2))
     payload = report.as_dict()
     assert set(payload) >= {"name", "estimate", "n", "stderr", "target", "z"}
+
+
+def test_within_is_exact_at_the_edge_of_the_band():
+    """A gap equal to the slack passes, where the float gap of 2000 stays
+    out of 2000 from psi = 80/81 comes out above the float slack 1/81; a
+    gap above the slack by 2^-80 fails."""
+    psi = F(80, 81)
+    assert abs(1.0 - float(psi)) > float(1 - psi)
+    assert MC.bernoulli_report("stay", 2000, 2000, psi, slack=1 - psi).within(4.0)
+    assert not MC.bernoulli_report("stay", 2000, 2000, psi - F(1, 2**80),
+                                   slack=1 - psi).within(4.0)
 
 
 def test_nearest_dominant_tie_break(c2):
@@ -382,42 +392,36 @@ def test_stay_counts_read_exit_steps(c2, dist10):
             assert count(ell) == sum(1 for e in exits if e is None or e > ell)
 
 
-def _boundary_sampler():
+def _boundary_dist():
     """G2 (1,0) at a generic tau: seven cells, boundaries of large height."""
     g2 = build_cartan_datum("G2")
     algebra = CharacterAlgebra(g2)
-    dist = M.build_distribution(algebra, g2.weight((1, 0)), tau_point(g2, [F(3, 7), F(2, 9)]))
-    return MC.StepSampler.from_distribution(dist)
+    return M.build_distribution(algebra, g2.weight((1, 0)), tau_point(g2, [F(3, 7), F(2, 9)]))
 
 
-def _bucket_edge_sampler():
-    """A1 (1) at tau 1/3: the boundary 3/4 is the bucket edge 3072/4096 and
-    the group edge 192/256."""
+def _group_edge_dist():
+    """A1 (1) at tau 1/3: the boundary 3/4 is the group edge 192/256."""
     a1 = build_cartan_datum("A1")
     dist = M.build_distribution(CharacterAlgebra(a1), a1.weight((1,)), tau_point(a1, [F(1, 3)]))
-    sampler = MC.StepSampler.from_distribution(dist)
-    assert sampler.cum_fracs[0] == F(3072, MC.BUCKETS) == F(192, MC.GROUPS)
-    return sampler
+    assert dist.entries[0].probability == F(192, MC.GROUPS)
+    return dist
 
 
 def _edge_draws(sampler):
-    """0, three draws just below 1, five around every float boundary and
-    both sides of every bucket edge, which include the group edges; each
-    as the two draws of the stream's grid of 2^-53 on either side of it."""
-    edges = [0.0, np.nextafter(1.0, 0.0), 1 - 1e-10, 1 - 1e-12]
-    for c in sampler.cum_floats[:-1]:
-        edges += [c, c - 1e-10, c + 1e-10, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
-    for k in range(1, MC.BUCKETS):
-        edges += [k / MC.BUCKETS - 1e-12, k / MC.BUCKETS, k / MC.BUCKETS + 1e-12]
-    grid = sorted({min(math.floor(u * 2**53) + d, 2**53 - 1) for u in edges for d in (0, 1)})
-    return [x * 2.0**-53 for x in grid]
+    """The integer draws k of the uniforms k / 2^53 at the edges: 0, the last
+    draw 2^53 - 1, every group edge with its two neighbours, and every
+    threshold T with T - 1 below it."""
+    edges = {0, 2**53 - 1}
+    for g in range(MC.GROUPS):
+        edges |= {(g << 45) - 1, g << 45, (g << 45) + 1}
+    for t in sampler.thresholds:
+        edges |= {t - 1, t}
+    return sorted(k for k in edges if 0 <= k < 2**53)
 
 
-def _word(u, low_bits=0):
-    """The Philox word of a stream draw u; its low 11 bits do not reach u."""
-    x = int(u * 2**53)
-    assert x * 2.0**-53 == u
-    return x << 11 | low_bits
+def _word(k, low_bits=0):
+    """The Philox word of the draw k; its low 11 bits do not reach k."""
+    return k << 11 | low_bits
 
 
 def _lanes(words):
@@ -434,31 +438,26 @@ def _stream_words(lanes):
             for j in range(len(lanes[0]) // 16) for w in range(4)]
 
 
-def _open(sampler, x):
-    """Whether the bucket of x holds a float boundary other than the last
-    within 1e-9 of it."""
-    k = min(int(x * MC.BUCKETS), MC.BUCKETS - 1)
-    lo, hi = k / MC.BUCKETS - 1e-9, (k + 1) / MC.BUCKETS + 1e-9
-    return any(lo <= c <= hi for c in sampler.cum_floats[:-1])
-
-
 def test_node_stream_is_exact_at_edges():
-    for sampler in (_boundary_sampler(), _bucket_edge_sampler()):
+    """Every edge draw, with its low 11 bits clear and set, in one chunk and
+    one word a chunk, picks the oracle's node; A3 (2,2,2) has 16-bit picks."""
+    for dist in (_boundary_dist(), _group_edge_dist(), _kernel_case("A3 (2,2,2)")[0]):
+        sampler = MC.StepSampler.from_distribution(dist)
         edges = _edge_draws(sampler)
-        exact = [bisect_right(sampler.cum_fracs, F(x)) for x in edges]
-        assert [sampler.pick(x) for x in edges] == exact
+        exact = exact_picker(dist)(k * 2.0**-53 for k in edges)
         for low_bits in (0, 2**11 - 1):
-            picks = sampler._resolve(_lanes(_word(x, low_bits) for x in edges))
+            picks = sampler._resolve(_lanes(_word(k, low_bits) for k in edges))
             assert list(picks)[:len(edges)] == exact
-        # one draw at a time, each the first word of its chunk
-        assert [sampler._resolve(_lanes([_word(x)]))[0] for x in edges] == exact
+            # one draw at a time, each the first word of its chunk
+            assert [sampler._resolve(_lanes([_word(k, low_bits)]))[0] for k in edges] == exact
 
 
 def test_node_stream_is_exact_on_a_stream(monkeypatch):
     """200 x 30 draws of the seed's stream, over the edge of a chunk of
     ``4 * LANES`` draws, and with one and three lanes a chunk."""
-    sampler = _boundary_sampler()
-    exact = [bisect_right(sampler.cum_fracs, F(x)) for x in numpy_philox(5).random(200 * 30)]
+    dist = _boundary_dist()
+    sampler = MC.StepSampler.from_distribution(dist)
+    exact = exact_picker(dist)(numpy_philox(5).random(200 * 30))
     assert 200 * 30 > 4 * MC.LANES
     for lanes in (MC.LANES, 1, 3):
         monkeypatch.setattr(MC, "LANES", lanes)
@@ -467,71 +466,51 @@ def test_node_stream_is_exact_on_a_stream(monkeypatch):
         assert list(chain.from_iterable(chunks))[:200 * 30] == exact
 
 
-def test_node_stream_hands_open_draws_to_pick(monkeypatch):
-    """A spy on ``pick`` sees every draw whose bucket the tables leave open,
-    once and in order, and no other draw: on a stream and at the edges."""
-    stream = list(islice(MC.philox_lanes(5), 2))
-    cases = [(_boundary_sampler(), stream)]
-    cases += [(s, [_lanes(_word(x) for x in _edge_draws(s))])
-              for s in (_boundary_sampler(), _bucket_edge_sampler())]
-    for sampler, chunks in cases:
-        seen = []
-
-        def spy(x, sampler=sampler, seen=seen):
-            seen.append(x)
-            return MC.StepSampler.pick(sampler, x)
-
-        monkeypatch.setattr(sampler, "pick", spy)
-        picks = list(chain.from_iterable(sampler._resolve(c) for c in chunks))
-        draws = [(x >> 11) * 2.0**-53 for c in chunks for x in _stream_words(c)]
-        assert seen == [x for x in draws if _open(sampler, x)]
-        assert 0 < len(seen) < len(draws) // 100
-        assert picks == [bisect_right(sampler.cum_fracs, F(x)) for x in draws]
-
-
 SOURCES = ["A2 (1,0)", "C2 (1,0)", "C2 (0,1)", "C2 (2,0)", "G2 (1,0)", "B3 (0,0,1)"]
 
 
 @pytest.mark.parametrize("name", SOURCES)
-def test_top_group_and_bucket_settle(name):
-    """No draw below 1 picks past the last node, so at every tau of the
-    benchmark's Monte-Carlo pool the top bucket settles the last node, and
-    the top group does unless a lower boundary lies in it; the picks are
-    still exact."""
+def test_groups_open_only_on_a_threshold(name):
+    """At every tau of the benchmark's Monte-Carlo pool, a group [g 2^45,
+    (g+1) 2^45) is open exactly when a threshold lies past its first draw and
+    at or below its last, so a source of at most 255 nodes leaves at most
+    len(nodes) - 1 groups open.  The picks are exact on a stream and at the
+    edges."""
     label, kappa = KERNEL_CASES[name]
     datum = build_cartan_datum(label)
     algebra = CharacterAlgebra(datum)
     for taus in product([F(2, 5), F(1, 2), F(3, 5)], repeat=datum.rank):
         dist = M.build_distribution(algebra, datum.weight(kappa), tau_point(datum, list(taus)))
         sampler = MC.StepSampler.from_distribution(dist)
-        last = len(sampler.nodes) - 1
-        assert sampler._settled(MC.BUCKETS - 1, MC.BUCKETS) == last
-        top_free = sampler.cum_floats[-2] < (MC.GROUPS - 1) / MC.GROUPS - 1e-9
-        assert (sampler._groups[-1] == last) == top_free
-        assert top_free or label in ("G2", "B3")
-    draws = numpy_philox(11).random(3000).tolist() + _edge_draws(sampler)
-    picks = chain.from_iterable(sampler._resolve(_lanes(_word(x) for x in draws[i:i + 4096]))
+        assert len(sampler.nodes) <= MC.OPEN
+        assert sampler._groups.count(MC.OPEN) <= len(sampler.nodes) - 1
+        assert [byte == MC.OPEN for byte in sampler._groups] == [
+            any(g << 45 < t < (g + 1) << 45 for t in sampler.thresholds)
+            for g in range(MC.GROUPS)]
+    draws = [int(x * 2**53) for x in numpy_philox(11).random(3000)] + _edge_draws(sampler)
+    picks = chain.from_iterable(sampler._resolve(_lanes(map(_word, draws[i:i + 4096])))
                                 for i in range(0, len(draws), 4096))
-    assert list(picks)[:len(draws)] == [bisect_right(sampler.cum_fracs, F(x)) for x in draws]
+    assert list(picks)[:len(draws)] == exact_picker(dist)(k * 2.0**-53 for k in draws)
 
 
-def test_boundary_rounding_to_one_leaves_its_group_open():
-    """A boundary below the last whose float is 1.0 still opens the top group
-    and bucket, and a draw just below 1 settles below it exactly."""
+def test_boundary_rounding_to_one_settles_every_group():
+    """A boundary 1 - 2^-60, whose float is 1.0, has the threshold 2^53,
+    which no draw reaches: every group, the top one too, settles node 0, and
+    the last draw 2^53 - 1 picks it."""
     sampler = MC.StepSampler([(None, 0, 1 - F(1, 2**60)), (None, 1, F(1, 2**60))])
-    assert sampler.cum_floats == [1.0, 1.0]
-    assert sampler._groups[-1] == MC.OPEN
-    assert sampler._settled(MC.BUCKETS - 1, MC.BUCKETS) == -1
-    top = float(np.nextafter(1.0, 0.0))
-    assert sampler._resolve(_lanes([_word(top), _word(0.5)]))[:2] == bytearray([0, 0])
+    assert sampler.thresholds == [2**53, 2**53]
+    assert sampler._groups == bytes(MC.GROUPS)
+    words = [_word(2**53 - 1), _word(2**53 - 1, 2**11 - 1), _word(2**52)]
+    assert sampler._resolve(_lanes(words))[:3] == bytearray(3)
 
 
 def test_empirical_h_law_reads_one_row_per_sample(c2, dist10):
     sampler = MC.StepSampler.from_distribution(dist10)
+    picks = exact_picker(dist10)
     rng = numpy_philox(19)
     expected = {}
     for _ in range(300):
-        row = [bisect_right(sampler.cum_fracs, F(x)) for x in rng.random(size=3)]
+        row = picks(rng.random(size=3))
         node = TensorNode(tuple(sampler.nodes[k] for k in row))
         hs = [(0, 0)] + M.pitman_prefix_weights(c2, node)
         for a, b in zip(hs, hs[1:]):
