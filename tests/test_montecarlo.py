@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain, islice, product
 
@@ -466,6 +467,40 @@ def test_node_stream_is_exact_on_a_stream(monkeypatch):
         assert list(chain.from_iterable(chunks))[:200 * 30] == exact
 
 
+def test_node_stream_hands_open_draws_to_pick(monkeypatch):
+    """A spy on the bisect sees the draw of every word whose group the table
+    leaves open, once and in order, and no other draw: on a stream and at the
+    edges.  G2 (1,0) opens groups, and on the stream the share of such draws
+    stays below twice the share of open groups, at most len(nodes) - 1 of
+    256; A1 (1), whose threshold 3/4 is a group edge, opens none."""
+    stream = list(islice(MC.philox_lanes(5), 2))
+    cases = [(_boundary_dist(), stream)]
+    cases += [(d, None) for d in (_boundary_dist(), _group_edge_dist())]
+    for dist, chunks in cases:
+        sampler = MC.StepSampler.from_distribution(dist)
+        groups = sampler._groups
+        if chunks is None:
+            chunks = [_lanes(map(_word, _edge_draws(sampler)))]
+        seen = []
+
+        def spy(thresholds, k, sampler=sampler, seen=seen):
+            assert thresholds is sampler.thresholds
+            seen.append(k)
+            return bisect_right(thresholds, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MC, "bisect_right", spy)
+            picks = list(chain.from_iterable(sampler._resolve(c) for c in chunks))
+        words = [x for c in chunks for x in _stream_words(c)]
+        assert seen == [x >> 11 for x in words if groups[x >> 56] == MC.OPEN]
+        assert groups.count(MC.OPEN) <= len(sampler.nodes) - 1
+        assert (MC.OPEN in groups) == (len(sampler.nodes) == 7) == bool(seen)
+        assert len(seen) < len(words)
+        if chunks is stream:
+            assert len(seen) < 2 * len(words) * groups.count(MC.OPEN) // MC.GROUPS
+        assert picks == exact_picker(dist)((x >> 11) * 2.0**-53 for x in words)
+
+
 SOURCES = ["A2 (1,0)", "C2 (1,0)", "C2 (0,1)", "C2 (2,0)", "G2 (1,0)", "B3 (0,0,1)"]
 
 
@@ -491,6 +526,27 @@ def test_groups_open_only_on_a_threshold(name):
     picks = chain.from_iterable(sampler._resolve(_lanes(map(_word, draws[i:i + 4096])))
                                 for i in range(0, len(draws), 4096))
     assert list(picks)[:len(draws)] == exact_picker(dist)(k * 2.0**-53 for k in draws)
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_top_group_and_bucket_settle(name):
+    """No draw below 2^53 picks past the last node, whose threshold is 2^53,
+    so at every tau of the benchmark's Monte-Carlo pool the last draw
+    2^53 - 1 picks the last node, and the top group settles it unless a
+    lower threshold lies in it."""
+    label, kappa = KERNEL_CASES[name]
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    for taus in product([F(2, 5), F(1, 2), F(3, 5)], repeat=datum.rank):
+        dist = M.build_distribution(algebra, datum.weight(kappa), tau_point(datum, list(taus)))
+        sampler = MC.StepSampler.from_distribution(dist)
+        last = len(sampler.nodes) - 1
+        assert sampler.thresholds[-1] == 2**53
+        top = [_word(2**53 - 1), _word(2**53 - 1, 2**11 - 1), _word(MC.GROUPS - 1 << 45)]
+        assert list(sampler._resolve(_lanes(top)))[:2] == [last, last]
+        top_free = sampler.thresholds[-2] <= MC.GROUPS - 1 << 45
+        assert (sampler._groups[-1] == last) == top_free
+        assert top_free or label in ("G2", "B3")
 
 
 def test_boundary_rounding_to_one_settles_every_group():
