@@ -8,21 +8,25 @@ where they are integral.  The pairing of a vector with the coroot h_i is
 simply its i-th fw coordinate, which keeps every chamber test and height
 function exact.
 
-rho is regular, so the Weyl group is in bijection with the orbit of rho: an
-element is stored as w(rho) with a reduced word and its sign, and the orbit
-walk from rho enumerates the group with lengths for free.
+rho is regular, so the Weyl group is in bijection with the orbit of rho.  The
+group is one breadth-first orbit tree of rho in flat integer arrays: each
+element's w(rho), its parent and the letter of its edge.  An element is a
+view of one index of the tree; its reduced word is spelled up the parent
+chain when read, and the tree's depth gives the length and the sign.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, FormatError, NotFiniteTypeError, ResourceBudgetError
+from .errors import FormatError, NotFiniteTypeError, ResourceBudgetError
 from .exact import Rational, Vector, add, dot, sub, vec, zero
-
-IntMatrix = Tuple[Tuple[int, ...], ...]
+from .matrices import (IntMatrix, check_cartan_conditions, determinant, named_matrix,
+                       parse_type_label, positive_root_coords)
 
 MAX_NAMED_RANK = 8
 DEFAULT_WEYL_BUDGET = 2_000_000
@@ -76,63 +80,6 @@ class Frozen(Record):
         # copy and pickle restore the slots here, not through __setattr__
         for name, value in state[1].items():
             _set_slot(self, name, value)
-
-
-def _named_matrix(family: str, n: int) -> IntMatrix:
-    """Cartan matrix of a named type, rows giving alpha_i on the coroots."""
-    def chain(off_diag):
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = 2
-        for (i, j), v in off_diag.items():
-            m[i][j] = v
-        return tuple(tuple(row) for row in m)
-
-    simply = {(i, i + 1): -1 for i in range(n - 1)}
-    simply.update({(i + 1, i): -1 for i in range(n - 1)})
-    if family == "A":
-        return chain(simply)
-    if family == "B":
-        if n < 2:
-            raise FormatError("B_n needs rank >= 2")
-        off = dict(simply)
-        off[(n - 2, n - 1)] = -2
-        return chain(off)
-    if family == "C":
-        if n < 2:
-            raise FormatError("C_n needs rank >= 2")
-        off = dict(simply)
-        off[(n - 1, n - 2)] = -2
-        return chain(off)
-    if family == "D":
-        if n < 4:
-            raise FormatError("D_n needs rank >= 4")
-        off = {(i, i + 1): -1 for i in range(n - 2)}
-        off.update({(i + 1, i): -1 for i in range(n - 2)})
-        off[(n - 3, n - 1)] = -1
-        off[(n - 1, n - 3)] = -1
-        return chain(off)
-    if family == "G":
-        if n != 2:
-            raise FormatError("G_2 has rank 2")
-        return ((2, -1), (-3, 2))
-    if family == "F":
-        if n != 4:
-            raise FormatError("F_4 has rank 4")
-        return ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise FormatError("E_n has rank 6, 7 or 8")
-        # Bourbaki numbering: node 2 attaches to node 4.
-        off = {}
-        chain_nodes = [1, 3, 4, 5, 6, 7, 8][: n - 1]
-        for a, b in zip(chain_nodes, chain_nodes[1:]):
-            off[(a - 1, b - 1)] = -1
-            off[(b - 1, a - 1)] = -1
-        off[(2 - 1, 4 - 1)] = -1
-        off[(4 - 1, 2 - 1)] = -1
-        return chain(off)
-    raise FormatError(f"unknown type family {family!r}")
 
 
 class Realization(Frozen):
@@ -225,16 +172,23 @@ def reflect(matrix: IntMatrix, i: int, x: Sequence) -> Tuple:
 
 
 class WeylElement(Frozen):
-    """Group element w stored as w(rho) in fw coordinates, which determines w.
+    """Group element w, determined by w(rho) in fw coordinates.
 
     ``word`` is a reduced word with w = s_{word[0]} ... s_{word[-1]}, so
-    the reflections act right to left.  Equality and hashing read w(rho).
+    the reflections act right to left, and ``sign`` is (-1)^len(word).
+    Equality and hashing read w(rho), so an element of the group's tree
+    (``TreeElement``) equals the record of the same w.
     """
 
     __slots__ = ("rho_image", "word", "sign", "cartan")
 
     def _values(self) -> tuple:
         return (self.rho_image,)
+
+    def __eq__(self, other):
+        return isinstance(other, WeylElement) and self.rho_image == other.rho_image
+
+    __hash__ = Frozen.__hash__
 
     def is_identity(self) -> bool:
         return not self.word
@@ -245,6 +199,75 @@ class WeylElement(Frozen):
         for i in reversed(self.word):
             x = reflect(self.cartan, i, x)
         return x
+
+
+class TreeElement(WeylElement):
+    """Element ``index`` of an ``OrbitTree``, read off the tree on each access:
+    w(rho), the sign and ``is_identity`` in O(1), the word spelled up the
+    parent chain.  The record slots of ``WeylElement`` stay empty."""
+
+    __slots__ = ("tree", "index")
+
+    @property
+    def rho_image(self) -> Tuple[int, ...]:
+        return self.tree.image(self.index)
+
+    @property
+    def word(self) -> Tuple[int, ...]:
+        return self.tree.word(self.index)
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.tree.lengths[self.index] & 1 else 1
+
+    @property
+    def cartan(self) -> IntMatrix:
+        return self.tree.cartan
+
+    def is_identity(self) -> bool:
+        return self.index == 0
+
+    def __reduce__(self):
+        # copy and pickle rebuild the view: its properties have no slot to restore
+        return TreeElement, (self.tree, self.index)
+
+
+class OrbitTree(Frozen):
+    """The Weyl group as the breadth-first orbit tree of rho, in flat arrays.
+
+    Element k is w_k, with w_k(rho) at ``images[k * rank:(k + 1) * rank]``.
+    The identity is element 0; for k > 0, w_k = s_i w_p with i = ``letters[k]``
+    and p = ``parents[k]``, and ``lengths[k]`` is the length of w_k, one more
+    than its parent's, so the elements lie in length order.  The tree is a
+    sequence of ``TreeElement`` views, each built on access.
+    """
+
+    __slots__ = ("cartan", "images", "parents", "letters", "lengths")
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, k: int) -> TreeElement:
+        size = len(self.lengths)
+        if not -size <= k < size:
+            raise IndexError("Weyl group index out of range")
+        return TreeElement(self, k % size)
+
+    def __iter__(self) -> Iterator[TreeElement]:
+        return map(TreeElement, repeat(self), range(len(self.lengths)))
+
+    def image(self, k: int) -> Tuple[int, ...]:
+        rank = len(self.cartan)
+        return tuple(self.images[k * rank:(k + 1) * rank])
+
+    def word(self, k: int) -> Tuple[int, ...]:
+        """The reduced word of w_k: its letters read up the parent chain."""
+        parents, letters = self.parents, self.letters
+        out = []
+        while k:
+            out.append(letters[k])
+            k = parents[k]
+        return tuple(out)
 
 
 class CartanDatum(Frozen):
@@ -285,74 +308,6 @@ class CartanDatum(Frozen):
         return self.weight((0,) * self.rank)
 
 
-def _determinant(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
-    a = [list(row) for row in m]
-    n = len(a)
-    if not n:
-        return 1
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def _check_cartan_conditions(matrix) -> IntMatrix:
-    n = len(matrix)
-    rows = []
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise FormatError("Cartan matrix must be square")
-        out = []
-        for j, a in enumerate(row):
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise FormatError(f"entry ({i},{j}) is not an integer")
-            out.append(a)
-        rows.append(tuple(out))
-    m = tuple(rows)
-    for i in range(n):
-        if m[i][i] != 2:
-            raise FormatError(f"diagonal entry ({i},{i}) must be 2")
-        for j in range(n):
-            if i != j:
-                if m[i][j] > 0:
-                    raise FormatError(f"off-diagonal entry ({i},{j}) must be <= 0")
-                if (m[i][j] == 0) != (m[j][i] == 0):
-                    raise FormatError(f"zero pattern not symmetric at ({i},{j})")
-    # indecomposability: the Dynkin graph must be connected
-    if n > 1:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if j not in seen and m[i][j] != 0:
-                    seen.add(j)
-                    frontier.append(j)
-        if len(seen) != n:
-            raise FormatError("Cartan matrix is decomposable")
-    return m
-
-
-def parse_type_label(label: str) -> Tuple[str, int]:
-    text = label.strip().upper().replace("_", "")
-    if len(text) < 2 or text[0] not in "ABCDEFG":
-        raise FormatError(f"cannot parse type label {label!r}")
-    family, num = text[0], text[1:]
-    if not num.isdigit():
-        raise FormatError(f"cannot parse rank in {label!r}")
-    return family, int(num)
-
-
 def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     """Construct the datum from a type label ("C2") or an explicit matrix.
 
@@ -367,7 +322,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
         family, n = parse_type_label(spec)
         if n > max_rank:
             raise FormatError(f"rank {n} exceeds the configured limit {max_rank}")
-        matrix = _named_matrix(family, n)
+        matrix = named_matrix(family, n)
         realization = _epsilon_realization(family, n)
         label = f"{family}{n}"
     if not (isinstance(matrix, (list, tuple)) and matrix
@@ -376,10 +331,10 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
                           f"list of matrix rows; got {spec!r}")
     if len(matrix) > max_rank:
         raise FormatError(f"rank {len(matrix)} exceeds the configured limit {max_rank}")
-    matrix = _check_cartan_conditions(matrix)
+    matrix = check_cartan_conditions(matrix)
     n = len(matrix)
     for k in range(1, n + 1):
-        minor = _determinant([row[:k] for row in matrix[:k]])
+        minor = determinant([row[:k] for row in matrix[:k]])
         if minor <= 0:
             raise NotFiniteTypeError(
                 f"not finite type: leading principal {k}x{k} minor is {minor}"
@@ -387,7 +342,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     det = minor  # the last leading principal minor
     # cofactor (i, j) = (-1)^(i+j) * minor without row i and column j
     coadj = tuple(
-        tuple((-1) ** (i + j) * _determinant(
+        tuple((-1) ** (i + j) * determinant(
             [r[:j] + r[j + 1:] for k, r in enumerate(matrix) if k != i]) for j in range(n))
         for i in range(n)
     )
@@ -415,40 +370,13 @@ def _verify_datum(datum: CartanDatum) -> None:
             raise FormatError("ambient realization is not dual to the coroots")
 
 
-def _positive_root_coords(matrix: IntMatrix) -> List[Tuple[int, ...]]:
-    """Positive roots of a finite-type Cartan matrix in simple-root coordinates.
-
-    Reflection closure from the simple roots; sorted by height then
-    coordinates for determinism.
-    """
-    n = len(matrix)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def reflect_root(i: int, r: Tuple[int, ...]) -> Tuple[int, ...]:
-        coeff = sum(matrix[j][i] * r[j] for j in range(n))
-        return tuple(c - coeff if j == i else c for j, c in enumerate(r))
-
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        r = frontier.pop()
-        for i in range(n):
-            img = reflect_root(i, r)
-            if img not in roots:
-                roots.add(img)
-                frontier.append(img)
-    positive = [r for r in roots if all(c >= 0 for c in r)]
-    positive.sort(key=lambda r: (sum(r), r))
-    return positive
-
-
 def positive_roots(datum: CartanDatum) -> List[Weight]:
     """All positive roots, by reflection closure from the simple roots.
 
     Finite type only; every root has multiplicity one.  Sorted by height then
     root coordinates for determinism.
     """
-    return [datum.weight(datum.fw_from_root(r)) for r in _positive_root_coords(datum.matrix)]
+    return [datum.weight(datum.fw_from_root(r)) for r in positive_root_coords(datum.matrix)]
 
 
 def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
@@ -459,7 +387,7 @@ def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
     """
     n = datum.rank
     transposed = tuple(tuple(datum.matrix[j][i] for j in range(n)) for i in range(n))
-    return _positive_root_coords(transposed)
+    return positive_root_coords(transposed)
 
 
 def weyl_order(datum: CartanDatum) -> int:
@@ -468,7 +396,7 @@ def weyl_order(datum: CartanDatum) -> int:
     Holds for every indecomposable finite-type matrix, custom ones included;
     the highest root is the last positive root in height order.
     """
-    highest = _positive_root_coords(datum.matrix)[-1]
+    highest = positive_root_coords(datum.matrix)[-1]
     return factorial(datum.rank) * datum.det * prod(highest)
 
 
@@ -485,56 +413,53 @@ def longest_word(datum: CartanDatum) -> Tuple[int, ...]:
     return tuple(word)
 
 
-def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """The W-orbit of a dominant integer fw vector, breadth first.
+def weyl_group(datum: CartanDatum) -> OrbitTree:
+    """Enumerate the Weyl group as the orbit tree of rho, the identity first.
 
-    Entry k is ``(x, parent, i)`` with x = s_i(orbit[parent][0]); the start
-    comes first as ``(start, -1, -1)``.  Only positive coordinates are
-    reflected, and each such step lengthens the element by one, so the depth
-    of w(start) is the length of w when the start is regular (rho, mu + rho).
+    The walk takes one length at a time.  From x = w(rho) it reflects only
+    positive coordinates: s_i(x) is s_i w, one longer, spelled (i,) +
+    word(w).  A child met again from a later parent or letter keeps its first
+    edge, so only the next length's images are held, and each length goes
+    into the flat arrays once it is complete.  The BFS depth is the Coxeter
+    length, so every word is reduced.
 
-    A regular start has |W| images, so any walk is refused before it begins
-    on a group whose closed-form order exceeds ``DEFAULT_WEYL_BUDGET``, read
-    at call time.  This is the one budget test behind ``weyl_group`` and the
-    algebra's Weyl numerator.
+    During the walk x is one int of biased bytes, byte j holding x_j + 128:
+    the packing is linear, so s_i(x) = x - x_i alpha_i is one subtraction of
+    x_i times the packed row alpha_i.  A coordinate of w(rho) is the height
+    of a coroot, below the Coxeter number, so it fits a signed byte on every
+    group the budget admits.
+
+    A group whose closed-form order exceeds ``DEFAULT_WEYL_BUDGET``, read at
+    call time, is refused before any element is built.  This is the one
+    budget test behind the group and the algebra's Weyl numerator.
     """
-    if any(c < 0 for c in start):
-        raise DomainError(f"orbit walk needs a dominant start, got {tuple(start)}")
     order = weyl_order(datum)
     if order > DEFAULT_WEYL_BUDGET:
         raise ResourceBudgetError(f"Weyl group of {datum.label} has {order} elements, "
                                   f"over the budget {DEFAULT_WEYL_BUDGET}")
-    orbit = [(tuple(start), -1, -1)]
-    seen = {orbit[0][0]}
-    k = 0
-    while k < len(orbit):
-        x = orbit[k][0]
-        for i, xi in enumerate(x):
-            if xi > 0:
-                y = reflect(datum.matrix, i, x)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append((y, k, i))
-        k += 1
-    return orbit
-
-
-def weyl_group(datum: CartanDatum) -> Tuple[WeylElement, ...]:
-    """Enumerate the Weyl group as the orbit of rho, the identity first.
-
-    Stepping x = w(rho) to s_i(x) gives s_i w, spelled (i,) + word; the BFS
-    depth is the Coxeter length, so every word is reduced and the sign is
-    its parity.  A group over the budget is refused by ``weyl_orbit``
-    before any element is built.
-    """
-    elements: List[WeylElement] = []
-    for x, parent, i in weyl_orbit(datum, (1,) * datum.rank):
-        if parent < 0:
-            elements.append(WeylElement(x, (), 1, datum.matrix))
-        else:
-            up = elements[parent]
-            elements.append(WeylElement(x, (i,) + up.word, -up.sign, datum.matrix))
-    return tuple(elements)
+    rank = datum.rank
+    bias = int.from_bytes(b"\x80" * rank, "little")
+    alphas = [sum(a << 8 * j for j, a in enumerate(row)) for row in datum.matrix]
+    level = [bias + int.from_bytes(b"\x01" * rank, "little")]
+    images, parents = array("b", [1] * rank), array("l", [-1])
+    letters, lengths = bytearray(1), bytearray(1)
+    first = 0
+    while level:
+        # the next length: image -> parent * rank + letter of its first edge
+        edges: Dict[int, int] = {}
+        for k, x in enumerate(level, first):
+            for i, b in enumerate(x.to_bytes(rank, "little")):
+                if b > 128:
+                    edges.setdefault(x - (b - 128) * alphas[i], k * rank + i)
+        first += len(level)
+        level = list(edges)
+        # flipping each byte's top bit turns x_j + 128 into x_j as a signed byte
+        images.frombytes(b"".join([(x ^ bias).to_bytes(rank, "little") for x in level]))
+        codes = list(edges.values())
+        parents.extend([c // rank for c in codes])
+        letters.extend([c % rank for c in codes])
+        lengths.extend(repeat(lengths[-1] + 1, len(level)))
+    return OrbitTree(datum.matrix, images, parents, letters, bytes(lengths))
 
 
 def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:

@@ -10,19 +10,21 @@ D-th roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import (
     CartanDatum,
     Frozen,
+    OrbitTree,
     Weight,
     WeylElement,
     act,
     positive_coroots,
     positive_roots,
+    reflect,
     weyl_group,
-    weyl_orbit,
     weyl_order,
 )
 from .crystal import CrystalCache, CrystalGraph, as_module, count_f_multiplicity
@@ -183,8 +185,9 @@ class CharacterAlgebra:
     """Characters, the stay-in-cone harmonic function and its relatives.
 
     Caches one crystal per dominant weight (straight highest path), the
-    positive roots and the Weyl group of a fixed finite-type datum, every
-    character value per (weight, tau) and every Weyl numerator per weight.
+    positive roots and the Weyl group's orbit tree of a fixed finite-type
+    datum, every character value per (weight, tau) and every Weyl numerator
+    per weight.
 
     S_lambda(tau) is computed by whichever route has fewer terms: the Weyl
     alternating sum over the denominator has |W|, the crystal B(lambda) has
@@ -208,7 +211,7 @@ class CharacterAlgebra:
         self._identity = WeylElement((1,) * datum.rank, (), 1, datum.matrix)
 
     @property
-    def group(self) -> Tuple[WeylElement, ...]:
+    def group(self) -> OrbitTree:
         if self._group is None:
             self._group = weyl_group(self.datum)
         return self._group
@@ -260,23 +263,26 @@ class CharacterAlgebra:
 
     def weyl_numerator(self, mu: Weight) -> ExponentPolynomial:
         """Alternating orbit sum rebased at dominant mu:
-        sum_w sign(w) tau^{mu+rho-w(mu+rho)}, one term per point of the orbit
-        of mu + rho.
+        sum_w sign(w) tau^{mu+rho-w(mu+rho)}, one term per element of W.
 
-        Stepping x to s_i(x) adds x_i to the i-th root coordinate of the
-        exponent (mu + rho) - x and flips the sign.  Built once per mu;
-        callers must not mutate it.  A non-dominant mu is refused, and so is a
-        group over the budget, by ``weyl_orbit``."""
+        mu + rho is regular, so its orbit walk takes the edges of the group's
+        orbit tree (``group``, built once): along edge (parent, i), x =
+        w(mu + rho) steps to s_i(x), which adds x_i to the i-th root
+        coordinate of the exponent (mu + rho) - x and flips the sign.  Built
+        once per mu; callers must not mutate it.  A non-dominant mu is
+        refused here, and a group over the budget by ``weyl_group``."""
         poly = self._numerators.get(mu.fw)
         if poly is None:
             if not mu.is_dominant():
                 raise DomainError(f"weight {mu.fw} is not dominant")
-            orbit = weyl_orbit(self.datum, tuple(c + 1 for c in mu.fw))
+            tree, matrix = self.group, self.datum.matrix
+            images = [tuple(c + 1 for c in mu.fw)]
             terms = [((0,) * self.datum.rank, 1)]
-            for _, parent, i in orbit[1:]:
+            for parent, i in zip(islice(tree.parents, 1, None), islice(tree.letters, 1, None)):
+                x = images[parent]
+                images.append(reflect(matrix, i, x))
                 e, sign = terms[parent]
-                step = orbit[parent][0][i]
-                terms.append((e[:i] + (e[i] + step,) + e[i + 1:], -sign))
+                terms.append((e[:i] + (e[i] + x[i],) + e[i + 1:], -sign))
             poly = self._numerators[mu.fw] = ExponentPolynomial(dict(terms))
         return poly
 

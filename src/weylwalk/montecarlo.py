@@ -261,21 +261,38 @@ def _wide_lookup(tile: array, table: bytes) -> bytes:
     return bytes(map(table.__getitem__, tile))
 
 
+def _packed_slots(lookup, tile: Picks, tables: List[Tuple[int, bytes]], stride: int) -> int:
+    """One int of a ``stride``-byte slot per pick of ``tile``, byte j of each
+    slot read through ``tables`` by ``lookup``; its record buffer is gone
+    once the int is built."""
+    records = bytearray(len(tile) * stride)
+    for j, table in tables:
+        records[j::stride] = lookup(tile, table)
+    return int.from_bytes(records, "little")
+
+
 def _tile_shape(rows: int, cols: int, stride: int) -> Tuple[int, int, List[Tuple[int, int]]]:
     """The constants of a tile of ``rows`` rows of ``cols`` slots of
     ``stride`` bytes: a 1 in every slot, each slot's step count t + 1 in its
     row, and for each doubling d < cols, the bit shift of d slots and the
-    mask of the slots t >= d, which keeps a row's prefix sums inside it."""
+    mask of the slots t >= d, which keeps a row's prefix sums inside it.  A
+    shift of d slots already clears the slots t < d of a one-row tile, so
+    there every doubling shares one mask of the whole row.  The step counts
+    are one row's prefix sums of its ones, by the same doublings."""
     row = cols * stride
-    ones = int.from_bytes(b"\x01".ljust(stride, b"\x00") * (rows * cols), "little")
-    ramp = b"".join(t.to_bytes(stride, "little") for t in range(1, cols + 1)) * rows
+    whole_row = (1 << 8 * row) - 1
+    ones = b"\x01".ljust(stride, b"\x00") * cols
+    ramp = int.from_bytes(ones, "little")
     doublings = []
     d = 1
     while d < cols:
-        mask = (bytes(d * stride) + b"\xff" * (row - d * stride)) * rows
-        doublings.append((8 * stride * d, int.from_bytes(mask, "little")))
+        shift = 8 * stride * d
+        ramp += (ramp << shift) & whole_row
+        doublings.append((shift, whole_row if rows == 1 else int.from_bytes(
+            (bytes(d * stride) + b"\xff" * (row - d * stride)) * rows, "little")))
         d *= 2
-    return ones, int.from_bytes(ramp, "little"), doublings
+    return (int.from_bytes(ones * rows, "little"),
+            int.from_bytes(ramp.to_bytes(row, "little") * rows, "little"), doublings)
 
 
 def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
@@ -366,14 +383,8 @@ def simulate_exits(dist: CrystalDistribution, mu: Weight, horizon: int, n: int,
                 shapes[hi - lo, cols] = _tile_shape(hi - lo, cols, stride)
             slots, ramp, doublings = shapes[hi - lo, cols]
             flags = slots << flag
-            records = bytearray(size * stride)
-            for j, table in weight_tables:
-                records[j::stride] = lookup(tile, table)
-            steps = int.from_bytes(records, "little")
-            records = bytearray(size * stride)
-            for j, table in eps_tables:
-                records[j::stride] = lookup(tile, table)
-            depths = int.from_bytes(records, "little")
+            steps = _packed_slots(lookup, tile, weight_tables, stride)
+            depths = _packed_slots(lookup, tile, eps_tables, stride)
             pos = steps
             for s, mask in doublings:
                 pos += (pos << s) & mask

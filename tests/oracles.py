@@ -7,8 +7,9 @@ with integral minima), the node list with the path-level cone test for the
 restricted kernel, a ``Fraction`` bisect of each float uniform on the
 cumulative law for the sampler's picks, one sample and one step
 at a time for the vectorized Monte-Carlo exit kernel, integer matrix
-products for the Weyl group, Gauss-Jordan elimination over the
-rationals for the inverse Cartan matrix, one normalizer per node at tau^w
+products for the Weyl group, a fresh walk per weight that keeps every orbit
+point it meets in a set for the orbits and the Weyl numerator, Gauss-Jordan
+elimination over the rationals for the inverse Cartan matrix, one normalizer per node at tau^w
 built as a point of its own (``_twisted_point``, with the D-th roots
 u^{w(alpha_i)}) for the twisted step law, one power per endpoint for the
 finite-horizon stay sum, and the window-and-ladder construction for the
@@ -37,12 +38,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from weylwalk import paths as P
-from weylwalk.cartan import (CartanDatum, Weight, WeylElement, act, act_vector, reflect,
-                             weyl_orbit)
+from weylwalk.cartan import CartanDatum, Weight, WeylElement, act, act_vector, reflect
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.crystal import (CrystalGraph, TensorNode, as_module, count_f_multiplicity,
                               tensor_apply_e, tensor_eps_phi)
-from weylwalk.errors import ExactEvaluationError, FormatError
+from weylwalk.errors import DomainError, ExactEvaluationError, FormatError
 from weylwalk.exact import Vector, add, smul, zero
 from weylwalk.markov import CrystalDistribution, pitman
 from weylwalk.montecarlo import ExitSummary, _check_seed
@@ -359,6 +359,45 @@ def matrix_weyl_group(datum: CartanDatum) -> Dict[IntMatrix, Tuple[int, ...]]:
                     nxt.append(prod_m)
         frontier = nxt
     return seen
+
+
+def weyl_orbit(datum: CartanDatum, start: Sequence[int]) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """The W-orbit of a dominant integer fw vector, breadth first, each point
+    checked against a set of every point met so far.
+
+    Entry k is ``(x, parent, i)`` with x = s_i(orbit[parent][0]); the start
+    comes first as ``(start, -1, -1)``.  Only positive coordinates are
+    reflected, and each such step lengthens the element by one, so the depth
+    of w(start) is the length of w when the start is regular (rho, mu + rho).
+    """
+    if any(c < 0 for c in start):
+        raise DomainError(f"orbit walk needs a dominant start, got {tuple(start)}")
+    orbit = [(tuple(start), -1, -1)]
+    seen = {orbit[0][0]}
+    k = 0
+    while k < len(orbit):
+        x = orbit[k][0]
+        for i, xi in enumerate(x):
+            if xi > 0:
+                y = reflect(datum.matrix, i, x)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append((y, k, i))
+        k += 1
+    return orbit
+
+
+def orbit_weyl_numerator(datum: CartanDatum, mu: Weight) -> ExponentPolynomial:
+    """The Weyl numerator by a fresh orbit walk from mu + rho: stepping x to
+    s_i(x) adds x_i to the i-th root coordinate of the exponent and flips the
+    sign, term by term down the walk's own (parent, i) edges."""
+    orbit = weyl_orbit(datum, tuple(c + 1 for c in mu.fw))
+    terms = [((0,) * datum.rank, 1)]
+    for _, parent, i in orbit[1:]:
+        e, sign = terms[parent]
+        step = orbit[parent][0][i]
+        terms.append((e[:i] + (e[i] + step,) + e[i + 1:], -sign))
+    return ExponentPolynomial(dict(terms))
 
 
 def invert_matrix(m) -> Tuple[Tuple[Fraction, ...], ...]:

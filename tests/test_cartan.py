@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -115,8 +116,10 @@ def test_classical_counts(label, count, order):
 
 def test_weyl_group_c2(c2):
     group = weyl_group(c2)
-    assert type(group) is tuple and len(group) == 8
-    assert group[0].sign == 1 and group[0].word == ()
+    # a sequence of views: its length, indexing, the identity first, by length
+    assert len(group) == 8 and list(group) == [group[k] for k in range(8)]
+    assert group[0].is_identity() and group[0].sign == 1 and group[0].word == ()
+    assert [len(w.word) for w in group] == [0, 1, 1, 2, 2, 3, 3, 4]
     assert sum(1 for w in group if w.sign == -1) == 4
     longest = max(group, key=lambda w: len(w.word))
     assert len(longest.word) == 4
@@ -242,6 +245,23 @@ def test_weyl_order_closed_form_matches_enumeration(spec):
 def test_weyl_order_of_e_types(label, order):
     """Too slow (E6) or over the group budget (E7, E8) to check by enumeration."""
     assert weyl_order(build_cartan_datum(label)) == order
+
+
+def test_d6_group_and_one_read_of_every_word_stay_small():
+    """The D6 group's tree, then one pass reading each element's word length
+    and sign, as the benchmark's ``weyl_group`` job does: at most 4 MiB
+    traced at the peak (9.6 MiB when each element kept its word tuple)."""
+    datum = build_cartan_datum("D6")
+    tracemalloc.start()
+    try:
+        group = weyl_group(datum)
+        lengths = [len(w.word) for w in group]
+        sign_sum = sum(w.sign for w in group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(group), sign_sum, max(lengths), lengths.count(30)) == (23040, 0, 30, 1)
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_weyl_group_over_budget_fails_before_enumerating(monkeypatch):

@@ -385,6 +385,45 @@ def test_exit_kernel_memory_does_not_grow_with_the_horizon():
     assert summary.n == 3 and peak < 8 * 2**20
 
 
+def test_one_row_tiles_stay_under_two_mib():
+    """10 samples of A1 (1) over 2^17 steps, each row in four one-row tiles of
+    2^15 slots: at most 2 MiB traced at the peak, where building the step
+    counts slot by slot and 15 masks a tile took 4.6 MiB."""
+    datum = build_cartan_datum("A1")
+    tau = tau_point(datum, [F(1, 3)])
+    dist = M.build_distribution(CharacterAlgebra(datum), datum.weight((1,)), tau)
+    MC.simulate_exits(dist, datum.zero_weight(), 2, 2, seed=1)
+    tracemalloc.start()
+    try:
+        summary = MC.simulate_exits(dist, datum.zero_weight(), 2**17, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.n == 10 and peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("rows,cols,stride", [(1, 1, 2), (1, 9, 1), (1, 2**12, 3), (3, 7, 2),
+                                              (5, 16, 4)])
+def test_tile_shape_counts_steps_and_masks_rows(rows, cols, stride):
+    """The tile constants, slot by slot: a 1 in every slot, t + 1 in slot t of
+    each row, and per doubling d the mask of the slots t >= d of every row,
+    or for one row any mask that keeps the row and clears what lies above."""
+    ones, ramp, doublings = MC._tile_shape(rows, cols, stride)
+    slot = 8 * stride
+    assert ones == sum(1 << slot * k for k in range(rows * cols))
+    assert ramp == sum((k % cols + 1) << slot * k for k in range(rows * cols))
+    assert [s for s, _ in doublings] == [slot * d for d in (1, 2, 4, 8, 16, 32, 64, 128, 256,
+                                                            512, 1024, 2048) if d < cols]
+    for s, mask in doublings:
+        d = s // slot
+        rows_mask = sum(((1 << slot) - 1) << slot * k for k in range(rows * cols)
+                        if k % cols >= d)
+        if rows == 1:
+            assert mask & rows_mask == rows_mask and mask >> slot * cols == 0
+        else:
+            assert mask == rows_mask
+
+
 def test_stay_counts_read_exit_steps(c2, dist10):
     summary = MC.simulate_exits(dist10, c2.zero_weight(), 20, 3000, seed=71)
     for ell in range(-1, 23):

@@ -1,23 +1,26 @@
-"""The integer weight lattice and the Weyl group as the orbit of rho.
+"""The integer weight lattice and the Weyl group as the orbit tree of rho.
 
 Weights carry int fw coordinates and int root coordinates scaled by det A;
 ``Weight.root`` is checked against the rational inverse transpose of the
-Cartan matrix, and the orbit-of-rho group against the matrix-product
-closure, both oracles kept in ``oracles``.  The orbit-of-(mu + rho) Weyl
-numerator is checked against the ``act``-based alternating sum in
-``test_character_engine.py``.
+Cartan matrix, and the orbit tree of rho against the matrix-product closure,
+both oracles kept in ``oracles``.  The Weyl numerator, walked down the
+group's tree from mu + rho, is checked term by term against a fresh orbit
+walk with a set of the points met (``oracles.weyl_orbit``), and against the
+``act``-based alternating sum in ``test_character_engine.py``.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from weylwalk import build_cartan_datum, weyl_group
-from weylwalk.cartan import act, positive_roots, weyl_orbit
+from weylwalk.cartan import act, positive_roots
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.errors import DomainError, ExactEvaluationError
 
-from oracles import inverse_element, invert_matrix, matrix_weyl_group, word_matrix
+from oracles import (inverse_element, invert_matrix, matrix_weyl_group, orbit_weyl_numerator,
+                     weyl_orbit, word_matrix)
 
 CUSTOM = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 GROUP_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -41,6 +44,45 @@ def test_orbit_group_equals_matrix_group(spec):
         assert w.sign == (-1) ** len(w.word)
         assert w.apply_fw(probe) == tuple(sum(a * x for a, x in zip(row, probe)) for row in m)
     assert group[0].word == () and group[0].rho_image == rho
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "D4", "F4"])
+def test_tree_links_spell_each_word_in_length_order(label):
+    """Each element is its parent times one letter: the word of element k is
+    (letters[k],) + the parent's word, one longer, and the tree lists the
+    elements by length, the identity alone at index 0."""
+    datum = build_cartan_datum(label)
+    group = weyl_group(datum)
+    words = [w.word for w in group]
+    assert [len(word) for word in words] == list(group.lengths) == sorted(group.lengths)
+    assert words[0] == () and group.parents[0] == -1
+    for k in range(1, len(group)):
+        assert words[k] == (group.letters[k],) + words[group.parents[k]]
+        assert group.parents[k] < k
+    assert [w.is_identity() for w in group] == [True] + [False] * (len(group) - 1)
+    assert group[-1] == group[len(group) - 1] and group[-1].word == words[-1]
+    with pytest.raises(IndexError):
+        group[len(group)]
+
+
+@pytest.mark.parametrize("label,values", [
+    ("A2", (0, 1, 2)), ("C2", (0, 1, 2)), ("G2", (0, 1, 2)), ("B3", (0, 1, 2)),
+    ("D4", (0, 1)), ("F4", (0, 1))])
+def test_tree_numerator_equals_fresh_orbit_walk(label, values):
+    """One tree serves every regular start mu + rho: the numerator read down
+    the group's tree has the terms, in the same order, of a fresh orbit walk
+    from mu + rho."""
+    datum = build_cartan_datum(label)
+    algebra = CharacterAlgebra(datum)
+    group = algebra.group
+    edges = list(zip(group.parents, group.letters))[1:]
+    for fw in product(values, repeat=datum.rank):
+        mu = datum.weight(fw)
+        walk = weyl_orbit(datum, tuple(c + 1 for c in fw))
+        assert [(parent, i) for _, parent, i in walk[1:]] == edges
+        numerator = algebra.weyl_numerator(mu)
+        assert list(numerator.terms.items()) == list(orbit_weyl_numerator(datum, mu).terms.items())
+        assert len(numerator.terms) == len(group)
 
 
 def test_inverse_element_on_f4():

@@ -1,6 +1,6 @@
 """Cold-start cost of importing weylwalk's entry modules, and numpy for reference.
 
-    python3 tools/import_cost.py [--runs N]
+    python3 tools/import_cost.py [--runs N] [--job WORKLOAD INDEX [--seed S]]
 
 For each of ``weylwalk.cli``, ``weylwalk.markov``, ``weylwalk.montecarlo`` and
 ``numpy`` it starts N fresh interpreters that import it and takes the median
@@ -20,6 +20,20 @@ the modules, so drift in machine speed hits every column alike.  It also
 lists the third-party top-level modules the import loads, and how many
 modules in all it adds to a bare interpreter.
 
+``--job`` adds one benchmark job to the round-robin: job INDEX (from 0) of
+``perfbench/workloads.py`` ``jobs(WORKLOAD, S)``, seed 1 unless ``--seed``
+says otherwise, run untraced through ``perfbench/child.py`` as the benchmark
+runs it, in a fresh output directory each time.  Its row gives the job's
+median wall time, spawn to reap, and median ``ru_maxrss``, next to the
+``weylwalk.cli`` floor it starts from, so that a claim about one job's peak
+RSS can be checked from the repo; ``minus_pass_s`` is again over ``python -c
+pass``.  A job that exits non-zero stops the tool.
+
+A child's ``ru_maxrss`` also counts the high-water RSS of the process that
+spawned it, which it shares until it execs the interpreter.  So every row
+reads at least this tool's own RSS (the ``python -c pass`` row), as every
+benchmark job reads at least the harness's.
+
 The children import weylwalk from this checkout's ``src`` and inherit the
 environment.  With ``PYTHONDONTWRITEBYTECODE`` set and no cached bytecode,
 every run compiles weylwalk's sources and the times include that compile;
@@ -30,15 +44,23 @@ on), they do not.  The header line says which setting was in force.
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+BENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, BENCH)
+
+import workloads  # noqa: E402
+
 MODULES = ("weylwalk.cli", "weylwalk.markov", "weylwalk.montecarlo", "numpy")
 FIRST_PARTY = {"weylwalk"}
 
@@ -48,11 +70,10 @@ def _env() -> Dict[str, str]:
     return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
 
 
-def _run(code: str, env: Dict[str, str]) -> Tuple[float, float]:
-    """Wall time in s and peak RSS in MiB of one interpreter running ``code``."""
+def _run(args: List[str], env: Dict[str, str]) -> Tuple[float, float]:
+    """Wall time in s and peak RSS in MiB of one interpreter run with ``args``."""
     start = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-c", code], env=env,
-                             stdout=subprocess.DEVNULL)
+    child = subprocess.Popen([sys.executable] + args, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -60,6 +81,36 @@ def _run(code: str, env: Dict[str, str]) -> Tuple[float, float]:
         raise subprocess.CalledProcessError(child.returncode, child.args)
     # ru_maxrss is in KiB on Linux
     return wall, usage.ru_maxrss / 1024
+
+
+def _job_runner(workload: str, index: int, seed: int, scratch: str):
+    """The label of a benchmark job and a callable that writes a fresh spec
+    for one run of it (a new output directory each time) and returns the
+    arguments that run it through ``child.py``."""
+    job = next(itertools.islice(workloads.jobs(workload, seed), index, None))
+    what = job["command"] if job["kind"] == "cli" else job["task"]
+    body = job["config"] if job["kind"] == "cli" else job["params"]
+    runs = itertools.count()
+
+    def args() -> List[str]:
+        run = os.path.join(scratch, f"{next(runs):04d}")
+        os.makedirs(run)
+        spec = {"id": job["id"], "kind": job["kind"], "trace": False,
+                "out": os.path.join(run, "out"), "meta": os.path.join(run, "meta.json"),
+                "spans": os.path.join(run, "spans")}
+        if job["kind"] == "cli":
+            config = os.path.join(run, "config.json")
+            with open(config, "w") as f:
+                json.dump(job["config"], f)
+            spec["argv"] = [job["command"], "--config", config]
+        else:
+            spec.update(task=job["task"], params=job["params"])
+        path = os.path.join(run, "spec.json")
+        with open(path, "w") as f:
+            json.dump(spec, f)
+        return [os.path.join(BENCH, "child.py"), path]
+
+    return f"{job['id']} {what} {body['type']}", args
 
 
 def _loaded(code: str, env: Dict[str, str]) -> Set[str]:
@@ -72,18 +123,28 @@ def _loaded(code: str, env: Dict[str, str]) -> Set[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=15, help="interpreters per column")
+    parser.add_argument("--job", nargs=2, metavar=("WORKLOAD", "INDEX"),
+                        help="also run job INDEX of a benchmark workload through child.py")
+    parser.add_argument("--seed", type=int, default=1, help="the workload seed of --job")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if args.job and (args.job[0] not in workloads.WORKLOADS or not args.job[1].isdigit()):
+        parser.error(f"--job takes one of {sorted(workloads.WORKLOADS)} and an index >= 0")
     env = _env()
     codes = {"pass": "pass", **{m: f"import {m}" for m in MODULES}}
-    times: Dict[str, List[float]] = {name: [] for name in codes}
-    rss: Dict[str, List[float]] = {name: [] for name in codes}
-    for _ in range(args.runs):
-        for name, code in codes.items():
-            wall, peak = _run(code, env)
-            times[name].append(wall)
-            rss[name].append(peak)
+    commands = {name: (lambda code=code: ["-c", code]) for name, code in codes.items()}
+    with tempfile.TemporaryDirectory(prefix="import-cost-") as scratch:
+        if args.job:
+            job_label, commands["job"] = _job_runner(args.job[0], int(args.job[1]),
+                                                     args.seed, scratch)
+        times: Dict[str, List[float]] = {name: [] for name in commands}
+        rss: Dict[str, List[float]] = {name: [] for name in commands}
+        for _ in range(args.runs):
+            for name, command in commands.items():
+                wall, peak = _run(command(), env)
+                times[name].append(wall)
+                rss[name].append(peak)
     base = statistics.median(times["pass"])
     bare = _loaded("pass", env)
     stdlib = set(sys.stdlib_module_names)
@@ -101,6 +162,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         median = statistics.median(times[name])
         print(f"{name:<22}{median:>10.3f}{median - base:>14.3f}"
               f"{statistics.median(rss[name]):>9.1f}{len(new):>13}  {' '.join(third) or '-'}")
+    if args.job:
+        median, peak = statistics.median(times["job"]), statistics.median(rss["job"])
+        print(f"{'job ' + ' '.join(args.job):<22}{median:>10.3f}{median - base:>14.3f}"
+              f"{peak:>9.1f}{'-':>13}  {job_label}")
+        print(f"job over the weylwalk.cli floor: "
+              f"{median - statistics.median(times['weylwalk.cli']):+.3f} s, "
+              f"{peak - statistics.median(rss['weylwalk.cli']):+.1f} MiB")
     return 0
 
 
