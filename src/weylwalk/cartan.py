@@ -17,16 +17,16 @@ chain when read, and the tree's depth gives the length and the sign.
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import factorial, prod
+from sys import byteorder
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, NotFiniteTypeError, ResourceBudgetError
 from .exact import Rational, Vector, add, dot, sub, vec, zero
-from .matrices import (IntMatrix, check_cartan_conditions, determinant, named_matrix,
-                       parse_type_label, positive_root_coords)
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
 
 MAX_NAMED_RANK = 8
 DEFAULT_WEYL_BUDGET = 2_000_000
@@ -80,6 +80,63 @@ class Frozen(Record):
         # copy and pickle restore the slots here, not through __setattr__
         for name, value in state[1].items():
             _set_slot(self, name, value)
+
+
+def _named_matrix(family: str, n: int) -> IntMatrix:
+    """Cartan matrix of a named type, rows giving alpha_i on the coroots."""
+    def chain(off_diag):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = 2
+        for (i, j), v in off_diag.items():
+            m[i][j] = v
+        return tuple(tuple(row) for row in m)
+
+    simply = {(i, i + 1): -1 for i in range(n - 1)}
+    simply.update({(i + 1, i): -1 for i in range(n - 1)})
+    if family == "A":
+        return chain(simply)
+    if family == "B":
+        if n < 2:
+            raise FormatError("B_n needs rank >= 2")
+        off = dict(simply)
+        off[(n - 2, n - 1)] = -2
+        return chain(off)
+    if family == "C":
+        if n < 2:
+            raise FormatError("C_n needs rank >= 2")
+        off = dict(simply)
+        off[(n - 1, n - 2)] = -2
+        return chain(off)
+    if family == "D":
+        if n < 4:
+            raise FormatError("D_n needs rank >= 4")
+        off = {(i, i + 1): -1 for i in range(n - 2)}
+        off.update({(i + 1, i): -1 for i in range(n - 2)})
+        off[(n - 3, n - 1)] = -1
+        off[(n - 1, n - 3)] = -1
+        return chain(off)
+    if family == "G":
+        if n != 2:
+            raise FormatError("G_2 has rank 2")
+        return ((2, -1), (-3, 2))
+    if family == "F":
+        if n != 4:
+            raise FormatError("F_4 has rank 4")
+        return ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    if family == "E":
+        if n not in (6, 7, 8):
+            raise FormatError("E_n has rank 6, 7 or 8")
+        # Bourbaki numbering: node 2 attaches to node 4.
+        off = {}
+        chain_nodes = [1, 3, 4, 5, 6, 7, 8][: n - 1]
+        for a, b in zip(chain_nodes, chain_nodes[1:]):
+            off[(a - 1, b - 1)] = -1
+            off[(b - 1, a - 1)] = -1
+        off[(2 - 1, 4 - 1)] = -1
+        off[(4 - 1, 2 - 1)] = -1
+        return chain(off)
+    raise FormatError(f"unknown type family {family!r}")
 
 
 class Realization(Frozen):
@@ -195,10 +252,18 @@ class WeylElement(Frozen):
 
     def apply_fw(self, fw: Sequence) -> Tuple:
         """w(x) on fw coordinates, ints or Fractions."""
-        x = tuple(fw)
-        for i in reversed(self.word):
-            x = reflect(self.cartan, i, x)
-        return x
+        return self.apply_each((fw,))[0]
+
+    def apply_each(self, vectors: Sequence[Sequence]) -> List[Tuple]:
+        """w(x) for each x of ``vectors``, reading the word once."""
+        letters, cartan = self.word[::-1], self.cartan
+        out = []
+        for x in vectors:
+            x = tuple(x)
+            for i in letters:
+                x = reflect(cartan, i, x)
+            out.append(x)
+        return out
 
 
 class TreeElement(WeylElement):
@@ -240,9 +305,22 @@ class OrbitTree(Frozen):
     and p = ``parents[k]``, and ``lengths[k]`` is the length of w_k, one more
     than its parent's, so the elements lie in length order.  The tree is a
     sequence of ``TreeElement`` views, each built on access.
+
+    Every array is read-only: ``images`` and ``parents`` are memoryviews of
+    bytes (signed bytes and native int32), ``letters`` and ``lengths`` are
+    bytes.
+    The tree is determined by its Cartan matrix, which is its hash.
     """
 
     __slots__ = ("cartan", "images", "parents", "letters", "lengths")
+
+    def __hash__(self):
+        return hash(self.cartan)
+
+    def __reduce__(self):
+        # memoryviews do not pickle; the tree travels as its bytes
+        return _packed_tree, (self.cartan, self.images.tobytes(), self.parents.tobytes(),
+                              self.letters, self.lengths)
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -268,6 +346,13 @@ class OrbitTree(Frozen):
             out.append(letters[k])
             k = parents[k]
         return tuple(out)
+
+
+def _packed_tree(cartan: IntMatrix, images: bytes, parents: bytes, letters: bytes,
+                 lengths: bytes) -> OrbitTree:
+    """The ``OrbitTree`` over packed images (signed bytes) and parents (int32)."""
+    return OrbitTree(cartan, memoryview(images).cast("b"), memoryview(parents).cast("i"),
+                     letters, lengths)
 
 
 class CartanDatum(Frozen):
@@ -308,6 +393,74 @@ class CartanDatum(Frozen):
         return self.weight((0,) * self.rank)
 
 
+def _determinant(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
+    a = [list(row) for row in m]
+    n = len(a)
+    if not n:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _check_cartan_conditions(matrix) -> IntMatrix:
+    n = len(matrix)
+    rows = []
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise FormatError("Cartan matrix must be square")
+        out = []
+        for j, a in enumerate(row):
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise FormatError(f"entry ({i},{j}) is not an integer")
+            out.append(a)
+        rows.append(tuple(out))
+    m = tuple(rows)
+    for i in range(n):
+        if m[i][i] != 2:
+            raise FormatError(f"diagonal entry ({i},{i}) must be 2")
+        for j in range(n):
+            if i != j:
+                if m[i][j] > 0:
+                    raise FormatError(f"off-diagonal entry ({i},{j}) must be <= 0")
+                if (m[i][j] == 0) != (m[j][i] == 0):
+                    raise FormatError(f"zero pattern not symmetric at ({i},{j})")
+    # indecomposability: the Dynkin graph must be connected
+    if n > 1:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if j not in seen and m[i][j] != 0:
+                    seen.add(j)
+                    frontier.append(j)
+        if len(seen) != n:
+            raise FormatError("Cartan matrix is decomposable")
+    return m
+
+
+def parse_type_label(label: str) -> Tuple[str, int]:
+    text = label.strip().upper().replace("_", "")
+    if len(text) < 2 or text[0] not in "ABCDEFG":
+        raise FormatError(f"cannot parse type label {label!r}")
+    family, num = text[0], text[1:]
+    if not num.isdigit():
+        raise FormatError(f"cannot parse rank in {label!r}")
+    return family, int(num)
+
+
 def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     """Construct the datum from a type label ("C2") or an explicit matrix.
 
@@ -322,7 +475,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
         family, n = parse_type_label(spec)
         if n > max_rank:
             raise FormatError(f"rank {n} exceeds the configured limit {max_rank}")
-        matrix = named_matrix(family, n)
+        matrix = _named_matrix(family, n)
         realization = _epsilon_realization(family, n)
         label = f"{family}{n}"
     if not (isinstance(matrix, (list, tuple)) and matrix
@@ -331,10 +484,10 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
                           f"list of matrix rows; got {spec!r}")
     if len(matrix) > max_rank:
         raise FormatError(f"rank {len(matrix)} exceeds the configured limit {max_rank}")
-    matrix = check_cartan_conditions(matrix)
+    matrix = _check_cartan_conditions(matrix)
     n = len(matrix)
     for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in matrix[:k]])
+        minor = _determinant([row[:k] for row in matrix[:k]])
         if minor <= 0:
             raise NotFiniteTypeError(
                 f"not finite type: leading principal {k}x{k} minor is {minor}"
@@ -342,7 +495,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
     det = minor  # the last leading principal minor
     # cofactor (i, j) = (-1)^(i+j) * minor without row i and column j
     coadj = tuple(
-        tuple((-1) ** (i + j) * determinant(
+        tuple((-1) ** (i + j) * _determinant(
             [r[:j] + r[j + 1:] for k, r in enumerate(matrix) if k != i]) for j in range(n))
         for i in range(n)
     )
@@ -370,13 +523,40 @@ def _verify_datum(datum: CartanDatum) -> None:
             raise FormatError("ambient realization is not dual to the coroots")
 
 
+def _positive_root_coords(matrix: IntMatrix) -> List[Tuple[int, ...]]:
+    """Positive roots of a finite-type Cartan matrix in simple-root coordinates.
+
+    Reflection closure from the simple roots; sorted by height then
+    coordinates for determinism.
+    """
+    n = len(matrix)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+    def reflect_root(i: int, r: Tuple[int, ...]) -> Tuple[int, ...]:
+        coeff = sum(matrix[j][i] * r[j] for j in range(n))
+        return tuple(c - coeff if j == i else c for j, c in enumerate(r))
+
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        r = frontier.pop()
+        for i in range(n):
+            img = reflect_root(i, r)
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    positive = [r for r in roots if all(c >= 0 for c in r)]
+    positive.sort(key=lambda r: (sum(r), r))
+    return positive
+
+
 def positive_roots(datum: CartanDatum) -> List[Weight]:
     """All positive roots, by reflection closure from the simple roots.
 
     Finite type only; every root has multiplicity one.  Sorted by height then
     root coordinates for determinism.
     """
-    return [datum.weight(datum.fw_from_root(r)) for r in positive_root_coords(datum.matrix)]
+    return [datum.weight(datum.fw_from_root(r)) for r in _positive_root_coords(datum.matrix)]
 
 
 def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
@@ -387,7 +567,7 @@ def positive_coroots(datum: CartanDatum) -> List[Tuple[int, ...]]:
     """
     n = datum.rank
     transposed = tuple(tuple(datum.matrix[j][i] for j in range(n)) for i in range(n))
-    return positive_root_coords(transposed)
+    return _positive_root_coords(transposed)
 
 
 def weyl_order(datum: CartanDatum) -> int:
@@ -396,7 +576,7 @@ def weyl_order(datum: CartanDatum) -> int:
     Holds for every indecomposable finite-type matrix, custom ones included;
     the highest root is the last positive root in height order.
     """
-    highest = positive_root_coords(datum.matrix)[-1]
+    highest = _positive_root_coords(datum.matrix)[-1]
     return factorial(datum.rank) * datum.det * prod(highest)
 
 
@@ -426,8 +606,8 @@ def weyl_group(datum: CartanDatum) -> OrbitTree:
     During the walk x is one int of biased bytes, byte j holding x_j + 128:
     the packing is linear, so s_i(x) = x - x_i alpha_i is one subtraction of
     x_i times the packed row alpha_i.  A coordinate of w(rho) is the height
-    of a coroot, below the Coxeter number, so it fits a signed byte on every
-    group the budget admits.
+    of a coroot, below the Coxeter number, so it fits a signed byte, and an
+    element's index fits an int32, on every group the budget admits.
 
     A group whose closed-form order exceeds ``DEFAULT_WEYL_BUDGET``, read at
     call time, is refused before any element is built.  This is the one
@@ -441,7 +621,7 @@ def weyl_group(datum: CartanDatum) -> OrbitTree:
     bias = int.from_bytes(b"\x80" * rank, "little")
     alphas = [sum(a << 8 * j for j, a in enumerate(row)) for row in datum.matrix]
     level = [bias + int.from_bytes(b"\x01" * rank, "little")]
-    images, parents = array("b", [1] * rank), array("l", [-1])
+    images, parents = bytearray(b"\x01" * rank), bytearray(b"\xff" * 4)  # rho; parent -1
     letters, lengths = bytearray(1), bytearray(1)
     first = 0
     while level:
@@ -454,12 +634,13 @@ def weyl_group(datum: CartanDatum) -> OrbitTree:
         first += len(level)
         level = list(edges)
         # flipping each byte's top bit turns x_j + 128 into x_j as a signed byte
-        images.frombytes(b"".join([(x ^ bias).to_bytes(rank, "little") for x in level]))
+        images += b"".join([(x ^ bias).to_bytes(rank, "little") for x in level])
         codes = list(edges.values())
-        parents.extend([c // rank for c in codes])
+        parents += b"".join([(c // rank).to_bytes(4, byteorder) for c in codes])
         letters.extend([c % rank for c in codes])
         lengths.extend(repeat(lengths[-1] + 1, len(level)))
-    return OrbitTree(datum.matrix, images, parents, letters, bytes(lengths))
+    return _packed_tree(datum.matrix, bytes(images), bytes(parents), bytes(letters),
+                        bytes(lengths))
 
 
 def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:

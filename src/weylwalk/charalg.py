@@ -20,7 +20,6 @@ from .cartan import (
     OrbitTree,
     Weight,
     WeylElement,
-    act,
     positive_coroots,
     positive_roots,
     reflect,
@@ -323,17 +322,20 @@ class CharacterAlgebra:
         ell_r = self.datum.weight(tuple(ell * c for c in spec.reference.fw))
         return counts, ell_r, self.normalizer(spec, tau) ** ell
 
+    def _fw_images(self, w) -> List[Tuple[int, ...]]:
+        """w(omega_k) for every k, in fw coordinates, w's word read once."""
+        rank = self.datum.rank
+        return w.apply_each([tuple(int(j == k) for j in range(rank)) for k in range(rank)])
+
     def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
-                      tau: TauPoint, w) -> Fraction:
+                      tau: TauPoint, images) -> Fraction:
         """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell.
 
+        ``images`` are w's images of the fundamental weights (``_fw_images``).
         The exponents are integers in units of 1/D, read through the coadj
-        rows on w's images of the fundamental weights, and sum in one
-        ``TauPoint.sum_powers`` call.
+        rows on those images, and sum in one ``TauPoint.sum_powers`` call.
         """
         datum = self.datum
-        images = [w.apply_fw(tuple(int(j == k) for j in range(datum.rank)))
-                  for k in range(datum.rank)]
         # D times the coordinate of w(x) is lin . x
         lins = [[sum(x * y for x, y in zip(row, img)) for img in images] for row in datum.coadj]
         base = [a + sum(x * y for x, y in zip(lin, mu.fw)) for a, lin in zip(ell_r.scaled, lins)]
@@ -354,20 +356,26 @@ class CharacterAlgebra:
         the identity.
         """
         tau.require_in_region()
-        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau, w)
+        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau,
+                                  self._fw_images(w))
 
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
 
         Left: the closed product form of psi(mu).  Right: the signed sum of
         the twisted finite-horizon terms, which share one set of branching
-        counts and one normalizer.
+        counts and one normalizer.  Each w's word is read once, for its
+        images of the fundamental weights; w(mu + rho) is their combination.
         """
+        datum = self.datum
         left = self.psi(mu, tau)
         counts, ell_r, norm = self._branching(mu, source, tau, ell)
-        shifted = mu + self.datum.rho
+        shifted = mu + datum.rho
         right = Fraction(0)
         for w in self.group:
-            stay = self._twisted_stay(mu, counts, ell_r, norm, tau, w)
-            right += w.sign * tau.power((shifted - act(self.datum, w, shifted)).root) * stay
+            images = self._fw_images(w)
+            stay = self._twisted_stay(mu, counts, ell_r, norm, tau, images)
+            moved = datum.weight([sum(c * x for c, x in zip(shifted.fw, coords))
+                                  for coords in zip(*images)])
+            right += w.sign * tau.power((shifted - moved).root) * stay
         return left, right

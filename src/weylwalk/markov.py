@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Frozen, Weight, WeylElement, act, longest_word
+from .cartan import CartanDatum, Frozen, Weight, WeylElement, longest_word
 from .charalg import CharacterAlgebra, TauPoint
 from .crystal import (
     CrystalGraph,
@@ -94,6 +94,12 @@ def build_distribution(algebra: CharacterAlgebra, source: Source, tau: TauPoint)
 # -- twisting -------------------------------------------------------------------
 
 
+def _twisted_roots(datum: CartanDatum, w: WeylElement) -> List[Tuple]:
+    """Root coordinates of w(alpha_i) for every i, w's word read once."""
+    simple = [datum.simple_root(i).fw for i in range(datum.rank)]
+    return [datum.weight(x).root for x in w.apply_each(simple)]
+
+
 def _step_weights(dist: CrystalDistribution, w: Optional[WeylElement]
                   ) -> Tuple[Dict[Tuple[Weight, Weight], Fraction], Fraction]:
     """a_kappa tau^{w(r - wt)} keyed by (kappa, wt), and its total over every
@@ -102,8 +108,7 @@ def _step_weights(dist: CrystalDistribution, w: Optional[WeylElement]
     The law at tau^w, as (tau^w)^e = tau^{w(e)}, with w(e) = sum_i e_i w(alpha_i):
     w(e) - e is in the root lattice, so w(e) needs the D-th roots e needs."""
     # cols[j][i] is the j-th root coordinate of w(alpha_i)
-    cols = None if w is None else list(zip(*[act(dist.datum, w, dist.datum.simple_root(i)).root
-                                              for i in range(dist.datum.rank)]))
+    cols = None if w is None else list(zip(*_twisted_roots(dist.datum, w)))
     weights: Dict[Tuple[Weight, Weight], Fraction] = {}
     total = Fraction(0)
     for summand, m in dist.crystals:
@@ -117,8 +122,7 @@ def _step_weights(dist: CrystalDistribution, w: Optional[WeylElement]
 
 def twisted_tau(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> Tuple[Fraction, ...]:
     """Coordinates tau^w with tau_i^w = tau^{w(alpha_i)} (integer exponents)."""
-    return tuple(tau.power(act(datum, w, datum.simple_root(i)).root)
-                 for i in range(datum.rank))
+    return tuple(tau.power(root) for root in _twisted_roots(datum, w))
 
 
 def twisted_law(dist: CrystalDistribution, w: WeylElement

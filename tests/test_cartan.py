@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -127,6 +129,23 @@ def test_weyl_group_c2(c2):
     for fw in [(1, 0), (0, 1), (3, 2)]:
         img = longest.apply_fw(fw)
         assert all(c <= 0 for c in img)
+
+
+def test_weyl_group_is_a_read_only_value(c2):
+    """The tree's arrays refuse writes, it compares and hashes as a value,
+    and copy and pickle rebuild it and its views."""
+    group = weyl_group(c2)
+    for name in ("images", "parents", "letters", "lengths"):
+        with pytest.raises(TypeError):
+            getattr(group, name)[1] = 0
+    again = weyl_group(c2)
+    assert again == group and hash(again) == hash(group)
+    back = pickle.loads(pickle.dumps(group))
+    assert back == group and [w.word for w in back] == [w.word for w in group]
+    assert [w.rho_image for w in back] == [w.rho_image for w in group]
+    view = group[5]
+    for twin in (copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert twin == view and (twin.word, twin.sign) == (view.word, view.sign)
 
 
 def test_weyl_group_a2_signs(a2):

@@ -407,7 +407,7 @@ def test_twisted_stay_equals_power_oracle(name):
             counts, ell_r, norm = algebra._branching(mu, source, tau, ell)
             assert norm == algebra.normalizer(source, tau) ** ell
             for w in algebra.group:
-                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, w)
+                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, algebra._fw_images(w))
                         == power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w))
 
 
@@ -424,5 +424,5 @@ def test_twisted_stay_raises_without_roots():
             with pytest.raises(ExactEvaluationError) as oracle:
                 power_twisted_stay(algebra, mu, counts, ell_r, F(1), tau, w)
             with pytest.raises(ExactEvaluationError) as fast:
-                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, w)
+                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, algebra._fw_images(w))
             assert str(fast.value) == str(oracle.value)

@@ -154,7 +154,8 @@ def test_module_without_roots_raises_the_same_messages():
     mu = C2.zero_weight()
     counts, ell_r, _ = algebra._branching(mu, README_MODULE, README_POINTS["full"], 2)
     first = next(iter(algebra.group))
-    cases.append((lambda: algebra._twisted_stay(mu, counts, ell_r, F(1), tau, first), "-3/2"))
+    cases.append((lambda: algebra._twisted_stay(mu, counts, ell_r, F(1), tau,
+                                                      algebra._fw_images(first)), "-3/2"))
     for call, exponent in cases:
         with pytest.raises(ExactEvaluationError) as err:
             call()

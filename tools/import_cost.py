@@ -1,6 +1,6 @@
 """Cold-start cost of importing weylwalk's entry modules, and numpy for reference.
 
-    python3 tools/import_cost.py [--runs N] [--job WORKLOAD INDEX [--seed S]]
+    python3 tools/import_cost.py [--runs N] [--job WORKLOAD INDEX]
 
 For each of ``weylwalk.cli``, ``weylwalk.markov``, ``weylwalk.montecarlo`` and
 ``numpy`` it starts N fresh interpreters that import it and takes the median
@@ -21,13 +21,13 @@ lists the third-party top-level modules the import loads, and how many
 modules in all it adds to a bare interpreter.
 
 ``--job`` adds one benchmark job to the round-robin: job INDEX (from 0) of
-``perfbench/workloads.py`` ``jobs(WORKLOAD, S)``, seed 1 unless ``--seed``
-says otherwise, run untraced through ``perfbench/child.py`` as the benchmark
-runs it, in a fresh output directory each time.  Its row gives the job's
-median wall time, spawn to reap, and median ``ru_maxrss``, next to the
-``weylwalk.cli`` floor it starts from, so that a claim about one job's peak
-RSS can be checked from the repo; ``minus_pass_s`` is again over ``python -c
-pass``.  A job that exits non-zero stops the tool.
+``perfbench/workloads.py`` ``jobs(WORKLOAD, 1)``, run untraced through
+``perfbench/child.py`` as the benchmark runs it, in a fresh output directory
+each time.  Its row gives the job's median wall time, spawn to reap, and
+median ``ru_maxrss``, next to the ``weylwalk.cli`` floor it starts from, so
+that a claim about one job's peak RSS can be checked from the repo;
+``minus_pass_s`` is again over ``python -c pass``.  A job that exits non-zero
+stops the tool.
 
 A child's ``ru_maxrss`` also counts the high-water RSS of the process that
 spawned it, which it shares until it execs the interpreter.  So every row
@@ -83,11 +83,11 @@ def _run(args: List[str], env: Dict[str, str]) -> Tuple[float, float]:
     return wall, usage.ru_maxrss / 1024
 
 
-def _job_runner(workload: str, index: int, seed: int, scratch: str):
+def _job_runner(workload: str, index: int, scratch: str):
     """The label of a benchmark job and a callable that writes a fresh spec
     for one run of it (a new output directory each time) and returns the
     arguments that run it through ``child.py``."""
-    job = next(itertools.islice(workloads.jobs(workload, seed), index, None))
+    job = next(itertools.islice(workloads.jobs(workload, 1), index, None))
     what = job["command"] if job["kind"] == "cli" else job["task"]
     body = job["config"] if job["kind"] == "cli" else job["params"]
     runs = itertools.count()
@@ -125,7 +125,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--runs", type=int, default=15, help="interpreters per column")
     parser.add_argument("--job", nargs=2, metavar=("WORKLOAD", "INDEX"),
                         help="also run job INDEX of a benchmark workload through child.py")
-    parser.add_argument("--seed", type=int, default=1, help="the workload seed of --job")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -136,8 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     commands = {name: (lambda code=code: ["-c", code]) for name, code in codes.items()}
     with tempfile.TemporaryDirectory(prefix="import-cost-") as scratch:
         if args.job:
-            job_label, commands["job"] = _job_runner(args.job[0], int(args.job[1]),
-                                                     args.seed, scratch)
+            job_label, commands["job"] = _job_runner(args.job[0], int(args.job[1]), scratch)
         times: Dict[str, List[float]] = {name: [] for name in commands}
         rss: Dict[str, List[float]] = {name: [] for name in commands}
         for _ in range(args.runs):
