@@ -12,7 +12,8 @@ rho is regular, so the Weyl group is in bijection with the orbit of rho.  The
 group is one breadth-first orbit tree of rho in flat integer arrays: each
 element's w(rho), its parent and the letter of its edge.  An element is a
 view of one index of the tree; its reduced word is spelled up the parent
-chain when read, and the tree's depth gives the length and the sign.
+chain when read, and the tree's depth gives the length and the sign.  A sum
+over W walks the tree once, carrying a value down its edges.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import factorial, prod
 from sys import byteorder
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import FormatError, NotFiniteTypeError, ResourceBudgetError
 from .exact import Rational, Vector, add, dot, sub, vec, zero
@@ -229,26 +230,40 @@ def reflect(matrix: IntMatrix, i: int, x: Sequence) -> Tuple:
 
 
 class WeylElement(Frozen):
-    """Group element w, determined by w(rho) in fw coordinates.
+    """Element ``index`` of the ``OrbitTree`` ``tree``, a read-only view: its
+    w(rho), its sign and ``is_identity`` read off the tree in O(1), its word
+    spelled up the parent chain on each read.
 
     ``word`` is a reduced word with w = s_{word[0]} ... s_{word[-1]}, so
     the reflections act right to left, and ``sign`` is (-1)^len(word).
-    Equality and hashing read w(rho), so an element of the group's tree
-    (``TreeElement``) equals the record of the same w.
+    Equality and hashing read w(rho), so the elements of two trees of one
+    type that stand for the same w are equal.  Only ``OrbitTree`` builds one.
     """
 
-    __slots__ = ("rho_image", "word", "sign", "cartan")
+    __slots__ = ("tree", "index")
 
     def _values(self) -> tuple:
         return (self.rho_image,)
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.rho_image == other.rho_image
+    @property
+    def rho_image(self) -> Tuple[int, ...]:
+        rank = len(self.tree.cartan)
+        return tuple(self.tree.images[self.index * rank:(self.index + 1) * rank])
 
-    __hash__ = Frozen.__hash__
+    @property
+    def word(self) -> Tuple[int, ...]:
+        tree, k, out = self.tree, self.index, []
+        while k:
+            out.append(tree.letters[k])
+            k = tree.parents[k]
+        return tuple(out)
+
+    @property
+    def sign(self) -> int:
+        return -1 if self.tree.lengths[self.index] & 1 else 1
 
     def is_identity(self) -> bool:
-        return not self.word
+        return self.index == 0
 
     def apply_fw(self, fw: Sequence) -> Tuple:
         """w(x) on fw coordinates, ints or Fractions."""
@@ -256,7 +271,7 @@ class WeylElement(Frozen):
 
     def apply_each(self, vectors: Sequence[Sequence]) -> List[Tuple]:
         """w(x) for each x of ``vectors``, reading the word once."""
-        letters, cartan = self.word[::-1], self.cartan
+        letters, cartan = self.word[::-1], self.tree.cartan
         out = []
         for x in vectors:
             x = tuple(x)
@@ -266,37 +281,6 @@ class WeylElement(Frozen):
         return out
 
 
-class TreeElement(WeylElement):
-    """Element ``index`` of an ``OrbitTree``, read off the tree on each access:
-    w(rho), the sign and ``is_identity`` in O(1), the word spelled up the
-    parent chain.  The record slots of ``WeylElement`` stay empty."""
-
-    __slots__ = ("tree", "index")
-
-    @property
-    def rho_image(self) -> Tuple[int, ...]:
-        return self.tree.image(self.index)
-
-    @property
-    def word(self) -> Tuple[int, ...]:
-        return self.tree.word(self.index)
-
-    @property
-    def sign(self) -> int:
-        return -1 if self.tree.lengths[self.index] & 1 else 1
-
-    @property
-    def cartan(self) -> IntMatrix:
-        return self.tree.cartan
-
-    def is_identity(self) -> bool:
-        return self.index == 0
-
-    def __reduce__(self):
-        # copy and pickle rebuild the view: its properties have no slot to restore
-        return TreeElement, (self.tree, self.index)
-
-
 class OrbitTree(Frozen):
     """The Weyl group as the breadth-first orbit tree of rho, in flat arrays.
 
@@ -304,7 +288,8 @@ class OrbitTree(Frozen):
     The identity is element 0; for k > 0, w_k = s_i w_p with i = ``letters[k]``
     and p = ``parents[k]``, and ``lengths[k]`` is the length of w_k, one more
     than its parent's, so the elements lie in length order.  The tree is a
-    sequence of ``TreeElement`` views, each built on access.
+    sequence of ``WeylElement`` views, each built on access; ``walk`` carries
+    a value down its edges.
 
     Every array is read-only: ``images`` and ``parents`` are memoryviews of
     bytes (signed bytes and native int32), ``letters`` and ``lengths`` are
@@ -325,27 +310,28 @@ class OrbitTree(Frozen):
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, k: int) -> TreeElement:
+    def __getitem__(self, k: int) -> WeylElement:
         size = len(self.lengths)
         if not -size <= k < size:
             raise IndexError("Weyl group index out of range")
-        return TreeElement(self, k % size)
+        return WeylElement(self, k % size)
 
-    def __iter__(self) -> Iterator[TreeElement]:
-        return map(TreeElement, repeat(self), range(len(self.lengths)))
+    def __iter__(self) -> Iterator[WeylElement]:
+        return map(WeylElement, repeat(self), range(len(self.lengths)))
 
-    def image(self, k: int) -> Tuple[int, ...]:
-        rank = len(self.cartan)
-        return tuple(self.images[k * rank:(k + 1) * rank])
-
-    def word(self, k: int) -> Tuple[int, ...]:
-        """The reduced word of w_k: its letters read up the parent chain."""
-        parents, letters = self.parents, self.letters
-        out = []
-        while k:
-            out.append(letters[k])
-            k = parents[k]
-        return tuple(out)
+    def walk(self, start, step: Callable) -> Iterator:
+        """The value of each element in index order: ``start`` at the identity,
+        then ``step(value of the parent, letter)`` along each edge.  Only the
+        values of the previous and the current length are held."""
+        parents, letters, lengths = self.parents, self.letters, self.lengths
+        yield start
+        # values of the previous length, the first of them at index ``first``
+        first, previous, current = 0, [], [start]
+        for k in range(1, len(lengths)):
+            if lengths[k] != lengths[k - 1]:
+                first, previous, current = k - len(current), current, []
+            current.append(step(previous[parents[k] - first], letters[k]))
+            yield current[-1]
 
 
 def _packed_tree(cartan: IntMatrix, images: bytes, parents: bytes, letters: bytes,

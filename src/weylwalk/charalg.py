@@ -10,7 +10,6 @@ D-th roots.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,6 @@ from .cartan import (
     Frozen,
     OrbitTree,
     Weight,
-    WeylElement,
     positive_coroots,
     positive_roots,
     reflect,
@@ -121,6 +119,11 @@ def _in_units(exponent: Sequence, d: int) -> List[int]:
     return out
 
 
+def _units(rank: int) -> List[Tuple[int, ...]]:
+    """The fundamental weights in fw coordinates: the unit vectors."""
+    return [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+
+
 def _one_per_rank(datum: CartanDatum, name: str, coords: Sequence) -> Sequence:
     if len(coords) != datum.rank:
         raise FormatError(f"{name!r} needs {datum.rank} coordinates, got {len(coords)}")
@@ -207,7 +210,6 @@ class CharacterAlgebra:
         self._characters: Dict[Tuple[Tuple[int, ...], TauPoint], Fraction] = {}
         self._denominators: Dict[TauPoint, Fraction] = {}
         self._numerators: Dict[Tuple[int, ...], ExponentPolynomial] = {}
-        self._identity = WeylElement((1,) * datum.rank, (), 1, datum.matrix)
 
     @property
     def group(self) -> OrbitTree:
@@ -265,24 +267,24 @@ class CharacterAlgebra:
         sum_w sign(w) tau^{mu+rho-w(mu+rho)}, one term per element of W.
 
         mu + rho is regular, so its orbit walk takes the edges of the group's
-        orbit tree (``group``, built once): along edge (parent, i), x =
-        w(mu + rho) steps to s_i(x), which adds x_i to the i-th root
-        coordinate of the exponent (mu + rho) - x and flips the sign.  Built
-        once per mu; callers must not mutate it.  A non-dominant mu is
-        refused here, and a group over the budget by ``weyl_group``."""
+        orbit tree (``group``, built once), and ``OrbitTree.walk`` carries
+        (x, exponent, sign) down them: along edge (parent, i), x = w(mu +
+        rho) steps to s_i(x), which adds x_i to the i-th root coordinate of
+        the exponent (mu + rho) - x and flips the sign.  Built once per mu;
+        callers must not mutate it.  A non-dominant mu is refused here, and a
+        group over the budget by ``weyl_group``."""
         poly = self._numerators.get(mu.fw)
         if poly is None:
             if not mu.is_dominant():
                 raise DomainError(f"weight {mu.fw} is not dominant")
-            tree, matrix = self.group, self.datum.matrix
-            images = [tuple(c + 1 for c in mu.fw)]
-            terms = [((0,) * self.datum.rank, 1)]
-            for parent, i in zip(islice(tree.parents, 1, None), islice(tree.letters, 1, None)):
-                x = images[parent]
-                images.append(reflect(matrix, i, x))
-                e, sign = terms[parent]
-                terms.append((e[:i] + (e[i] + x[i],) + e[i + 1:], -sign))
-            poly = self._numerators[mu.fw] = ExponentPolynomial(dict(terms))
+
+            def step(term, i):
+                x, e, sign = term
+                return reflect(self.datum.matrix, i, x), e[:i] + (e[i] + x[i],) + e[i + 1:], -sign
+
+            start = (tuple(c + 1 for c in mu.fw), (0,) * self.datum.rank, 1)
+            poly = self._numerators[mu.fw] = ExponentPolynomial(
+                {e: sign for _, e, sign in self.group.walk(start, step)})
         return poly
 
     # -- psi ---------------------------------------------------------------------
@@ -322,16 +324,12 @@ class CharacterAlgebra:
         ell_r = self.datum.weight(tuple(ell * c for c in spec.reference.fw))
         return counts, ell_r, self.normalizer(spec, tau) ** ell
 
-    def _fw_images(self, w) -> List[Tuple[int, ...]]:
-        """w(omega_k) for every k, in fw coordinates, w's word read once."""
-        rank = self.datum.rank
-        return w.apply_each([tuple(int(j == k) for j in range(rank)) for k in range(rank)])
-
     def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
                       tau: TauPoint, images) -> Fraction:
         """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell.
 
-        ``images`` are w's images of the fundamental weights (``_fw_images``).
+        ``images`` are w's images of the fundamental weights, the unit vectors
+        at w = 1.
         The exponents are integers in units of 1/D, read through the coadj
         rows on those images, and sum in one ``TauPoint.sum_powers`` call.
         """
@@ -344,8 +342,11 @@ class CharacterAlgebra:
         return tau.sum_powers(counts.values(), exponents) / norm
 
     def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:
-        """Finite-horizon stay probability via the branching counts (w = 1)."""
-        return self.psi_ell_twisted(mu, source, tau, ell, self._identity)
+        """Finite-horizon stay probability via the branching counts: the twisted
+        sum at w = 1, read off the unit vectors with no group built."""
+        tau.require_in_region()
+        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau,
+                                  _units(self.datum.rank))
 
     def psi_ell_twisted(self, mu: Weight, source, tau: TauPoint, ell: int,
                         w) -> Fraction:
@@ -357,25 +358,29 @@ class CharacterAlgebra:
         """
         tau.require_in_region()
         return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau,
-                                  self._fw_images(w))
+                                  w.apply_each(_units(self.datum.rank)))
 
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
 
         Left: the closed product form of psi(mu).  Right: the signed sum of
         the twisted finite-horizon terms, which share one set of branching
-        counts and one normalizer.  Each w's word is read once, for its
-        images of the fundamental weights; w(mu + rho) is their combination.
+        counts and one normalizer.  ``OrbitTree.walk`` carries each w's
+        images of the fundamental weights down the tree's edges; w(mu + rho)
+        is their combination.
         """
         datum = self.datum
         left = self.psi(mu, tau)
         counts, ell_r, norm = self._branching(mu, source, tau, ell)
         shifted = mu + datum.rho
-        right = Fraction(0)
-        for w in self.group:
-            images = self._fw_images(w)
+        tree, right = self.group, Fraction(0)
+
+        def step(images, i):
+            return [reflect(datum.matrix, i, x) for x in images]
+
+        for images, length in zip(tree.walk(_units(datum.rank), step), tree.lengths):
             stay = self._twisted_stay(mu, counts, ell_r, norm, tau, images)
             moved = datum.weight([sum(c * x for c, x in zip(shifted.fw, coords))
                                   for coords in zip(*images)])
-            right += w.sign * tau.power((shifted - moved).root) * stay
+            right += (-1) ** length * tau.power((shifted - moved).root) * stay
         return left, right

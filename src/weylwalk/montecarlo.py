@@ -105,11 +105,15 @@ class EstimatorReport(Record):
 
 def bernoulli_report(name: str, hits: int, n: int, target: Optional[Fraction] = None,
                      slack: Union[Fraction, float] = 0.0) -> EstimatorReport:
+    """hits / n with its Wald standard error sqrt(p(1 - p) / n), which is 0 where
+    every sample or none hits: a report with a target then takes p = target."""
     p_hat = hits / n
-    stderr = math.sqrt(max(p_hat * (1 - p_hat), 1e-300) / n)
+    p = p_hat if target is None or 0 < hits < n else target
+    stderr = math.sqrt(float(p * (1 - p)) / n)
     z = None
     if target is not None:
-        z = (p_hat - float(target)) / stderr if stderr > 0 else math.inf
+        gap = p_hat - float(target)
+        z = gap / stderr if stderr else math.copysign(math.inf, gap) if gap else 0.0
     return EstimatorReport(name, p_hat, n, stderr, target, z, slack)
 
 

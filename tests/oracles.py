@@ -12,10 +12,10 @@ point it meets in a set for the orbits and the Weyl numerator, Gauss-Jordan
 elimination over the rationals for the inverse Cartan matrix, one normalizer per node at tau^w
 built as a point of its own (``_twisted_point``, with the D-th roots
 u^{w(alpha_i)}) for the twisted step law, one power per endpoint for the
-finite-horizon stay sum, and the window-and-ladder construction for the
-lowering operator.  Powers of tau come from ``reference_power``, one
-``Fraction`` power per coordinate, never from the library's integer
-evaluator ``TauPoint.sum_powers``.
+finite-horizon stay sum and for each term of the alternating identity, and
+the window-and-ladder construction for the lowering operator.  Powers of tau
+come from ``reference_power``, one ``Fraction`` power per coordinate, never
+from the library's integer evaluator ``TauPoint.sum_powers``.
 
 The unrestricted walk kernel, its twisted form and the drift profile live
 here too: they are definitions the tests check the library against, and the
@@ -545,6 +545,22 @@ def pi_ell_w(algebra: CharacterAlgebra, mu: Weight, source, tau: TauPoint, ell: 
     return shift * algebra.psi_ell_twisted(mu, source, tau, ell, w)
 
 
+def word_master_identity_sides(algebra: CharacterAlgebra, mu: Weight, source, tau: TauPoint,
+                               ell: int) -> Tuple[Fraction, Fraction]:
+    """Oracle for ``CharacterAlgebra.master_identity_sides``: the signed sum
+    one element at a time, each w applied by its word (``act``), with one
+    ``reference_power`` for the shift and ``power_twisted_stay`` for the
+    stay; the left side is ``psi``."""
+    datum = algebra.datum
+    counts, ell_r, norm = algebra._branching(mu, source, tau, ell)
+    shifted = mu + datum.rho
+    right = Fraction(0)
+    for w in algebra.group:
+        shift = reference_power(tau, (shifted - act(datum, w, shifted)).root)
+        right += w.sign * shift * power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w)
+    return algebra.psi(mu, tau), right
+
+
 # -- definitions only the tests read --------------------------------------------
 
 
@@ -601,10 +617,11 @@ def canonical_signature(crystal: CrystalGraph):
 
 
 def inverse_element(w: WeylElement) -> WeylElement:
-    """w^{-1}, spelled by the reversed word; w^{-1}(rho) applies the word
+    """w^{-1}, looked up in w's group by w^{-1}(rho), which applies w's word
     left to right."""
-    rho = (1,) * len(w.cartan)
+    tree = w.tree
+    rho = (1,) * len(tree.cartan)
     for i in w.word:
-        rho = reflect(w.cartan, i, rho)
-    return WeylElement(rho, w.word[::-1], w.sign, w.cartan)
+        rho = reflect(tree.cartan, i, rho)
+    return next(v for v in tree if v.rho_image == rho)
 

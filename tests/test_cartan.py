@@ -144,8 +144,9 @@ def test_weyl_group_is_a_read_only_value(c2):
     assert back == group and [w.word for w in back] == [w.word for w in group]
     assert [w.rho_image for w in back] == [w.rho_image for w in group]
     view = group[5]
-    for twin in (copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
-        assert twin == view and (twin.word, twin.sign) == (view.word, view.sign)
+    for twin in (copy.copy(view), copy.deepcopy(view), pickle.loads(pickle.dumps(view))):
+        assert twin == view and hash(twin) == hash(view)
+        assert (twin.word, twin.sign) == (view.word, view.sign)
 
 
 def test_weyl_group_a2_signs(a2):

@@ -138,6 +138,18 @@ def test_crystal_route_serves_e7_a_zero_denominator_and_a_non_dominant_weight(mo
     assert calls == [zero.fw, lam.fw, (-6, 3)]
 
 
+def test_psi_ell_on_e7_builds_no_group():
+    """psi_ell is the twisted stay at w = 1, read off the unit vectors, so it
+    never enumerates W: E7's group is over the budget.  From 0 one step
+    stays only at the highest node, so psi_1 = 1 / S_omega_7."""
+    e7 = build_cartan_datum("E7")
+    algebra = CharacterAlgebra(e7)
+    omega7, tau = e7.weight((0,) * 6 + (1,)), tau_point(e7, ["1/2"] * 7)
+    assert algebra.psi_ell(e7.zero_weight(), omega7, tau, 1) == 1 / algebra.character_value(
+        omega7, tau)
+    assert algebra._group is None
+
+
 def test_weyl_route_off_the_unit_cube(algebras):
     """Any tau with a nonzero denominator takes the Weyl route; one with a
     vanishing denominator falls back to the crystal."""

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk.cartan import act
-from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, tau_point, tau_point_from_roots
+from weylwalk.charalg import (CharacterAlgebra, ExponentPolynomial, _units, tau_point,
+                              tau_point_from_roots)
 from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import DomainError, ExactEvaluationError
 
@@ -21,6 +22,7 @@ from oracles import (
     poly_sum,
     power_twisted_stay,
     weyl_character_product,
+    word_master_identity_sides,
 )
 
 F = Fraction
@@ -279,6 +281,25 @@ def test_master_identity(c2, a2, c2_algebra, a2_algebra, tau_half):
                 assert left == right
 
 
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "B3", "D4", "F4", "C2 module"])
+def test_master_identity_sides_equal_word_oracle(label):
+    """Both sides, read down the tree's walk, equal the sum one word at a
+    time at ell 2; the C2 module V(omega_1) + V(omega_2) takes tau_roots."""
+    datum = build_cartan_datum(label.split()[0])
+    n = datum.rank
+    if label == "C2 module":
+        source = ModuleSpec(((datum.weight((1, 0)), 1), (datum.weight((0, 1)), 1)))
+        tau = tau_point_from_roots(datum, [F(1, 2), F(1, 3)])
+    else:
+        source = datum.weight((0,) * (n - 1) + (1,))
+        tau = tau_point(datum, [F(1, k + 2) for k in range(n)])
+    algebra = CharacterAlgebra(datum)
+    mu = datum.weight((1,) + (0,) * (n - 1))
+    sides = algebra.master_identity_sides(mu, source, tau, 2)
+    assert sides == word_master_identity_sides(algebra, mu, source, tau, 2)
+    assert sides[0] == sides[1]
+
+
 def test_twisted_term_factorization(c2, c2_algebra, tau_half):
     """Direct alternating-sum terms equal the twisted-walk factorization."""
     datum = c2
@@ -407,7 +428,8 @@ def test_twisted_stay_equals_power_oracle(name):
             counts, ell_r, norm = algebra._branching(mu, source, tau, ell)
             assert norm == algebra.normalizer(source, tau) ** ell
             for w in algebra.group:
-                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, algebra._fw_images(w))
+                images = w.apply_each(_units(datum.rank))
+                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, images)
                         == power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w))
 
 
@@ -424,5 +446,5 @@ def test_twisted_stay_raises_without_roots():
             with pytest.raises(ExactEvaluationError) as oracle:
                 power_twisted_stay(algebra, mu, counts, ell_r, F(1), tau, w)
             with pytest.raises(ExactEvaluationError) as fast:
-                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, algebra._fw_images(w))
+                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, w.apply_each(_units(2)))
             assert str(fast.value) == str(oracle.value)

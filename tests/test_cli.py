@@ -148,6 +148,15 @@ def test_simulate_passes_a_gap_equal_to_the_slack(tmp_path, flags):
     assert [r["estimate"] for r in payload] == [1.0, 1.0]
 
 
+def test_simulate_keeps_a_band_where_every_sample_stays(tmp_path):
+    """psi_3 = 29790/29791 leaves about 0.07 exits in 2000 samples, so most
+    seeds see every sample stay; the band then comes from the target."""
+    flags = "--type A1 --kappa 1 --mu 2 --tau 1/30 --samples 2000 --horizon 3".split()
+    for seed in range(1, 11):
+        code, _ = run(tmp_path / str(seed), "simulate", *flags, "--seed", str(seed))
+        assert code == 0, seed
+
+
 def test_sandwich_command(tmp_path):
     cfg = write_config(tmp_path, {
         "type": "C2", "kappa": [0, 1], "tau": ["1/2", "1/2"],

@@ -219,6 +219,25 @@ def test_within_is_exact_at_the_edge_of_the_band():
                                    slack=1 - psi).within(4.0)
 
 
+def test_bernoulli_report_where_every_sample_or_none_hits():
+    """With no target the standard error of hits 0 or n is 0; with a target,
+    sigma is the target's sqrt(t(1 - t) / n), and z is 0 on the target."""
+    for hits in (0, 2000):
+        bare = MC.bernoulli_report("stay", hits, 2000)
+        assert (bare.stderr, bare.z) == (0.0, None) and bare.within(4.0)
+    psi = F(29790, 29791)
+    sigma = math.sqrt(float(psi * (1 - psi)) / 2000)
+    every = MC.bernoulli_report("stay", 2000, 2000, psi)
+    assert every.stderr == sigma and every.z == (1 - float(psi)) / sigma and every.within(4.0)
+    none = MC.bernoulli_report("stay", 0, 2000, psi)
+    assert none.stderr == sigma and none.z == -float(psi) / sigma and not none.within(4.0)
+    # a target of exactly 1: the band is the point 1
+    on = MC.bernoulli_report("stay", 2000, 2000, F(1))
+    assert (on.stderr, on.z) == (0.0, 0.0) and on.within(4.0)
+    off = MC.bernoulli_report("stay", 0, 2000, F(1))
+    assert (off.stderr, off.z) == (0.0, -math.inf) and not off.within(4.0)
+
+
 def test_nearest_dominant_tie_break(c2):
     """Equidistant candidates resolve to the smaller fw coordinates."""
     a = c2.weight((0, 1))

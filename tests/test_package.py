@@ -105,12 +105,15 @@ def test_weight_compares_and_hashes_by_fw_only(c2):
 
 
 def test_weyl_element_compares_and_hashes_by_rho_image(c2_algebra):
+    """Elements of two separately built trees of one type are equal where
+    they stand for the same w."""
     group = c2_algebra.group
-    w = group[3]
-    twin = cartan.WeylElement(w.rho_image, (), 1, ())
-    assert w == twin and hash(w) == hash(twin)
-    assert len(set(group)) == len(group) == 8
-    assert w != group[4]
+    again = cartan.weyl_group(cartan.build_cartan_datum("C2"))
+    assert again is not group
+    for w, twin in zip(group, again):
+        assert w == twin and hash(w) == hash(twin)
+    assert len(set(group) | set(again)) == len(group) == 8
+    assert group[3] != again[4]
 
 
 def test_paths_and_tensor_nodes_compare_by_value(c2, b_pi1):

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from weylwalk import build_cartan_datum, weyl_group
-from weylwalk.cartan import act, positive_roots
+from weylwalk.cartan import act, positive_roots, reflect
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.errors import DomainError, ExactEvaluationError
 
@@ -63,6 +63,18 @@ def test_tree_links_spell_each_word_in_length_order(label):
     assert group[-1] == group[len(group) - 1] and group[-1].word == words[-1]
     with pytest.raises(IndexError):
         group[len(group)]
+
+
+@pytest.mark.parametrize("spec", GROUP_TYPES, ids=str)
+def test_walk_carries_the_fundamental_weights_to_every_element(spec):
+    """The tree's walk, one reflection per edge from the unit vectors, gives
+    each element's images of the fundamental weights, as its word does."""
+    datum = build_cartan_datum(spec)
+    group = weyl_group(datum)
+    units = [tuple(int(j == k) for j in range(datum.rank)) for k in range(datum.rank)]
+    walk = group.walk(units, lambda images, i: [reflect(datum.matrix, i, x) for x in images])
+    for w, images in zip(group, walk, strict=True):
+        assert images == [w.apply_fw(fw) for fw in units]
 
 
 @pytest.mark.parametrize("label,values", [

@@ -15,7 +15,10 @@ prints every job whose record differs and exits 1 if any does.
 ``--workload commands`` runs instead the fixed list ``COMMAND_JOBS`` below:
 CLI runs of the commands that no benchmark workload makes (``crystal``,
 ``character``, ``pitman`` and ``ratio``), so that a change can be compared on
-every command.  ``--seeds`` and ``--jobs`` do not apply to it.
+every command, and two runs no workload reaches: ``verify`` on D4, whose
+twisted checks and alternating identities walk a group of 192 elements, and
+an A1 ``simulate`` where every sample stays.  ``--seeds`` and ``--jobs`` do
+not apply to it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ COMMAND_JOBS = [
         ("ratio", {**RATIO_C2, "ell": 4}),
         ("ratio", {**RATIO_C2, "ells": [6, 6]}),
         ("ratio", {**RATIO_C2, "ells": [8, 4]}),
+        ("verify", {"type": "D4", "kappa": [1, 0, 0, 0], "tau": ["1/2", "1/3", "1/4", "1/5"]}),
+        ("simulate", {"type": "A1", "kappa": [1], "mu": [2], "tau": ["1/30"],
+                      "samples": 2000, "horizon": 3, "seed": 1}),
     ])
 ]
 
