@@ -236,14 +236,15 @@ class WeylElement(Frozen):
 
     ``word`` is a reduced word with w = s_{word[0]} ... s_{word[-1]}, so
     the reflections act right to left, and ``sign`` is (-1)^len(word).
-    Equality and hashing read w(rho), so the elements of two trees of one
-    type that stand for the same w are equal.  Only ``OrbitTree`` builds one.
+    Equality and hashing read the Cartan matrix and w(rho), so the elements
+    of two trees of one type that stand for the same w are equal, and
+    elements of different types are not.  Only ``OrbitTree`` builds one.
     """
 
     __slots__ = ("tree", "index")
 
     def _values(self) -> tuple:
-        return (self.rho_image,)
+        return (self.tree.cartan, self.rho_image)
 
     @property
     def rho_image(self) -> Tuple[int, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cartan import (
     CartanDatum,
@@ -384,3 +384,11 @@ class CharacterAlgebra:
                                   for coords in zip(*images)])
             right += (-1) ** length * tau.power((shifted - moved).root) * stay
         return left, right
+
+    def alternating_identity_checks(self, mu: Weight, source, tau: TauPoint
+                                    ) -> Iterator[Tuple[str, bool]]:
+        """Yield ``(name, passed)`` for the finite-horizon alternating identity
+        at ell 1 and 2, each pair as soon as its two sides are computed."""
+        for ell in (1, 2):
+            left, right = self.master_identity_sides(mu, source, tau, ell)
+            yield f"alternating identity ell={ell}", left == right

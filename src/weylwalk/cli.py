@@ -24,13 +24,12 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional
 
 from .cartan import Weight, build_cartan_datum
-from .charalg import CharacterAlgebra, TauPoint, in_unit_cube, tau_point, tau_point_from_roots
-from .crystal import ModuleSpec, TensorNode, tensor_apply_e
+from .charalg import CharacterAlgebra, TauPoint, tau_point, tau_point_from_roots
+from .crystal import ModuleSpec, tensor_rule_checks
 from .errors import (
     DomainError,
     ExactEvaluationError,
     FormatError,
-    HarmonicityError,
     NotFiniteTypeError,
     ResourceBudgetError,
     WeylwalkError,
@@ -285,17 +284,10 @@ def cmd_hchain(ctx: RunContext, out: OutputWriter) -> int:
     return EXIT_OK
 
 
-def _doob_and_hchain(dist, states):
-    """The Doob transform by psi of the restricted table, and the h-chain table."""
+def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
     from . import markov as M
 
-    sub = M.restricted_table(dist, states, strict=False)
-    return (M.doob_transform(sub, M.psi_harmonic_witness(dist, sub)),
-            M.hchain_matrix(dist, states, strict=False))
-
-
-def cmd_conditioned(ctx: RunContext, out: OutputWriter) -> int:
-    table, hc = _doob_and_hchain(ctx.distribution(), ctx.states())
+    table, hc = M.doob_and_hchain(ctx.distribution(), ctx.states())
     out.write("conditioned.csv", table.to_csv())
     out.write("conditioned.json", table.to_json())
     same = table.rows == hc.rows
@@ -423,56 +415,22 @@ def cmd_ratio(ctx: RunContext, out: OutputWriter) -> int:
 
 
 def cmd_verify(ctx: RunContext, out: OutputWriter) -> int:
-    """Exact self-checks of the central identities on the configured data."""
+    """Exact self-checks of the central identities on the configured data: each
+    library check yields its (name, passed) pairs, printed as they come."""
     from . import markov as M
 
-    tau = ctx.require_tau()
-    algebra = ctx.algebra
-    datum = ctx.datum
     dist = ctx.distribution()
-    group = algebra.group
-    results: List[tuple] = []
-
-    def record(name, ok):
-        results.append((name, bool(ok)))
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-
-    # finite-horizon alternating identity
-    for ell in (1, 2):
-        left, right = algebra.master_identity_sides(ctx.mu(), ctx.source, tau, ell)
-        record(f"alternating identity ell={ell}", left == right)
-    # matrix identity
-    try:
-        doob, hc = _doob_and_hchain(dist, ctx.states(limit=3))
-        record("doob(psi) == hchain", doob.rows == hc.rows)
-    except HarmonicityError as ex:
-        record(f"doob(psi) == hchain ({ex})", False)
-    # twisted coordinates leave the cube except at the identity
-    ok = all(in_unit_cube(M.twisted_tau(datum, w, tau)) == w.is_identity() for w in group)
-    record("twisted tau outside ]0,1[^n unless w=1", ok)
-    # twisted node law equals the permuted law, node by node
-    ok = True
-    for w in group:
-        law = M.twisted_law(dist, w)
-        ok = ok and all(law[(crystal.kappa, crystal.weights[idx])] == permuted
-                        for crystal, idx, permuted
-                        in M.twisted_distribution_probabilities(dist, w))
-    record("twisted law equals permuted law", ok)
-    # tensor rule against path-level operators
-    ok = True
-    crystal = dist.crystals[0][0]
-    for i0 in range(len(crystal)):
-        for i1 in range(len(crystal)):
-            node = TensorNode(((crystal, i0), (crystal, i1)))
-            path = node.path()
-            for i in range(datum.rank):
-                te = tensor_apply_e(node, i)
-                pe = P.apply_e(datum, path, i)
-                ok = ok and ((te is None) == (pe is None))
-                if te is not None:
-                    ok = ok and te.path() == pe
-    record("tensor rule matches path operators (ell=2)", ok)
-
+    ctx.algebra.group  # a group over the budget exits 4 before any check runs
+    # deferred: a check's inputs (the state closure) are built after earlier lines print
+    checks = (lambda: ctx.algebra.alternating_identity_checks(ctx.mu(), ctx.source, dist.tau),
+              lambda: M.doob_hchain_checks(dist, ctx.states(limit=3)),
+              lambda: M.twisted_checks(dist),
+              lambda: tensor_rule_checks(dist.crystals[0][0]))
+    results = []
+    for check in checks:
+        for name, ok in check():
+            results.append((name, ok))
+            print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     payload = [{"check": n, "pass": p} for n, p in results]
     out.write("verify.json", json.dumps(payload, indent=2))
     return EXIT_OK if all(p for _, p in results) else EXIT_VERIFY

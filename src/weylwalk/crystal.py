@@ -2,8 +2,8 @@
 
 A crystal is generated by closing a dominant path under the lowering
 operators; nodes are canonical paths, so deduplication is exact.  Tensor
-nodes keep their factors and act through the concatenation rule, which is
-cross-checked against the path-level operators in the tests.
+nodes keep their factors and act through the concatenation rule, which
+``tensor_rule_checks`` checks against the path-level operators.
 """
 
 from __future__ import annotations
@@ -286,6 +286,23 @@ def tensor_apply_f(node: TensorNode, i: int) -> Optional[TensorNode]:
     lows, _ = _factor_lows(node, i)
     m = min(lows)
     return _move_factor(node, max(k for k, low in enumerate(lows) if low == m), i, up=False)
+
+
+def tensor_rule_checks(crystal: CrystalGraph) -> Iterator[Tuple[str, bool]]:
+    """Yield ``(name, passed)`` for ``tensor_apply_e`` on every node of
+    ``crystal`` tensor ``crystal`` against ``paths.apply_e`` on its path."""
+    datum, ok = crystal.datum, True
+    for i0 in range(len(crystal)):
+        for i1 in range(len(crystal)):
+            node = TensorNode(((crystal, i0), (crystal, i1)))
+            path = node.path()
+            for i in range(datum.rank):
+                te = tensor_apply_e(node, i)
+                pe = P.apply_e(datum, path, i)
+                ok = ok and ((te is None) == (pe is None))
+                if te is not None:
+                    ok = ok and te.path() == pe
+    yield "tensor rule matches path operators (ell=2)", ok
 
 
 def count_multiplicity(mu: Weight, crystal: CrystalGraph) -> Dict[Weight, int]:

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .cartan import CartanDatum, Frozen, Weight, WeylElement, longest_word
-from .charalg import CharacterAlgebra, TauPoint
+from .charalg import CharacterAlgebra, TauPoint, in_unit_cube
 from .crystal import (
     CrystalGraph,
     ModuleSpec,
@@ -151,6 +151,21 @@ def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
         img = e.crystal.weyl_action_on_node(w, e.node)
         out.append((e.crystal, e.node, dist.probability_of(e.crystal, img)))
     return out
+
+
+def twisted_checks(dist: CrystalDistribution) -> Iterator[Tuple[str, bool]]:
+    """Yield ``(name, passed)`` for the twisted laws over every w of the group:
+    tau^w leaves the open unit cube unless w = 1, and the law at tau^w equals
+    the permuted law node by node."""
+    group, tau = dist.algebra.group, dist.tau
+    yield ("twisted tau outside ]0,1[^n unless w=1",
+           all(in_unit_cube(twisted_tau(dist.datum, w, tau)) == w.is_identity() for w in group))
+    ok = True
+    for w in group:
+        law = twisted_law(dist, w)
+        ok = ok and all(law[(crystal.kappa, crystal.weights[idx])] == permuted
+                        for crystal, idx, permuted in twisted_distribution_probabilities(dist, w))
+    yield "twisted law equals permuted law", ok
 
 
 # -- transition tables ------------------------------------------------------------
@@ -318,6 +333,26 @@ def hchain_matrix(dist: CrystalDistribution, states: Sequence[Weight],
     """Stochastic table of the transformed walk on the given states."""
     return _table(dist, states, strict, lambda mu, lam: hchain_entry(dist, mu, lam),
                   "stochastic")
+
+
+def doob_and_hchain(dist: CrystalDistribution, states: Sequence[Weight]
+                    ) -> Tuple[TransitionTable, TransitionTable]:
+    """The Doob transform by psi of the restricted table, and the h-chain table."""
+    sub = restricted_table(dist, states, strict=False)
+    return (doob_transform(sub, psi_harmonic_witness(dist, sub)),
+            hchain_matrix(dist, states, strict=False))
+
+
+def doob_hchain_checks(dist: CrystalDistribution, states: Sequence[Weight]
+                       ) -> Iterator[Tuple[str, bool]]:
+    """Yield ``(name, passed)`` for Doob(psi) against the h-chain table on the
+    states; a psi that is not harmonic fails it, named after the error."""
+    try:
+        doob, hc = doob_and_hchain(dist, states)
+    except HarmonicityError as ex:
+        yield f"doob(psi) == hchain ({ex})", False
+    else:
+        yield "doob(psi) == hchain", doob.rows == hc.rows
 
 
 # -- path transform ----------------------------------------------------------------

@@ -11,8 +11,10 @@ import time
 import pytest
 
 import weylwalk
-from weylwalk import markov as M
+from weylwalk import build_cartan_datum, markov as M
+from weylwalk.charalg import CharacterAlgebra, tau_point, tau_point_from_roots
 from weylwalk.cli import main
+from weylwalk.crystal import ModuleSpec, tensor_rule_checks
 
 
 def run(tmp_path, *argv):
@@ -89,6 +91,10 @@ def test_conditioned_equals_hchain(tmp_path):
     assert code == 0
     payload = json.loads((outdir / "conditioned.json").read_text())
     assert payload["kind"] == "stochastic"
+    assert run(tmp_path, "hchain", "--config", cfg)[0] == 0
+    hchain = json.loads((outdir / "hchain.json").read_text())
+    assert payload["rows"] == hchain["rows"]
+    assert payload["row_complete"] == hchain["row_complete"]
 
 
 def test_hchain_outputs(tmp_path):
@@ -259,6 +265,47 @@ def test_verify_e7_exits_budget_at_once(tmp_path):
     code, _ = run(tmp_path, "verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7))
     assert code == 4
     assert time.perf_counter() - start < 30
+
+
+def test_verify_over_the_budget_prints_no_check_line(tmp_path, capsys):
+    code, _ = run(tmp_path, "verify", "--type", "E7", "--tau", ",".join(["1/2"] * 7))
+    assert code == 4
+    out = capsys.readouterr().out
+    assert "[PASS]" not in out and "[FAIL]" not in out
+
+
+VERIFY_CHECKS = ["alternating identity ell=1", "alternating identity ell=2",
+                 "doob(psi) == hchain", "twisted tau outside ]0,1[^n unless w=1",
+                 "twisted law equals permuted law",
+                 "tensor rule matches path operators (ell=2)"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"type": "A2", "kappa": [1, 0], "tau": ["1/2", "1/3"]},
+    {"type": "C2", "kappa": [1, 0], "tau": ["1/2", "1/3"]},
+    {"type": "C2", "module": [{"kappa": [1, 0]}, {"kappa": [0, 1]}],
+     "tau_roots": ["1/2", "1/3"]},
+])
+def test_library_checks_are_verify(tmp_path, cfg):
+    """The four library checks, run with no CLI, give verify.json pair by pair."""
+    datum = build_cartan_datum(cfg["type"])
+    algebra = CharacterAlgebra(datum)
+    if "module" in cfg:
+        source = ModuleSpec(tuple((datum.weight(item["kappa"]), 1) for item in cfg["module"]))
+        tau = tau_point_from_roots(datum, cfg["tau_roots"])
+    else:
+        source, tau = datum.weight(cfg["kappa"]), tau_point(datum, cfg["tau"])
+    dist = M.build_distribution(algebra, source, tau)
+    mu = datum.weight((0, 0))
+    states = M.state_closure(dist, [mu, mu], inside=M.coordinate_box(3))
+    pairs = [*algebra.alternating_identity_checks(mu, source, tau),
+             *M.doob_hchain_checks(dist, states), *M.twisted_checks(dist),
+             *tensor_rule_checks(dist.crystals[0][0])]
+    assert [name for name, _ in pairs] == VERIFY_CHECKS
+    code, outdir = run(tmp_path, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    verify = json.loads((outdir / "verify.json").read_text())
+    assert verify == [{"check": name, "pass": passed} for name, passed in pairs]
 
 
 RATIO_C2 = ["ratio", "--type", "C2", "--kappa", "1,0", "--tau", "1/2,1/3", "--mu", "2,0"]

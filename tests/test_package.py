@@ -106,7 +106,7 @@ def test_weight_compares_and_hashes_by_fw_only(c2):
 
 def test_weyl_element_compares_and_hashes_by_rho_image(c2_algebra):
     """Elements of two separately built trees of one type are equal where
-    they stand for the same w."""
+    they stand for the same w: the type and w(rho) match."""
     group = c2_algebra.group
     again = cartan.weyl_group(cartan.build_cartan_datum("C2"))
     assert again is not group
@@ -114,6 +114,12 @@ def test_weyl_element_compares_and_hashes_by_rho_image(c2_algebra):
         assert w == twin and hash(w) == hash(twin)
     assert len(set(group) | set(again)) == len(group) == 8
     assert group[3] != again[4]
+
+
+def test_weyl_elements_of_different_types_differ():
+    a2, c2 = (cartan.weyl_group(cartan.build_cartan_datum(t)) for t in ("A2", "C2"))
+    assert a2[0].rho_image == c2[0].rho_image and a2[0] != c2[0]
+    assert len(set(a2) | set(c2)) == len(a2) + len(c2) == 14
 
 
 def test_paths_and_tensor_nodes_compare_by_value(c2, b_pi1):
