@@ -164,7 +164,7 @@ class Realization(Frozen):
 
 def _epsilon_realization(family: str, n: int) -> Optional[Realization]:
     """Standard epsilon-coordinate model for the B/C/D families (dim n)."""
-    e = [vec(int(i == j) for j in range(n)) for i in range(n)]
+    e = [vec(u) for u in unit_vectors(n)]
     if family == "C":
         # omega_i = e_1 + ... + e_i; coroots e_i - e_{i+1}, e_n.
         fw = tuple(vec([1] * (i + 1) + [0] * (n - i - 1)) for i in range(n))
@@ -266,10 +266,6 @@ class WeylElement(Frozen):
     def is_identity(self) -> bool:
         return self.index == 0
 
-    def apply_fw(self, fw: Sequence) -> Tuple:
-        """w(x) on fw coordinates, ints or Fractions."""
-        return self.apply_each((fw,))[0]
-
     def apply_each(self, vectors: Sequence[Sequence]) -> List[Tuple]:
         """w(x) for each x of ``vectors``, reading the word once."""
         letters, cartan = self.word[::-1], self.tree.cartan
@@ -369,15 +365,19 @@ class CartanDatum(Frozen):
         return tuple(sum(self.matrix[j][i] * c for j, c in enumerate(root))
                      for i in range(self.rank))
 
-    def simple_root(self, i: int) -> Weight:
-        return self.weight(self.matrix[i])
-
     @property
     def rho(self) -> Weight:
         return self.weight((1,) * self.rank)
 
     def zero_weight(self) -> Weight:
         return self.weight((0,) * self.rank)
+
+    def twist(self, images: Sequence[Sequence[int]]) -> IntMatrix:
+        """Integer rows L_w from w's images of the fundamental weights: L_w . x
+        is det times the root coordinates of w(x) for every fw vector x, and
+        L_1 is ``coadj``.  Every twisted exponent is read through them."""
+        return tuple(tuple(sum(a * y for a, y in zip(row, img)) for img in images)
+                     for row in self.coadj)
 
 
 def _determinant(m: Sequence[Sequence[int]]) -> int:
@@ -487,7 +487,7 @@ def build_cartan_datum(spec, max_rank: int = MAX_NAMED_RANK) -> CartanDatum:
         for i in range(n)
     )
     if realization is None:
-        basis = tuple(vec(int(i == j) for i in range(n)) for j in range(n))
+        basis = tuple(map(vec, unit_vectors(n)))
         realization = Realization(n, basis, basis)
     datum = CartanDatum(matrix, n, det, coadj, realization, label)
     _verify_datum(datum)
@@ -503,10 +503,8 @@ def _verify_datum(datum: CartanDatum) -> None:
             if entry != datum.det * (i == j):
                 raise FormatError("inverse check failed")
     # realization consistency: omega_i pairs to delta_ij against coroots
-    for i in range(n):
-        amb = datum.realization.to_ambient(tuple(1 if j == i else 0 for j in range(n)))
-        back = datum.realization.from_ambient(amb)
-        if back != tuple(Fraction(1 if j == i else 0) for j in range(n)):
+    for unit in unit_vectors(n):
+        if datum.realization.from_ambient(datum.realization.to_ambient(unit)) != unit:
             raise FormatError("ambient realization is not dual to the coroots")
 
 
@@ -517,7 +515,7 @@ def _positive_root_coords(matrix: IntMatrix) -> List[Tuple[int, ...]]:
     coordinates for determinism.
     """
     n = len(matrix)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    simple = unit_vectors(n)
 
     def reflect_root(i: int, r: Tuple[int, ...]) -> Tuple[int, ...]:
         coeff = sum(matrix[j][i] * r[j] for j in range(n))
@@ -630,14 +628,19 @@ def weyl_group(datum: CartanDatum) -> OrbitTree:
                         bytes(lengths))
 
 
+def unit_vectors(rank: int) -> List[Tuple[int, ...]]:
+    """The fundamental weights in fw coordinates: the identity's images."""
+    return [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
+
+
 def act(datum: CartanDatum, w: WeylElement, beta: Weight) -> Weight:
     """Linear Weyl action on a weight, in exact fw coordinates."""
-    return datum.weight(w.apply_fw(beta.fw))
+    return datum.weight(w.apply_each((beta.fw,))[0])
 
 
 def act_vector(w: WeylElement, x: Vector) -> Vector:
     """Same action on an arbitrary rational vector in fw coordinates."""
-    return w.apply_fw(x)
+    return w.apply_each((x,))[0]
 
 
 def chamber_position(beta: Weight) -> str:

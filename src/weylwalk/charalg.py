@@ -21,6 +21,7 @@ from .cartan import (
     positive_coroots,
     positive_roots,
     reflect,
+    unit_vectors,
     weyl_group,
     weyl_order,
 )
@@ -117,11 +118,6 @@ def _in_units(exponent: Sequence, d: int) -> List[int]:
             raise ExactEvaluationError(f"exponent {x} is not a multiple of 1/{d}")
         out.append(x.numerator * d // x.denominator)
     return out
-
-
-def _units(rank: int) -> List[Tuple[int, ...]]:
-    """The fundamental weights in fw coordinates: the unit vectors."""
-    return [tuple(int(j == k) for j in range(rank)) for k in range(rank)]
 
 
 def _one_per_rank(datum: CartanDatum, name: str, coords: Sequence) -> Sequence:
@@ -325,28 +321,21 @@ class CharacterAlgebra:
         return counts, ell_r, self.normalizer(spec, tau) ** ell
 
     def _twisted_stay(self, mu: Weight, counts, ell_r: Weight, norm: Fraction,
-                      tau: TauPoint, images) -> Fraction:
-        """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell.
-
-        ``images`` are w's images of the fundamental weights, the unit vectors
-        at w = 1.
-        The exponents are integers in units of 1/D, read through the coadj
-        rows on those images, and sum in one ``TauPoint.sum_powers`` call.
-        """
-        datum = self.datum
-        # D times the coordinate of w(x) is lin . x
-        lins = [[sum(x * y for x, y in zip(row, img)) for img in images] for row in datum.coadj]
-        base = [a + sum(x * y for x, y in zip(lin, mu.fw)) for a, lin in zip(ell_r.scaled, lins)]
-        exponents = [[a - sum(x * y for x, y in zip(lin, fw)) for a, lin in zip(base, lins)]
+                      tau: TauPoint, twist) -> Fraction:
+        """Sum over lambda of f_lam tau^{ell*r + w(mu) - w(lambda)}, over N_r^ell:
+        w's ``CartanDatum.twist`` (``coadj`` at w = 1) reads the exponents in
+        units of 1/D, and they sum in one ``TauPoint.sum_powers`` call."""
+        base = [a + sum(x * y for x, y in zip(row, mu.fw)) for a, row in zip(ell_r.scaled, twist)]
+        exponents = [[a - sum(x * y for x, y in zip(row, fw)) for a, row in zip(base, twist)]
                      for fw in counts]
         return tau.sum_powers(counts.values(), exponents) / norm
 
     def psi_ell(self, mu: Weight, source, tau: TauPoint, ell: int) -> Fraction:
         """Finite-horizon stay probability via the branching counts: the twisted
-        sum at w = 1, read off the unit vectors with no group built."""
+        sum at w = 1, read through ``coadj`` with no group built."""
         tau.require_in_region()
         return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau,
-                                  _units(self.datum.rank))
+                                  self.datum.coadj)
 
     def psi_ell_twisted(self, mu: Weight, source, tau: TauPoint, ell: int,
                         w) -> Fraction:
@@ -357,8 +346,8 @@ class CharacterAlgebra:
         the identity.
         """
         tau.require_in_region()
-        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau,
-                                  w.apply_each(_units(self.datum.rank)))
+        twist = self.datum.twist(w.apply_each(unit_vectors(self.datum.rank)))
+        return self._twisted_stay(mu, *self._branching(mu, source, tau, ell), tau, twist)
 
     def master_identity_sides(self, mu: Weight, source, tau: TauPoint, ell: int):
         """Exact two sides of the finite-horizon alternating identity.
@@ -366,8 +355,7 @@ class CharacterAlgebra:
         Left: the closed product form of psi(mu).  Right: the signed sum of
         the twisted finite-horizon terms, which share one set of branching
         counts and one normalizer.  ``OrbitTree.walk`` carries each w's
-        images of the fundamental weights down the tree's edges; w(mu + rho)
-        is their combination.
+        images of the fundamental weights, whose twist reads every exponent.
         """
         datum = self.datum
         left = self.psi(mu, tau)
@@ -378,11 +366,12 @@ class CharacterAlgebra:
         def step(images, i):
             return [reflect(datum.matrix, i, x) for x in images]
 
-        for images, length in zip(tree.walk(_units(datum.rank), step), tree.lengths):
-            stay = self._twisted_stay(mu, counts, ell_r, norm, tau, images)
-            moved = datum.weight([sum(c * x for c, x in zip(shifted.fw, coords))
-                                  for coords in zip(*images)])
-            right += (-1) ** length * tau.power((shifted - moved).root) * stay
+        for images, length in zip(tree.walk(unit_vectors(datum.rank), step), tree.lengths):
+            twist = datum.twist(images)
+            stay = self._twisted_stay(mu, counts, ell_r, norm, tau, twist)
+            shift = [a - sum(x * y for x, y in zip(row, shifted.fw))
+                     for a, row in zip(shifted.scaled, twist)]
+            right += (-1) ** length * tau.sum_powers((1,), (shift,)) * stay
         return left, right
 
     def alternating_identity_checks(self, mu: Weight, source, tau: TauPoint

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Frozen, Weight, WeylElement
+from .cartan import CartanDatum, Frozen, Weight
 from .errors import FormatError, ResourceBudgetError, WeylwalkError
 from . import paths as P
 
@@ -105,12 +105,6 @@ class CrystalGraph:
         else:
             for _ in range(-k):
                 cur = self.e_edge[(cur, i)]
-        return cur
-
-    def weyl_action_on_node(self, w: WeylElement, idx: int) -> int:
-        cur = idx
-        for i in reversed(w.word):
-            cur = self.simple_reflection_on_node(i, cur)
         return cur
 
     def kappa0(self) -> Weight:
@@ -228,13 +222,6 @@ class TensorNode(Frozen):
 
     def path(self) -> P.PiecewisePath:
         return P.concat_all([crys.nodes[idx] for crys, idx in self.factors])
-
-    def weight(self) -> Weight:
-        out = [0] * self.datum.rank
-        for crys, idx in self.factors:
-            for k, c in enumerate(crys.weights[idx].fw):
-                out[k] += c
-        return self.datum.weight(out)
 
     def _values(self) -> tuple:
         # factors are equal when they are the same crystal at the same node

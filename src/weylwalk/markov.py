@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
-from .cartan import CartanDatum, Frozen, Weight, WeylElement, longest_word
+from .cartan import (CartanDatum, Frozen, Weight, WeylElement, longest_word, reflect,
+                     unit_vectors)
 from .charalg import CharacterAlgebra, TauPoint, in_unit_cube
 from .crystal import (
     CrystalGraph,
@@ -49,16 +50,13 @@ class CrystalDistribution:
         self.tau = tau
         self.crystals = algebra.module_crystals(self.source)
         self.normalizer = algebra.normalizer(self.source, tau)
-        weights, total = _step_weights(self, None)
+        weights, total = _step_weights(self, self.datum.coadj)
         if total != self.normalizer:
             raise WeylwalkError(f"probabilities sum to {total / self.normalizer}, not 1")
         self.law = {key: p / self.normalizer for key, p in weights.items()}
         self.entries = tuple(DistEntry(c, idx, self.law[(c.kappa, wt)])
                              for c, _ in self.crystals for idx, wt in enumerate(c.weights))
         self._rows: Dict[Tuple[int, ...], Dict[Weight, int]] = {}
-
-    def probability_of(self, crystal: CrystalGraph, node: int) -> Fraction:
-        return self.law[(crystal.kappa, crystal.weights[node])]
 
     def multiplicity_row(self, mu: Weight) -> Dict[Weight, int]:
         """Branching row of mu, computed once per mu; callers must not mutate it."""
@@ -94,44 +92,45 @@ def build_distribution(algebra: CharacterAlgebra, source: Source, tau: TauPoint)
 # -- twisting -------------------------------------------------------------------
 
 
-def _twisted_roots(datum: CartanDatum, w: WeylElement) -> List[Tuple]:
-    """Root coordinates of w(alpha_i) for every i, w's word read once."""
-    simple = [datum.simple_root(i).fw for i in range(datum.rank)]
-    return [datum.weight(x).root for x in w.apply_each(simple)]
-
-
-def _step_weights(dist: CrystalDistribution, w: Optional[WeylElement]
+def _step_weights(dist: CrystalDistribution, twist
                   ) -> Tuple[Dict[Tuple[Weight, Weight], Fraction], Fraction]:
     """a_kappa tau^{w(r - wt)} keyed by (kappa, wt), and its total over every
-    node of every summand with its multiplicity; ``w`` None is the identity.
-
-    The law at tau^w, as (tau^w)^e = tau^{w(e)}, with w(e) = sum_i e_i w(alpha_i):
-    w(e) - e is in the root lattice, so w(e) needs the D-th roots e needs."""
-    # cols[j][i] is the j-th root coordinate of w(alpha_i)
-    cols = None if w is None else list(zip(*_twisted_roots(dist.datum, w)))
+    node of every summand with its multiplicity: the law at tau^w, as
+    (tau^w)^e = tau^{w(e)}.  w's ``CartanDatum.twist`` (``coadj`` at w = 1)
+    reads w(e) in units of 1/D; w(e) - e is in the root lattice, so w(e)
+    needs the D-th roots e needs."""
     weights: Dict[Tuple[Weight, Weight], Fraction] = {}
     total = Fraction(0)
     for summand, m in dist.crystals:
         for wt, count in summand.weight_counts().items():
-            e = (dist.reference - wt).root
-            e = e if cols is None else [sum([c * x for c, x in zip(e, col)]) for col in cols]
-            weights[(summand.kappa, wt)] = p = m * dist.tau.power(e)
+            e = (dist.reference - wt).fw
+            e = [sum(a * x for a, x in zip(row, e)) for row in twist]
+            weights[(summand.kappa, wt)] = p = m * dist.tau.sum_powers((1,), (e,))
             total += count * p
     return weights, total
 
 
+def _law_at(dist: CrystalDistribution, twist) -> Dict[Tuple[Weight, Weight], Fraction]:
+    """p^w keyed by (kappa, node weight), w given by its twist: ``_step_weights``
+    normalized over every node of every summand with its multiplicity."""
+    weights, total = _step_weights(dist, twist)
+    return {key: p / total for key, p in weights.items()}
+
+
+def _tau_at(datum: CartanDatum, twist, tau: TauPoint) -> Tuple[Fraction, ...]:
+    """tau^w, w given by its twist: tau_i^w = tau^{w(alpha_i)}."""
+    return tuple(tau.sum_powers((1,), ([sum(a * x for a, x in zip(row, root)) for row in twist],))
+                 for root in datum.matrix)
+
+
 def twisted_tau(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> Tuple[Fraction, ...]:
     """Coordinates tau^w with tau_i^w = tau^{w(alpha_i)} (integer exponents)."""
-    return tuple(tau.power(root) for root in _twisted_roots(datum, w))
+    return _tau_at(datum, datum.twist(w.apply_each(unit_vectors(datum.rank))), tau)
 
 
-def twisted_law(dist: CrystalDistribution, w: WeylElement
-                ) -> Dict[Tuple[Weight, Weight], Fraction]:
-    """p^w keyed by (kappa, node weight): the step law a_kappa tau^{r - wt} / N_r
-    of the source at tau^w, normalized over every node of every summand with
-    its multiplicity: one power per (summand, weight) and one normalizer."""
-    weights, total = _step_weights(dist, w)
-    return {key: p / total for key, p in weights.items()}
+def twisted_law(dist: CrystalDistribution, w: WeylElement) -> Dict[Tuple[Weight, Weight], Fraction]:
+    """p^w keyed by (kappa, node weight), w's word read once."""
+    return _law_at(dist, dist.datum.twist(w.apply_each(unit_vectors(dist.datum.rank))))
 
 
 def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
@@ -143,29 +142,36 @@ def twisted_node_probability(dist: CrystalDistribution, w: WeylElement,
     return twisted_law(dist, w).get((crystal.kappa, crystal.weights[node]), Fraction(0))
 
 
-def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
-                                       ) -> List[Tuple[CrystalGraph, int, Fraction]]:
-    """Twisted step law via the permutation p^w_b = p_{w(b)} (exact)."""
-    out = []
-    for e in dist.entries:
-        img = e.crystal.weyl_action_on_node(w, e.node)
-        out.append((e.crystal, e.node, dist.probability_of(e.crystal, img)))
-    return out
+def _twisted_walk(dist: CrystalDistribution) -> Iterator:
+    """w's images of the fundamental weights and, per summand, the sequence
+    of w(b) over its nodes b, for each w in index order.  On edge (parent, i),
+    w = s_i w_parent: each image is reflected and w(b) = S_i(w_parent(b))."""
+    datum, crystals = dist.datum, [c for c, _ in dist.crystals]
+
+    def step(value, i):
+        images, perms = value
+        return ([reflect(datum.matrix, i, x) for x in images],
+                [[c.simple_reflection_on_node(i, b) for b in perm]
+                 for c, perm in zip(crystals, perms)])
+
+    start = (unit_vectors(datum.rank), [range(len(c)) for c in crystals])
+    return dist.algebra.group.walk(start, step)
 
 
 def twisted_checks(dist: CrystalDistribution) -> Iterator[Tuple[str, bool]]:
-    """Yield ``(name, passed)`` for the twisted laws over every w of the group:
-    tau^w leaves the open unit cube unless w = 1, and the law at tau^w equals
-    the permuted law node by node."""
-    group, tau = dist.algebra.group, dist.tau
-    yield ("twisted tau outside ]0,1[^n unless w=1",
-           all(in_unit_cube(twisted_tau(dist.datum, w, tau)) == w.is_identity() for w in group))
-    ok = True
-    for w in group:
-        law = twisted_law(dist, w)
-        ok = ok and all(law[(crystal.kappa, crystal.weights[idx])] == permuted
-                        for crystal, idx, permuted in twisted_distribution_probabilities(dist, w))
-    yield "twisted law equals permuted law", ok
+    """Yield ``(name, passed)`` for the twisted laws over every w of the group,
+    in one ``_twisted_walk``: tau^w leaves the open unit cube unless w = 1,
+    and the law at tau^w equals the permuted law node by node."""
+    datum, outside, permuted = dist.datum, True, True
+    for k, (images, perms) in enumerate(_twisted_walk(dist)):
+        twist = datum.twist(images)
+        outside = outside and in_unit_cube(_tau_at(datum, twist, dist.tau)) == (k == 0)
+        law = _law_at(dist, twist)
+        permuted = permuted and all(
+            law[(c.kappa, c.weights[b])] == dist.law[(c.kappa, c.weights[wb])]
+            for (c, _), perm in zip(dist.crystals, perms) for b, wb in enumerate(perm))
+    yield "twisted tau outside ]0,1[^n unless w=1", outside
+    yield "twisted law equals permuted law", permuted
 
 
 # -- transition tables ------------------------------------------------------------

@@ -11,7 +11,9 @@ products for the Weyl group, a fresh walk per weight that keeps every orbit
 point it meets in a set for the orbits and the Weyl numerator, Gauss-Jordan
 elimination over the rationals for the inverse Cartan matrix, one normalizer per node at tau^w
 built as a point of its own (``_twisted_point``, with the D-th roots
-u^{w(alpha_i)}) for the twisted step law, one power per endpoint for the
+u^{w(alpha_i)}) for the twisted step law, w's word read one chain reflection
+at a time for the node permutations of the twisted checks' walk and the
+permuted law, one power per endpoint for the
 finite-horizon stay sum and for each term of the alternating identity, and
 the window-and-ladder construction for the lowering operator.  Powers of tau
 come from ``reference_power``, one ``Fraction`` power per coordinate, never
@@ -190,7 +192,7 @@ def _twisted_point(datum: CartanDatum, w: WeylElement, tau: TauPoint) -> TauPoin
     the roots those need, so fractional exponents evaluate at tau^w too."""
     values, roots = [], []
     for i in range(datum.rank):
-        exponent = act(datum, w, datum.simple_root(i)).root  # a root: integral
+        exponent = act(datum, w, datum.weight(datum.matrix[i])).root  # a root: integral
         values.append(_monomial(tau.values, exponent))
         roots.append(None if tau.roots is None else _monomial(tau.roots, exponent))
     return TauPoint(tuple(values), datum.det, None if tau.roots is None else tuple(roots))
@@ -206,6 +208,28 @@ def per_node_twisted_probability(dist: CrystalDistribution, w: WeylElement,
                  for summand, mult in dist.crystals for wt in summand.weights), Fraction(0))
     mult = sum(m for summand, m in dist.crystals if summand.kappa == crystal.kappa)
     return mult * reference_power(tw, (r - crystal.weights[node]).root) / denom
+
+
+def weyl_action_on_node(crystal: CrystalGraph, w: WeylElement, idx: int) -> int:
+    """Oracle for the node permutation of ``markov._twisted_walk``: w(b) by
+    w's word, one chain reflection at a time, right to left."""
+    for i in reversed(w.word):
+        idx = crystal.simple_reflection_on_node(i, idx)
+    return idx
+
+
+def probability_of(dist: CrystalDistribution, crystal: CrystalGraph, node: int) -> Fraction:
+    """The step probability of one node, read off the law by (kappa, wt)."""
+    return dist.law[(crystal.kappa, crystal.weights[node])]
+
+
+def twisted_distribution_probabilities(dist: CrystalDistribution, w: WeylElement
+                                       ) -> List[Tuple[CrystalGraph, int, Fraction]]:
+    """Oracle for ``twisted_law``: the permuted law p^w_b = p_{w(b)} of each
+    node, w(b) by ``weyl_action_on_node``."""
+    return [(e.crystal, e.node, probability_of(dist, e.crystal,
+                                               weyl_action_on_node(e.crystal, w, e.node)))
+            for e in dist.entries]
 
 
 def walk_transition(dist: CrystalDistribution, eta: Weight, beta: Weight) -> Fraction:

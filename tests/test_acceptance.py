@@ -30,6 +30,7 @@ from oracles import (
     inverse_element,
     normalizer_poly,
     twisted_drift_endpoint,
+    weyl_action_on_node,
     weyl_character_product,
 )
 
@@ -279,7 +280,7 @@ def test_criterion_09_twisted_law_permutation(c2, c2_algebra, tau_half, b_pi1, b
             for w in group:
                 for idx in range(len(crystal)):
                     direct = M.twisted_node_probability(dist, w, crystal, idx)
-                    img = crystal.weyl_action_on_node(w, idx)
+                    img = weyl_action_on_node(crystal, w, idx)
                     permuted = tau_half.power(
                         (crystal.kappa - crystal.weights[img]).root
                     ) / S

@@ -21,7 +21,7 @@ from weylwalk.crystal import module_multiplicity
 from weylwalk.errors import ResourceBudgetError, WeylwalkError
 
 from conftest import partition_weight
-from oracles import weyl_character_product
+from oracles import probability_of, twisted_distribution_probabilities, weyl_character_product
 
 # Per type: weights with dim V(lambda) below |W| and above it, and a generic tau.
 CASES = {
@@ -139,7 +139,7 @@ def test_crystal_route_serves_e7_a_zero_denominator_and_a_non_dominant_weight(mo
 
 
 def test_psi_ell_on_e7_builds_no_group():
-    """psi_ell is the twisted stay at w = 1, read off the unit vectors, so it
+    """psi_ell is the twisted stay at w = 1, read through coadj, so it
     never enumerates W: E7's group is over the budget.  From 0 one step
     stays only at the highest node, so psi_1 = 1 / S_omega_7."""
     e7 = build_cartan_datum("E7")
@@ -224,11 +224,11 @@ def test_probability_of_matches_entries(algebras):
     datum = algebra.datum
     dist = M.build_distribution(algebra, datum.weight((1, 1)), tau_point(datum, ["1/3", "2/5"]))
     for e in dist.entries:
-        assert dist.probability_of(e.crystal, e.node) == e.probability
-    assert sum(p for _, _, p in M.twisted_distribution_probabilities(
+        assert probability_of(dist, e.crystal, e.node) == e.probability
+    assert sum(p for _, _, p in twisted_distribution_probabilities(
         dist, max(algebra.group, key=lambda w: len(w.word)))) == Fraction(1)
     with pytest.raises(KeyError):
-        dist.probability_of(algebra.cache.get(datum.weight((1, 0))), 0)
+        probability_of(dist, algebra.cache.get(datum.weight((1, 0))), 0)
 
 
 @pytest.mark.parametrize("label,weights", [("C2", [(0, 0), (1, 0), (2, 3)]),

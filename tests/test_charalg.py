@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
-from weylwalk.cartan import act
-from weylwalk.charalg import (CharacterAlgebra, ExponentPolynomial, _units, tau_point,
-                              tau_point_from_roots)
+from weylwalk.cartan import act, unit_vectors
+from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, tau_point, tau_point_from_roots
 from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import DomainError, ExactEvaluationError
 
@@ -428,8 +427,8 @@ def test_twisted_stay_equals_power_oracle(name):
             counts, ell_r, norm = algebra._branching(mu, source, tau, ell)
             assert norm == algebra.normalizer(source, tau) ** ell
             for w in algebra.group:
-                images = w.apply_each(_units(datum.rank))
-                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, images)
+                twist = datum.twist(w.apply_each(unit_vectors(datum.rank)))
+                assert (algebra._twisted_stay(mu, counts, ell_r, norm, tau, twist)
                         == power_twisted_stay(algebra, mu, counts, ell_r, norm, tau, w))
 
 
@@ -443,8 +442,9 @@ def test_twisted_stay_raises_without_roots():
     for tau in (tau_point(datum, [F(1, 4), F(1, 9)]),
                 tau_point(datum, [F(1, 4), F(1, 9)], roots=[F(1, 2), None])):
         for w in algebra.group:
+            twist = datum.twist(w.apply_each(unit_vectors(2)))
             with pytest.raises(ExactEvaluationError) as oracle:
                 power_twisted_stay(algebra, mu, counts, ell_r, F(1), tau, w)
             with pytest.raises(ExactEvaluationError) as fast:
-                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, w.apply_each(_units(2)))
+                algebra._twisted_stay(mu, counts, ell_r, F(1), tau, twist)
             assert str(fast.value) == str(oracle.value)

@@ -422,15 +422,16 @@ def test_verify_module_with_multiplicities(tmp_path):
 
 
 def test_verify_module_twisted_law_sees_multiplicities(tmp_path, monkeypatch):
-    """A twisted law that drops the multiplicity 2 fails the check."""
-    original = M.twisted_law
+    """A twisted law that drops the multiplicity 2 fails the check: the law
+    evaluator that ``twisted_checks`` calls per element, patched."""
+    original = M._law_at
 
-    def ignoring_multiplicity(dist, w):
+    def ignoring_multiplicity(dist, twist):
         flat = copy.copy(dist)
         flat.crystals = [(c, 1) for c, _ in dist.crystals]
-        return original(flat, w)
+        return original(flat, twist)
 
-    monkeypatch.setattr(M, "twisted_law", ignoring_multiplicity)
+    monkeypatch.setattr(M, "_law_at", ignoring_multiplicity)
     code, outdir = run(tmp_path, "verify", "--config", write_config(tmp_path, MODULE_1_2))
     assert code == 3
     failed = [c["check"] for c in json.loads((outdir / "verify.json").read_text())
@@ -595,7 +596,7 @@ def test_tau_needs_one_rational_per_rank(tmp_path, capsys, argv, payload, key):
 
 
 def _broken_twisted_law(monkeypatch):
-    monkeypatch.setattr(M, "twisted_law", lambda *args: collections.defaultdict(int))
+    monkeypatch.setattr(M, "_law_at", lambda *args: collections.defaultdict(int))
 
 
 def _doubled_hchain_entry(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from weylwalk import build_cartan_datum
 from weylwalk import paths as P
 from weylwalk import markov as M
+from weylwalk.cartan import WeylElement, act_vector, unit_vectors
 from weylwalk.charalg import CharacterAlgebra, in_unit_cube, tau_point
 from weylwalk.crystal import CrystalGraph, ModuleSpec, TensorNode, tensor_apply_e, tensor_eps_phi
 from weylwalk.errors import DomainError, HarmonicityError, WeylwalkError
@@ -18,9 +19,12 @@ from oracles import (
     inverse_element,
     is_minuscule,
     per_node_twisted_probability,
+    probability_of,
+    twisted_distribution_probabilities,
     twisted_drift_endpoint,
     twisted_walk_transition,
     walk_transition,
+    weyl_action_on_node,
 )
 
 F = Fraction
@@ -262,7 +266,7 @@ def test_twisted_law_is_permuted_law(c2, c2_algebra, tau_half, b_pi1, b_gamma12)
         S = c2_algebra.character_value(crystal.kappa, tau_half)
         for w in group:
             for idx in range(len(crystal)):
-                img = crystal.weyl_action_on_node(w, idx)
+                img = weyl_action_on_node(crystal, w, idx)
                 p_img = tau_half.power((crystal.kappa - crystal.weights[img]).root) / S
                 assert M.twisted_node_probability(dist, w, crystal, idx) == p_img
 
@@ -302,8 +306,67 @@ def test_twisted_law_with_partial_roots(label, kappas, tau, roots):
     for w in algebra.group:
         law = M.twisted_law(dist, w)
         assert sum(law[(c.kappa, wt)] for c, _ in dist.crystals for wt in c.weights) == 1
-        for crystal, idx, p in M.twisted_distribution_probabilities(dist, w):
+        for crystal, idx, p in twisted_distribution_probabilities(dist, w):
             assert law[(crystal.kappa, crystal.weights[idx])] == p
+
+
+# (type, summands, tau, tau_roots): two minuscule sources, then C2's adjoint
+# (2,0) with a zero weight of multiplicity 2, G2's 7 nodes with a zero weight,
+# B3's 21 nodes with i-strings of two arrows and a zero weight of multiplicity
+# 3, and the C2 module (1,0) + 2 (0,1) that needs tau_roots
+WALK_SOURCES = [
+    ("A2", [((1, 0), 1)], ["1/2", "1/3"], None),
+    ("C2", [((1, 0), 1)], ["1/2", "1/3"], None),
+    ("C2", [((2, 0), 1)], ["1/2", "1/3"], None),
+    ("G2", [((1, 0), 1)], ["1/2", "1/3"], None),
+    ("B3", [((0, 1, 0), 1)], ["1/2", "1/3", "1/4"], None),
+    ("C2", [((1, 0), 1), ((0, 1), 2)], ["1/4", "1/9"], ["1/2", "1/3"]),
+]
+
+
+def _walk_source(label, summands, tau, roots):
+    datum = build_cartan_datum(label)
+    spec = ModuleSpec(tuple((datum.weight(fw), m) for fw, m in summands))
+    return M.build_distribution(CharacterAlgebra(datum), spec, tau_point(datum, tau, roots))
+
+
+@pytest.mark.parametrize("label,summands,tau,roots", WALK_SOURCES)
+def test_twisted_walk_matches_the_word_oracles(label, summands, tau, roots):
+    """At every element, the walk's images, node permutations and law equal
+    w's word applied one letter at a time: ``act_vector``,
+    ``weyl_action_on_node``, ``twisted_law`` and the permuted law
+    ``twisted_distribution_probabilities``."""
+    dist = _walk_source(label, summands, tau, roots)
+    datum = dist.datum
+    group = dist.algebra.group
+    for w, (images, perms) in zip(group, M._twisted_walk(dist), strict=True):
+        assert images == [act_vector(w, u) for u in unit_vectors(datum.rank)]
+        for (crystal, _), perm in zip(dist.crystals, perms, strict=True):
+            assert list(perm) == [weyl_action_on_node(crystal, w, b) for b in range(len(crystal))]
+        law = M._law_at(dist, datum.twist(images))
+        assert law == M.twisted_law(dist, w)
+        for crystal, idx, p in twisted_distribution_probabilities(dist, w):
+            assert law[(crystal.kappa, crystal.weights[idx])] == p
+    assert list(M.twisted_checks(dist)) == [("twisted tau outside ]0,1[^n unless w=1", True),
+                                            ("twisted law equals permuted law", True)]
+
+
+def test_sums_over_w_read_no_word(monkeypatch):
+    """``twisted_checks`` and ``master_identity_sides`` walk the orbit tree:
+    on D4 (1,0,0,0), |W| = 192, neither reads one element's word."""
+    d4 = build_cartan_datum("D4")
+    algebra = CharacterAlgebra(d4)
+    kappa, tau = d4.weight((1, 0, 0, 0)), tau_point(d4, ["1/2", "1/3", "1/4", "1/5"])
+    dist = M.build_distribution(algebra, kappa, tau)
+    group = algebra.group
+    reads = []
+    spelled = WeylElement.word.fget
+    monkeypatch.setattr(WeylElement, "word", property(lambda w: reads.append(w) or spelled(w)))
+    assert all(ok for _, ok in M.twisted_checks(dist))
+    left, right = algebra.master_identity_sides(d4.zero_weight(), kappa, tau, 3)
+    assert left != 0 and left == right
+    assert reads == []
+    assert group[5].word and len(reads) == 1  # the spy sees a read
 
 
 def test_twisted_walk_transition_formula(c2, c2_algebra, dist10, tau_half):
@@ -312,7 +375,7 @@ def test_twisted_walk_transition_formula(c2, c2_algebra, dist10, tau_half):
 
     group = weyl_group(c2)
     crystal = dist10.crystals[0][0]
-    twisted = {w: M.twisted_distribution_probabilities(dist10, w) for w in group}
+    twisted = {w: twisted_distribution_probabilities(dist10, w) for w in group}
     etas = [c2.weight(fw) for fw in [(0, 0), (1, 0), (2, 1)]]
     for w in group:
         probs = {crystal.weights[i].fw: p for _, i, p in twisted[w]}
@@ -345,7 +408,7 @@ def test_pitman_weight_zero_pair(c2, b_pi1):
     # reflection transform of a down-up excursion
     reversed_pair = TensorNode(((b_pi1, idx[(-1, 0)]), (b_pi1, idx[(1, 0)])))
     raised = M.pitman(c2, reversed_pair)
-    assert raised.weight().fw == (2, 0)
+    assert sum((c.weights[i] for c, i in raised.factors), c2.zero_weight()).fw == (2, 0)
     assert raised.path() == M.pitman(c2, reversed_pair.path())
 
 
@@ -413,7 +476,7 @@ def test_twisted_drift_outside_cone(c2, c2_algebra, dist10):
         w_inv = inverse_element(w)
         twisted = twisted_drift_endpoint(dist10, w_inv)
         # matches the permuted-law expectation
-        perm = M.twisted_distribution_probabilities(dist10, w)
+        perm = twisted_distribution_probabilities(dist10, w)
         crystal = dist10.crystals[0][0]
         direct = tuple(
             sum((p * F(crystal.weights[i].fw[k]) for _, i, p in perm), F(0))
@@ -529,7 +592,7 @@ def test_adjoint_zero_weight_step_mass(c2, dist_adjoint):
     zero_nodes = [i for i, w in enumerate(crystal.weights) if w.fw == (0, 0)]
     assert len(zero_nodes) == 2
     eta = c2.weight((3, 1))
-    expect = sum(dist_adjoint.probability_of(crystal, i) for i in zero_nodes)
+    expect = sum(probability_of(dist_adjoint, crystal, i) for i in zero_nodes)
     assert walk_transition(dist_adjoint, eta, eta) == expect
 
 
@@ -559,7 +622,7 @@ def test_adjoint_twisted_law_permutation(c2, c2_algebra, dist_adjoint):
     S = c2_algebra.character_value(crystal.kappa, tau)
     for w in c2_algebra.group:
         for idx in range(len(crystal)):
-            img = crystal.weyl_action_on_node(w, idx)
+            img = weyl_action_on_node(crystal, w, idx)
             p_img = tau.power((crystal.kappa - crystal.weights[img]).root) / S
             assert M.twisted_node_probability(dist_adjoint, w, crystal, idx) == p_img
 

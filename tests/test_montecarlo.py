@@ -15,7 +15,7 @@ from weylwalk.crystal import ModuleSpec, TensorNode
 from weylwalk.errors import DomainError
 
 from oracles import (exact_picker, exhaustive_h_trajectories, is_minuscule, numpy_philox,
-                     scalar_simulate_exits)
+                     scalar_simulate_exits, twisted_distribution_probabilities)
 
 F = Fraction
 
@@ -106,7 +106,7 @@ def test_twisted_finite_horizon_decreases(c2, c2_algebra, tau_half):
 def test_twisted_sampling_consistent_with_exact(c2, c2_algebra, dist10, tau_half,
                                                 monkeypatch):
     s1 = next(w for w in c2_algebra.group if w.word == (0,))
-    weighted = M.twisted_distribution_probabilities(dist10, s1)
+    weighted = twisted_distribution_probabilities(dist10, s1)
     sampler = MC.StepSampler(weighted)
     monkeypatch.setattr(MC.StepSampler, "from_distribution", lambda dist: sampler)
     zero = c2.zero_weight()

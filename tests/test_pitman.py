@@ -18,7 +18,7 @@ import pytest
 from weylwalk import build_cartan_datum, weyl_group
 from weylwalk import markov as M
 from weylwalk import paths as P
-from weylwalk.cartan import longest_word, positive_roots, reflect
+from weylwalk.cartan import act_vector, longest_word, positive_roots, reflect
 from weylwalk.charalg import CharacterAlgebra
 from weylwalk.crystal import ModuleSpec, TensorNode, tensor_eps_phi
 
@@ -71,7 +71,7 @@ def test_longest_word_spells_the_longest_element(spec):
     for i in reversed(longest_word(datum)):
         x = reflect(datum.matrix, i, x)
     longest = max(weyl_group(datum), key=lambda w: len(w.word))
-    assert x == longest.apply_fw(tuple(range(1, datum.rank + 1)))
+    assert x == act_vector(longest, tuple(range(1, datum.rank + 1)))
 
 
 # --- one-pass tensor transform ----------------------------------------------------

@@ -20,7 +20,8 @@ from weylwalk.charalg import tau_point
 from weylwalk.crystal import CrystalCache, ModuleSpec, count_multiplicity
 from weylwalk.errors import DomainError, FormatError
 
-from oracles import numpy_philox, pi_ell_w, twisted_walk_transition
+from oracles import (numpy_philox, pi_ell_w, twisted_distribution_probabilities,
+                     twisted_walk_transition)
 
 F = Fraction
 
@@ -116,7 +117,7 @@ def test_twisted_walk_transition_on_a_module(c2, c2_algebra, dist_mod):
     increments = {e.crystal.weights[e.node] for e in dist_mod.entries}
     for w in c2_algebra.group:
         mass = {}
-        for crystal, idx, p in M.twisted_distribution_probabilities(dist_mod, w):
+        for crystal, idx, p in twisted_distribution_probabilities(dist_mod, w):
             fw = crystal.weights[idx].fw
             mass[fw] = mass.get(fw, F(0)) + p
         for eta in etas:

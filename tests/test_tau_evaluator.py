@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylwalk.cartan import act, build_cartan_datum
-from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint, _units, tau_point
+from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint, tau_point
 from weylwalk.crystal import ModuleSpec
 from weylwalk.errors import ExactEvaluationError
 from weylwalk.markov import build_distribution
@@ -153,7 +153,7 @@ def test_module_without_roots_raises_the_same_messages():
     ]
     mu = C2.zero_weight()
     counts, ell_r, _ = algebra._branching(mu, README_MODULE, README_POINTS["full"], 2)
-    cases.append((lambda: algebra._twisted_stay(mu, counts, ell_r, F(1), tau, _units(2)), "-3/2"))
+    cases.append((lambda: algebra._twisted_stay(mu, counts, ell_r, F(1), tau, C2.coadj), "-3/2"))
     for call, exponent in cases:
         with pytest.raises(ExactEvaluationError) as err:
             call()

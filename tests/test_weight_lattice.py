@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 
 from weylwalk import build_cartan_datum, weyl_group
-from weylwalk.cartan import act, positive_roots, reflect
+from weylwalk.cartan import act, act_vector, positive_roots, reflect, unit_vectors
 from weylwalk.charalg import CharacterAlgebra, ExponentPolynomial, TauPoint
 from weylwalk.errors import DomainError, ExactEvaluationError
 
@@ -42,7 +42,7 @@ def test_orbit_group_equals_matrix_group(spec):
         assert word_matrix(datum, w.word) == m  # the word spells its element
         assert len(w.word) == len(oracle[m])  # ... and is reduced
         assert w.sign == (-1) ** len(w.word)
-        assert w.apply_fw(probe) == tuple(sum(a * x for a, x in zip(row, probe)) for row in m)
+        assert act_vector(w, probe) == tuple(sum(a * x for a, x in zip(row, probe)) for row in m)
     assert group[0].word == () and group[0].rho_image == rho
 
 
@@ -71,10 +71,26 @@ def test_walk_carries_the_fundamental_weights_to_every_element(spec):
     each element's images of the fundamental weights, as its word does."""
     datum = build_cartan_datum(spec)
     group = weyl_group(datum)
-    units = [tuple(int(j == k) for j in range(datum.rank)) for k in range(datum.rank)]
+    units = unit_vectors(datum.rank)
     walk = group.walk(units, lambda images, i: [reflect(datum.matrix, i, x) for x in images])
     for w, images in zip(group, walk, strict=True):
-        assert images == [w.apply_fw(fw) for fw in units]
+        assert images == [act_vector(w, fw) for fw in units]
+
+
+@pytest.mark.parametrize("spec", GROUP_TYPES, ids=str)
+def test_twist_reads_det_times_the_root_coordinates_of_w_x(spec):
+    """L_w . x is det A times the root coordinates of w(x), with w(x) from
+    w's word, and the identity's twist is coadj."""
+    datum = build_cartan_datum(spec)
+    units = unit_vectors(datum.rank)
+    assert datum.twist(units) == datum.coadj
+    probes = [datum.weight(tuple(range(1, datum.rank + 1))),
+              datum.weight((-2,) + (1,) * (datum.rank - 1))]
+    for w in weyl_group(datum):
+        twist = datum.twist(w.apply_each(units))
+        for x in probes:
+            assert (tuple(sum(a * c for a, c in zip(row, x.fw)) for row in twist)
+                    == act(datum, w, x).scaled)
 
 
 @pytest.mark.parametrize("label,values", [
@@ -105,7 +121,7 @@ def test_inverse_element_on_f4():
     for w in group:
         inv = inverse_element(w)
         assert inv in elements
-        assert inv.apply_fw(w.rho_image) == rho and w.apply_fw(inv.rho_image) == rho
+        assert act_vector(inv, w.rho_image) == rho and act_vector(w, inv.rho_image) == rho
         assert (inv.sign, len(inv.word)) == (w.sign, len(w.word))
 
 

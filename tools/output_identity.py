@@ -15,11 +15,14 @@ prints every job whose record differs and exits 1 if any does.
 ``--workload commands`` runs instead the fixed list ``COMMAND_JOBS`` below:
 CLI runs of the commands that no benchmark workload makes (``crystal``,
 ``character``, ``pitman`` and ``ratio``), so that a change can be compared on
-every command, and three runs no workload reaches: ``verify`` on D4, whose
+every command, and four runs no workload reaches: ``verify`` on D4, whose
 twisted checks and alternating identities walk a group of 192 elements, an
-A1 ``simulate`` where every sample stays, and ``verify`` on the C2 module
+A1 ``simulate`` where every sample stays, ``verify`` on the C2 module
 ``(1,0)+(0,1)``, whose twisted law sums over several summands and needs the
-D-th roots ``tau_roots``.  ``--seeds`` and ``--jobs`` do not apply to it.
+D-th roots ``tau_roots``, and ``verify`` on B3 ``(0,1,0)``, a non-minuscule
+source of 21 nodes with i-strings of two arrows and a zero weight of
+multiplicity 3, whose twisted checks permute it over 48 elements.
+``--seeds`` and ``--jobs`` do not apply to it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ COMMAND_JOBS = [
                       "samples": 2000, "horizon": 3, "seed": 1}),
         ("verify", {"type": "C2", "module": [{"kappa": [1, 0]}, {"kappa": [0, 1]}],
                     "tau_roots": ["1/2", "1/3"]}),
+        ("verify", {"type": "B3", "kappa": [0, 1, 0], "tau": ["1/2", "1/3", "1/4"]}),
     ])
 ]
 
